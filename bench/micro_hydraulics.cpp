@@ -113,11 +113,11 @@ void BM_BinnedTreeFit(benchmark::State& state) {
     for (std::size_t c = 0; c < d; ++c) x(i, c) = rng.normal();
     y[i] = x(i, 3) > 0.5 ? 1.0 : 0.0;
   }
-  ml::FeatureBinning binning;
-  binning.fit(x);
+  ml::BinnedDataset store;
+  store.fit(x);
   for (auto _ : state) {
     ml::RegressionTree tree;
-    tree.fit_binned(binning, y);
+    tree.fit_binned(store, y);
     benchmark::DoNotOptimize(tree);
   }
 }

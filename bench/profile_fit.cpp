@@ -1,30 +1,21 @@
 // Phase I profile-model fit throughput: the paper trains per-node leak
-// classifiers on a 20,000-scenario corpus (Sec. IV-A), and before the
-// shared column-block store landed, multi-label GB/RF fitting — not
-// hydraulics — was the binding cost (each label re-ran quantile binning
-// on the same matrix and scanned row-major codes). This bench sweeps the
-// corpus size 1.5k → 20k on both builtin networks, compares the shared-
-// store training path against a faithful replica of the pre-store
-// per-label loops at 1.5k, and finishes with the paper's full 20k/2k
-// train/test experiment end-to-end on EPA-NET.
-#include <algorithm>
+// classifiers on a 20,000-scenario corpus (Sec. IV-A), and multi-label
+// GB/RF fitting — not hydraulics — is the binding cost of Phase I. This
+// bench sweeps the corpus size 1.5k → 20k on both builtin networks
+// through the shared binned store, and finishes with the paper's full
+// 20k/2k train/test experiment end-to-end on EPA-NET.
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "core/snapshots.hpp"
-#include "ml/binning.hpp"
-#include "ml/decision_tree.hpp"
 #include "ml/gradient_boosting.hpp"
-#include "ml/linear_models.hpp"
 #include "ml/multilabel.hpp"
 #include "ml/random_forest.hpp"
 #include "networks/builtin.hpp"
@@ -52,100 +43,6 @@ ml::MultiLabelDataset take_rows(const ml::MultiLabelDataset& data, std::size_t n
                     data.labels.begin() + static_cast<std::ptrdiff_t>(n));
   out.feature_names = data.feature_names;
   return out;
-}
-
-// --- Pre-store reference replicas -----------------------------------
-//
-// Faithful copies of the per-label training loops as they stood before
-// this optimization: every label re-runs FeatureBinning::fit on the same
-// matrix, trees train through the row-major reference kernel, and GB
-// re-traverses the freshly fitted tree for every row each round. Kept
-// here (not in src/) so the committed BENCH report always measures the
-// new path against the real pre-store cost.
-
-double reference_gb_fit(const ml::MultiLabelDataset& data) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t n = data.features.rows();
-  for (std::size_t v = 0; v < data.num_labels(); ++v) {
-    const ml::Labels y = data.label_column(v);
-    const double pos_rate = ml::positive_rate(y);
-    if (pos_rate == 0.0 || pos_rate == 1.0) continue;
-    const auto [w_neg, w_pos] = ml::balanced_class_weights(y);
-    std::vector<double> weights(n);
-    for (std::size_t i = 0; i < n; ++i) weights[i] = y[i] != 0 ? w_pos : w_neg;
-    const double base_score = std::log(pos_rate / (1.0 - pos_rate));
-    std::vector<double> score(n, base_score), residual(n), hessian(n);
-    Rng rng(31);
-    std::vector<ml::RegressionTree> trees;
-    trees.reserve(60);
-    ml::FeatureBinning binning;
-    binning.fit(data.features);  // per label — the pre-store start-up cost
-    const auto subsample_count =
-        std::max<std::size_t>(1, static_cast<std::size_t>(0.8 * static_cast<double>(n)));
-    for (std::size_t round = 0; round < 60; ++round) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double p = ml::sigmoid(score[i]);
-        residual[i] = (y[i] != 0 ? 1.0 : 0.0) - p;
-        hessian[i] = std::max(p * (1.0 - p), 1e-6);
-      }
-      std::vector<std::size_t> rows;
-      if (subsample_count < n) rows = rng.sample_without_replacement(n, subsample_count);
-      ml::TreeConfig tree_config;
-      tree_config.max_depth = 3;
-      tree_config.min_samples_leaf = 4;
-      tree_config.min_samples_split = 8;
-      tree_config.seed = rng();
-      ml::RegressionTree tree(tree_config);
-      tree.fit_binned(binning, residual, weights, rows, hessian);
-      for (std::size_t i = 0; i < n; ++i) {
-        score[i] += 0.15 * tree.predict(data.features.row(i));
-      }
-      trees.push_back(std::move(tree));
-    }
-  }
-  return seconds_since(start);
-}
-
-double reference_rf_fit(const ml::MultiLabelDataset& data) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t n = data.features.rows();
-  const std::size_t d = data.features.cols();
-  for (std::size_t v = 0; v < data.num_labels(); ++v) {
-    const ml::Labels y = data.label_column(v);
-    const double pos_rate = ml::positive_rate(y);
-    if (pos_rate == 0.0 || pos_rate == 1.0) continue;
-    const auto [w_neg, w_pos] = ml::balanced_class_weights(y);
-    std::vector<double> targets(n), weights(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      targets[i] = y[i] != 0 ? 1.0 : 0.0;
-      weights[i] = y[i] != 0 ? w_pos : w_neg;
-    }
-    std::size_t mtry =
-        std::max<std::size_t>(1, static_cast<std::size_t>(0.25 * static_cast<double>(d)));
-    mtry = std::min({mtry, d, std::size_t{64}});
-    ml::FeatureBinning binning;
-    binning.fit(data.features);  // per label — the pre-store start-up cost
-    std::vector<ml::RegressionTree> trees;
-    trees.reserve(40);
-    Rng rng(29);
-    std::vector<std::size_t> bootstrap(n);
-    for (std::size_t b = 0; b < 40; ++b) {
-      for (std::size_t i = 0; i < n; ++i) {
-        bootstrap[i] =
-            static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      }
-      ml::TreeConfig tree_config;
-      tree_config.max_depth = 12;
-      tree_config.min_samples_leaf = 1;
-      tree_config.min_samples_split = 2;
-      tree_config.max_features = mtry;
-      tree_config.seed = rng();
-      ml::RegressionTree tree(tree_config);
-      tree.fit_binned(binning, targets, weights, bootstrap);
-      trees.push_back(std::move(tree));
-    }
-  }
-  return seconds_since(start);
 }
 
 double timed_multilabel_fit(const ml::MultiLabelDataset& data,
@@ -187,20 +84,6 @@ void sweep_network(const hydraulics::Network& net, const std::string& key,
     const std::string prefix = key + ".fit" + std::to_string(size);
     metrics.emplace_back(prefix + ".gb_s", gb_s);
     metrics.emplace_back(prefix + ".rf_s", rf_s);
-
-    if (size == 1'500) {
-      // Pre-store baseline at the corpus size EXPERIMENTS.md used to be
-      // stuck at; the ratio is the headline speedup of this change.
-      const double ref_gb_s = reference_gb_fit(data);
-      const double ref_rf_s = reference_rf_fit(data);
-      metrics.emplace_back(prefix + ".gb_prestore_s", ref_gb_s);
-      metrics.emplace_back(prefix + ".rf_prestore_s", ref_rf_s);
-      metrics.emplace_back(prefix + ".gb_speedup", gb_s > 0.0 ? ref_gb_s / gb_s : 0.0);
-      metrics.emplace_back(prefix + ".rf_speedup", rf_s > 0.0 ? ref_rf_s / rf_s : 0.0);
-      std::printf("pre-store path at 1500: GB %.2f s (%.1fx), RF %.2f s (%.1fx)\n", ref_gb_s,
-                  gb_s > 0.0 ? ref_gb_s / gb_s : 0.0, ref_rf_s,
-                  rf_s > 0.0 ? ref_rf_s / rf_s : 0.0);
-    }
   }
   table.print();
 }
@@ -240,8 +123,7 @@ void paper_scale_epa(bench::Metrics& metrics) {
 }  // namespace
 
 int main() {
-  bench::banner("Phase I profile fit",
-                "shared-store multi-label training sweep vs the pre-store path");
+  bench::banner("Phase I profile fit", "shared-store multi-label training sweep");
   bench::Metrics metrics;
   sweep_network(networks::make_epa_net(), "epa_net", metrics);
   sweep_network(networks::make_wssc_subnet(), "wssc_subnet", metrics);

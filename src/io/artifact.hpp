@@ -24,7 +24,9 @@
 
 namespace aqua::io {
 
-// v2: GB/RF/HybridRSL classifier states gained max_bins + exact_splits.
+// v2: GB/RF/HybridRSL classifier states gained max_bins and a flag byte
+// (once exact_splits) that is now always written false and ignored on
+// load; every tree ensemble trains through the one histogram kernel.
 inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Collects named sections in memory, then emits the container.

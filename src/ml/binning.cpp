@@ -24,49 +24,7 @@ std::vector<double> quantile_cuts(std::span<const double> sorted_column, std::si
   return cuts;
 }
 
-namespace {
-
-/// Sorts feature `f`'s column, derives its cuts, and encodes every sample
-/// through `write_code(row, code)`. One call per feature; features are
-/// independent, so callers may fan these out across threads.
-template <typename WriteCode>
-std::vector<double> bin_feature(const linalg::Matrix& x, std::size_t f, std::size_t max_bins,
-                                std::vector<double>& column, WriteCode write_code) {
-  const std::size_t n = x.rows();
-  column.resize(n);
-  for (std::size_t r = 0; r < n; ++r) column[r] = x(r, f);
-  std::sort(column.begin(), column.end());
-  std::vector<double> cuts = quantile_cuts(column, max_bins);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double v = x(r, f);
-    const auto it = std::lower_bound(cuts.begin(), cuts.end(), v);
-    // v <= cuts[k] -> bin k; v > all cuts -> last bin.
-    write_code(r, static_cast<std::uint8_t>(it - cuts.begin()));
-  }
-  return cuts;
-}
-
-}  // namespace
 }  // namespace detail
-
-void FeatureBinning::fit(const linalg::Matrix& x, std::size_t max_bins, bool parallel) {
-  AQUA_REQUIRE(x.rows() > 0, "cannot bin an empty matrix");
-  AQUA_REQUIRE(max_bins >= 2 && max_bins <= kMaxBins, "max_bins out of range");
-  const std::size_t n = x.rows(), d = x.cols();
-  cuts_.assign(d, {});
-  codes_.assign(n * d, 0);
-
-  auto bin_one = [&](std::size_t f) {
-    std::vector<double> column;
-    cuts_[f] = detail::bin_feature(x, f, max_bins, column,
-                                   [&](std::size_t r, std::uint8_t c) { codes_[r * d + f] = c; });
-  };
-  if (parallel) {
-    ThreadPool::global().parallel_for(d, bin_one);
-  } else {
-    for (std::size_t f = 0; f < d; ++f) bin_one(f);
-  }
-}
 
 void BinnedDataset::fit(const linalg::Matrix& x, std::size_t max_bins, bool parallel) {
   AQUA_REQUIRE(x.rows() > 0, "cannot bin an empty matrix");
@@ -77,11 +35,20 @@ void BinnedDataset::fit(const linalg::Matrix& x, std::size_t max_bins, bool para
   cuts_.assign(d, {});
   codes_.assign(n * d, 0);
 
+  // Sorts feature f's column, derives its cuts, and encodes every sample
+  // into the feature's column block. Features are independent.
   auto bin_one = [&](std::size_t f) {
+    std::vector<double> column(n);
+    for (std::size_t r = 0; r < n; ++r) column[r] = x(r, f);
+    std::sort(column.begin(), column.end());
+    cuts_[f] = detail::quantile_cuts(column, max_bins);
+    const std::vector<double>& cuts = cuts_[f];
     std::uint8_t* col = codes_.data() + f * n;
-    std::vector<double> column;
-    cuts_[f] = detail::bin_feature(x, f, max_bins, column,
-                                   [&](std::size_t r, std::uint8_t c) { col[r] = c; });
+    for (std::size_t r = 0; r < n; ++r) {
+      // v <= cuts[k] -> bin k; v > all cuts -> last bin.
+      const auto it = std::lower_bound(cuts.begin(), cuts.end(), x(r, f));
+      col[r] = static_cast<std::uint8_t>(it - cuts.begin());
+    }
   };
   if (parallel) {
     ThreadPool::global().parallel_for(d, bin_one);

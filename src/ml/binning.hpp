@@ -6,15 +6,12 @@
 // feature values (bin boundaries), so prediction works on raw, unbinned
 // inputs.
 //
-// Two stores share the cut-point logic:
-//  - FeatureBinning: the original row-major store (codes_[r*d+f]), kept
-//    as the reference kernel's input and for tree-level tests.
-//  - BinnedDataset: the shared column-block store (codes_[f*n+r], one
-//    contiguous uint8 column per feature). Built once per training
-//    matrix and shared read-only across every label's classifier, every
-//    RF bootstrap tree and every GB round; the contiguous columns are
-//    what make the histogram scan in RegressionTree::fit_binned stream
-//    through cache lines instead of striding across them.
+// BinnedDataset is the one store: a column-block layout (codes_[f*n+r],
+// one contiguous uint8 column per feature), built once per training
+// matrix and shared read-only across every label's classifier, every RF
+// bootstrap tree and every GB round. The contiguous columns are what
+// make the histogram scan in RegressionTree::fit_binned stream through
+// cache lines instead of striding across them.
 #pragma once
 
 #include <cstdint>
@@ -33,54 +30,16 @@ namespace detail {
 std::vector<double> quantile_cuts(std::span<const double> sorted_column, std::size_t max_bins);
 }  // namespace detail
 
-class FeatureBinning {
- public:
-  /// uint8 headroom: codes are bin indices in [0, bins-1], bins <= 255.
-  static constexpr std::size_t kMaxBins = 255;
-  /// Default bin budget (the classic LightGBM sweet spot).
-  static constexpr std::size_t kDefaultBins = 64;
-
-  FeatureBinning() = default;
-
-  /// Computes per-feature quantile cut points from `x` and encodes every
-  /// sample. `max_bins` in [2, kMaxBins]. Per-feature work (full-column
-  /// sort + encode) is independent, so `parallel` fans it out over the
-  /// global ThreadPool with bit-identical results to the serial order.
-  void fit(const linalg::Matrix& x, std::size_t max_bins = kDefaultBins, bool parallel = false);
-
-  bool fitted() const noexcept { return !cuts_.empty(); }
-  std::size_t num_features() const noexcept { return cuts_.size(); }
-  std::size_t num_samples() const noexcept {
-    return cuts_.empty() ? 0 : codes_.size() / cuts_.size();
-  }
-
-  /// Number of distinct bins for a feature (>= 1).
-  std::size_t bins(std::size_t feature) const { return cuts_[feature].size() + 1; }
-
-  /// Encoded bin of the training sample (row, feature).
-  std::uint8_t code(std::size_t row, std::size_t feature) const {
-    return codes_[row * cuts_.size() + feature];
-  }
-
-  /// Upper boundary value of `bin` for a feature: samples with
-  /// value <= boundary fall in bins [0, bin]. Valid for bin < bins()-1.
-  double upper_boundary(std::size_t feature, std::size_t bin) const {
-    return cuts_[feature][bin];
-  }
-
- private:
-  std::vector<std::vector<double>> cuts_;  // per feature, ascending, unique
-  std::vector<std::uint8_t> codes_;        // row-major samples x features
-};
-
 /// Shared column-block binned feature store. Immutable after fit(); every
 /// accessor is const and reentrant, so one store may be read concurrently
 /// by any number of tree fits without synchronization (the shared-store
 /// fit protocol on BinaryClassifier relies on this).
 class BinnedDataset {
  public:
-  static constexpr std::size_t kMaxBins = FeatureBinning::kMaxBins;
-  static constexpr std::size_t kDefaultBins = FeatureBinning::kDefaultBins;
+  /// uint8 headroom: codes are bin indices in [0, bins-1], bins <= 255.
+  static constexpr std::size_t kMaxBins = 255;
+  /// Default bin budget (the classic LightGBM sweet spot).
+  static constexpr std::size_t kDefaultBins = 64;
 
   BinnedDataset() = default;
 

@@ -1,7 +1,6 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -148,156 +147,6 @@ int RegressionTree::build(BuildContext& ctx, std::vector<std::size_t>& indices, 
   const auto self = static_cast<int>(nodes_.size()) - 1;
   const int left = build(ctx, indices, begin, mid, depth + 1, rng);
   const int right = build(ctx, indices, mid, end, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(self)].left = left;
-  nodes_[static_cast<std::size_t>(self)].right = right;
-  return self;
-}
-
-struct RegressionTree::BinnedContext {
-  const FeatureBinning& binning;
-  std::span<const double> targets;
-  std::span<const double> weights;
-  std::span<const double> hessians;
-  std::size_t max_features;
-
-  double weight(std::size_t i) const { return weights.empty() ? 1.0 : weights[i]; }
-  double hessian(std::size_t i) const { return hessians.empty() ? 1.0 : hessians[i]; }
-};
-
-void RegressionTree::fit_binned(const FeatureBinning& binning, std::span<const double> targets,
-                                std::span<const double> weights,
-                                std::span<const std::size_t> sample_indices,
-                                std::span<const double> hessians) {
-  AQUA_REQUIRE(binning.fitted(), "binning not fitted");
-  AQUA_REQUIRE(targets.size() == binning.num_samples(), "target/binning row mismatch");
-  AQUA_REQUIRE(weights.empty() || weights.size() == targets.size(), "weight row mismatch");
-  AQUA_REQUIRE(hessians.empty() || hessians.size() == targets.size(), "hessian row mismatch");
-
-  std::vector<std::size_t> indices;
-  if (sample_indices.empty()) {
-    indices.resize(targets.size());
-    std::iota(indices.begin(), indices.end(), std::size_t{0});
-  } else {
-    indices.assign(sample_indices.begin(), sample_indices.end());
-  }
-  AQUA_REQUIRE(!indices.empty(), "cannot fit a tree on zero samples");
-
-  nodes_.clear();
-  BinnedContext ctx{binning, targets, weights, hessians,
-                    config_.max_features == 0
-                        ? binning.num_features()
-                        : std::min(config_.max_features, binning.num_features())};
-  Rng rng(config_.seed);
-  build_binned(ctx, indices, 0, indices.size(), 0, rng);
-}
-
-int RegressionTree::build_binned(BinnedContext& ctx, std::vector<std::size_t>& indices,
-                                 std::size_t begin, std::size_t end, std::size_t depth,
-                                 Rng& rng) {
-  const std::size_t count = end - begin;
-
-  double sum_wt = 0.0, sum_wy = 0.0, sum_wh = 0.0, sum_wyy = 0.0;
-  for (std::size_t k = begin; k < end; ++k) {
-    const std::size_t i = indices[k];
-    const double w = ctx.weight(i);
-    sum_wt += w;
-    sum_wy += w * ctx.targets[i];
-    sum_wyy += w * ctx.targets[i] * ctx.targets[i];
-    sum_wh += w * ctx.hessian(i);
-  }
-
-  Node node;
-  node.value = ctx.hessians.empty() ? (sum_wt > 0.0 ? sum_wy / sum_wt : 0.0)
-                                    : sum_wy / std::max(sum_wh, 1e-12);
-
-  const double node_sse = sum_wyy - (sum_wt > 0.0 ? sum_wy * sum_wy / sum_wt : 0.0);
-  const bool can_split = depth < config_.max_depth && count >= config_.min_samples_split &&
-                         node_sse > 1e-12;
-  if (!can_split) {
-    nodes_.push_back(node);
-    return static_cast<int>(nodes_.size()) - 1;
-  }
-
-  std::vector<std::size_t> features;
-  if (ctx.max_features >= ctx.binning.num_features()) {
-    features.resize(ctx.binning.num_features());
-    std::iota(features.begin(), features.end(), std::size_t{0});
-  } else {
-    features = rng.sample_without_replacement(ctx.binning.num_features(), ctx.max_features);
-  }
-
-  double best_gain = 1e-12;
-  int best_feature = -1;
-  std::size_t best_bin = 0;
-
-  // Per-bin accumulators (kMaxBins is small enough for the stack-ish reuse).
-  std::array<double, FeatureBinning::kMaxBins> bin_wt{}, bin_wy{}, bin_wyy{};
-  std::array<std::size_t, FeatureBinning::kMaxBins> bin_count{};
-
-  for (const std::size_t f : features) {
-    const std::size_t bins = ctx.binning.bins(f);
-    if (bins < 2) continue;
-    std::fill_n(bin_wt.begin(), bins, 0.0);
-    std::fill_n(bin_wy.begin(), bins, 0.0);
-    std::fill_n(bin_wyy.begin(), bins, 0.0);
-    std::fill_n(bin_count.begin(), bins, std::size_t{0});
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::size_t i = indices[k];
-      const std::uint8_t b = ctx.binning.code(i, f);
-      const double w = ctx.weight(i);
-      bin_wt[b] += w;
-      bin_wy[b] += w * ctx.targets[i];
-      bin_wyy[b] += w * ctx.targets[i] * ctx.targets[i];
-      ++bin_count[b];
-    }
-    double left_wt = 0.0, left_wy = 0.0, left_wyy = 0.0;
-    std::size_t left_n = 0;
-    for (std::size_t b = 0; b + 1 < bins; ++b) {
-      left_wt += bin_wt[b];
-      left_wy += bin_wy[b];
-      left_wyy += bin_wyy[b];
-      left_n += bin_count[b];
-      const std::size_t right_n = count - left_n;
-      if (left_n < config_.min_samples_leaf || right_n < config_.min_samples_leaf) continue;
-      const double right_wt = sum_wt - left_wt;
-      if (left_wt <= 0.0 || right_wt <= 0.0) continue;
-      const double right_wy = sum_wy - left_wy;
-      const double right_wyy = sum_wyy - left_wyy;
-      const double left_sse = left_wyy - left_wy * left_wy / left_wt;
-      const double right_sse = right_wyy - right_wy * right_wy / right_wt;
-      const double gain = node_sse - left_sse - right_sse;
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_feature = static_cast<int>(f);
-        best_bin = b;
-      }
-    }
-  }
-
-  if (best_feature < 0) {
-    nodes_.push_back(node);
-    return static_cast<int>(nodes_.size()) - 1;
-  }
-
-  const double threshold =
-      ctx.binning.upper_boundary(static_cast<std::size_t>(best_feature), best_bin);
-  const auto mid_it = std::partition(
-      indices.begin() + static_cast<std::ptrdiff_t>(begin),
-      indices.begin() + static_cast<std::ptrdiff_t>(end), [&](std::size_t i) {
-        return ctx.binning.code(i, static_cast<std::size_t>(best_feature)) <= best_bin;
-      });
-  const auto mid = static_cast<std::size_t>(mid_it - indices.begin());
-  if (mid == begin || mid == end) {
-    nodes_.push_back(node);
-    return static_cast<int>(nodes_.size()) - 1;
-  }
-
-  node.feature = best_feature;
-  node.threshold = threshold;
-  nodes_.push_back(node);
-  const auto self = static_cast<int>(nodes_.size()) - 1;
-  const int left = build_binned(ctx, indices, begin, mid, depth + 1, rng);
-  const int right = build_binned(ctx, indices, mid, end, depth + 1, rng);
   nodes_[static_cast<std::size_t>(self)].left = left;
   nodes_[static_cast<std::size_t>(self)].right = right;
   return self;
@@ -1037,9 +886,20 @@ void RegressionTree::load(io::BinaryReader& reader) {
   config_.max_features = reader.read_u64();
   config_.seed = reader.read_u64();
   const std::uint64_t count = reader.read_u64();
-  if (count > (std::uint64_t{1} << 32)) throw io::SerializationError("malformed tree node count");
+  // Each node is 28 serialized bytes (i32, f64, f64, i32, i32); a count
+  // the payload cannot hold is rejected before anything is reserved.
+  if (count > (std::uint64_t{1} << 32) || count > reader.remaining() / 28) {
+    throw io::SerializationError("malformed tree node count");
+  }
   nodes_.clear();
   nodes_.reserve(count);
+  // Both fitters emit pre-order: a split's left child is the next node
+  // and its right child follows the left subtree. Requiring children
+  // strictly after their parent, each claimed by one parent only, makes
+  // every loaded tree a tree: predict() cannot cycle, and no shared
+  // subtree can multiply the compiled kernel's breadth-first flattening.
+  std::vector<std::uint8_t> claimed(count, 0);
+  const auto n = static_cast<std::int64_t>(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Node node;
     node.feature = reader.read_i32();
@@ -1047,13 +907,21 @@ void RegressionTree::load(io::BinaryReader& reader) {
     node.value = reader.read_f64();
     node.left = reader.read_i32();
     node.right = reader.read_i32();
-    // Child indices must stay inside the node array so a corrupt tree can
-    // never send predict() out of bounds.
     if (node.feature >= 0) {
-      const auto n = static_cast<std::int64_t>(count);
+      // Child indices must stay inside the node array so a corrupt tree
+      // can never send predict() out of bounds.
       if (node.left < 0 || node.right < 0 || node.left >= n || node.right >= n) {
         throw io::SerializationError("malformed tree: child index out of range");
       }
+      if (node.left != static_cast<std::int64_t>(i) + 1 || node.right <= node.left) {
+        throw io::SerializationError("malformed tree: nodes not in pre-order");
+      }
+      auto& left = claimed[static_cast<std::size_t>(node.left)];
+      auto& right = claimed[static_cast<std::size_t>(node.right)];
+      if (left != 0 || right != 0) {
+        throw io::SerializationError("malformed tree: node has two parents");
+      }
+      left = right = 1;
     }
     nodes_.push_back(node);
   }

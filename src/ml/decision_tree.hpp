@@ -44,6 +44,10 @@ class RegressionTree {
  public:
   explicit RegressionTree(TreeConfig config = {}) : config_(config) {}
 
+  /// Exact sorted-feature CART: every midpoint between distinct values is
+  /// a candidate threshold. This is the test oracle the histogram kernel
+  /// below is checked against; no ensemble trains through it.
+  ///
   /// Fits on rows `sample_indices` of x (empty = all rows). `weights` may
   /// be empty (all 1). `hessians`, when provided, switches leaf values to
   /// the Newton estimate sum(w*target) / sum(w*hessian) used by gradient
@@ -52,17 +56,8 @@ class RegressionTree {
            std::span<const double> weights = {}, std::span<const std::size_t> sample_indices = {},
            std::span<const double> hessians = {});
 
-  /// Histogram-based fit over a row-major FeatureBinning. This is the
-  /// reference histogram kernel (kept for tree-level tests and as the
-  /// pre-store comparison baseline); the ensembles train through the
-  /// BinnedDataset overload below.
-  void fit_binned(const FeatureBinning& binning, std::span<const double> targets,
-                  std::span<const double> weights = {},
-                  std::span<const std::size_t> sample_indices = {},
-                  std::span<const double> hessians = {});
-
-  /// Column-block histogram fit over a shared BinnedDataset — the fast
-  /// kernel all ensembles use. Per node it streams each candidate
+  /// Column-block histogram fit over a shared BinnedDataset — the kernel
+  /// every ensemble trains through. Per node it streams each candidate
   /// feature's contiguous code column into a bin histogram (per-row
   /// (w, w*y, w*y*y) stats are precomputed once and kept in partition
   /// order), derives the larger child's histograms from the parent's by
@@ -122,10 +117,6 @@ class RegressionTree {
   struct BuildContext;
   int build(BuildContext& ctx, std::vector<std::size_t>& indices, std::size_t begin,
             std::size_t end, std::size_t depth, Rng& rng);
-
-  struct BinnedContext;
-  int build_binned(BinnedContext& ctx, std::vector<std::size_t>& indices, std::size_t begin,
-                   std::size_t end, std::size_t depth, Rng& rng);
 
   struct StoreContext;
   struct NodeTotals;

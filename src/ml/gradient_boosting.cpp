@@ -27,7 +27,7 @@ void GradientBoostingClassifier::fit_with_store(const Matrix& x, const Labels& y
   AQUA_REQUIRE(store.fitted() && store.num_samples() == x.rows() &&
                    store.num_features() == x.cols() && store.max_bins() == config_.max_bins,
                "shared store does not match the training matrix");
-  fit_impl(x, y, config_.exact_splits ? nullptr : &store);
+  fit_impl(x, y, &store);
 }
 
 void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
@@ -63,7 +63,7 @@ void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
   // Bin once per fit — or not at all when a shared store (already fitted
   // on exactly this matrix) is handed down by MultiLabelModel.
   BinnedDataset local_store;
-  if (!config_.exact_splits && store == nullptr) {
+  if (store == nullptr) {
     local_store.fit(x, config_.max_bins);
     store = &local_store;
   }
@@ -88,20 +88,13 @@ void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
     tree_config.min_samples_split = 2 * config_.min_samples_leaf;
     tree_config.seed = rng();
     RegressionTree tree(tree_config);
-    if (config_.exact_splits) {
-      tree.fit(x, residual, weights, rows, hessian);
-      for (std::size_t i = 0; i < n; ++i) {
-        score[i] += config_.learning_rate * tree.predict(x.row(i));
-      }
-    } else {
-      // The kernel reports every row's leaf, so the round's score update
-      // is a leaf-value lookup instead of n full tree traversals
-      // (leaf_value(leaf_of_row[i]) == predict(row i) bitwise).
-      tree.fit_binned(*store, residual, weights, rows, hessian, &leaf_of_row);
-      for (std::size_t i = 0; i < n; ++i) {
-        score[i] += config_.learning_rate *
-                    tree.leaf_value(static_cast<std::size_t>(leaf_of_row[i]));
-      }
+    // The kernel reports every row's leaf, so the round's score update is
+    // a leaf-value lookup instead of n full tree traversals
+    // (leaf_value(leaf_of_row[i]) == predict(row i) bitwise).
+    tree.fit_binned(*store, residual, weights, rows, hessian, &leaf_of_row);
+    for (std::size_t i = 0; i < n; ++i) {
+      score[i] += config_.learning_rate *
+                  tree.leaf_value(static_cast<std::size_t>(leaf_of_row[i]));
     }
     trees_.push_back(std::move(tree));
   }
@@ -145,7 +138,7 @@ void GradientBoostingClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_f64(config_.subsample);
   writer.write_u64(config_.seed);
   writer.write_u64(config_.max_bins);
-  writer.write_bool(config_.exact_splits);
+  writer.write_bool(false);  // retired v2 exact_splits slot
   writer.write_f64(base_score_);
   writer.write_bool(constant_);
   writer.write_f64(constant_probability_);
@@ -161,7 +154,7 @@ void GradientBoostingClassifier::load_state(io::BinaryReader& reader) {
   config_.subsample = reader.read_f64();
   config_.seed = reader.read_u64();
   config_.max_bins = reader.read_u64();
-  config_.exact_splits = reader.read_bool();
+  reader.read_bool();  // retired v2 exact_splits slot
   base_score_ = reader.read_f64();
   constant_ = reader.read_bool();
   constant_probability_ = reader.read_f64();

@@ -19,9 +19,6 @@ struct GradientBoostingConfig {
   std::uint64_t seed = 31;
   /// Quantile-bin budget of the histogram split search (2..255).
   std::size_t max_bins = 64;
-  /// Train with exact sorted-feature CART splits instead of histograms —
-  /// the slow validation oracle the binned path is tested against.
-  bool exact_splits = false;
 };
 
 class GradientBoostingClassifier final : public BinaryClassifier {
@@ -44,9 +41,7 @@ class GradientBoostingClassifier final : public BinaryClassifier {
   void save_state(io::BinaryWriter& writer) const override;
   void load_state(io::BinaryReader& reader) override;
 
-  std::size_t fit_store_bins() const override {
-    return config_.exact_splits ? 0 : config_.max_bins;
-  }
+  std::size_t fit_store_bins() const override { return config_.max_bins; }
   void fit_with_store(const Matrix& x, const Labels& y, const BinnedDataset& store) override;
 
   std::size_t num_rounds_fitted() const noexcept { return trees_.size(); }

@@ -122,7 +122,7 @@ void HybridRslClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_f64(config_.forest.max_features_fraction);
   writer.write_u64(config_.forest.seed);
   writer.write_u64(config_.forest.max_bins);
-  writer.write_bool(config_.forest.exact_splits);
+  writer.write_bool(false);  // retired v2 exact_splits slot
   write_sgd_config(writer, config_.svm.sgd);
   writer.write_u64(config_.svm.rff_dimension);
   writer.write_f64(config_.svm.rff_gamma);
@@ -149,7 +149,7 @@ void HybridRslClassifier::load_state(io::BinaryReader& reader) {
   config_.forest.max_features_fraction = reader.read_f64();
   config_.forest.seed = reader.read_u64();
   config_.forest.max_bins = reader.read_u64();
-  config_.forest.exact_splits = reader.read_bool();
+  reader.read_bool();  // retired v2 exact_splits slot
   config_.svm.sgd = read_sgd_config(reader);
   config_.svm.rff_dimension = reader.read_u64();
   config_.svm.rff_gamma = reader.read_f64();

@@ -23,7 +23,7 @@ void RandomForestClassifier::fit_with_store(const Matrix& x, const Labels& y,
   AQUA_REQUIRE(store.fitted() && store.num_samples() == x.rows() &&
                    store.num_features() == x.cols() && store.max_bins() == config_.max_bins,
                "shared store does not match the training matrix");
-  fit_impl(x, y, config_.exact_splits ? nullptr : &store);
+  fit_impl(x, y, &store);
 }
 
 void RandomForestClassifier::fit_impl(const Matrix& x, const Labels& y,
@@ -67,7 +67,7 @@ void RandomForestClassifier::fit_impl(const Matrix& x, const Labels& y,
   // shared column-block encoding — or the caller's store when one was
   // already fitted on exactly this matrix.
   BinnedDataset local_store;
-  if (!config_.exact_splits && store == nullptr) {
+  if (store == nullptr) {
     local_store.fit(x, config_.max_bins);
     store = &local_store;
   }
@@ -88,11 +88,7 @@ void RandomForestClassifier::fit_impl(const Matrix& x, const Labels& y,
     tree_config.max_features = mtry;
     tree_config.seed = rng();
     RegressionTree tree(tree_config);
-    if (config_.exact_splits) {
-      tree.fit(x, targets, weights, bootstrap);
-    } else {
-      tree.fit_binned(*store, targets, weights, bootstrap);
-    }
+    tree.fit_binned(*store, targets, weights, bootstrap);
     trees_.push_back(std::move(tree));
   }
   compiled_.compile(trees_, 1.0);
@@ -140,7 +136,7 @@ void RandomForestClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_f64(config_.max_features_fraction);
   writer.write_u64(config_.seed);
   writer.write_u64(config_.max_bins);
-  writer.write_bool(config_.exact_splits);
+  writer.write_bool(false);  // retired v2 exact_splits slot
   writer.write_bool(constant_);
   writer.write_f64(constant_probability_);
   writer.write_u64(trees_.size());
@@ -155,7 +151,7 @@ void RandomForestClassifier::load_state(io::BinaryReader& reader) {
   config_.max_features_fraction = reader.read_f64();
   config_.seed = reader.read_u64();
   config_.max_bins = reader.read_u64();
-  config_.exact_splits = reader.read_bool();
+  reader.read_bool();  // retired v2 exact_splits slot
   constant_ = reader.read_bool();
   constant_probability_ = reader.read_f64();
   const std::uint64_t count = reader.read_u64();

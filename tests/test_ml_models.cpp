@@ -294,51 +294,6 @@ MultiLabelDataset tree_multilabel_data(std::size_t n, std::size_t labels, Rng& r
   return data;
 }
 
-/// Exact-splits oracle: histogram training must track the exact-CART
-/// classifier closely at the ensemble level (quantile bins only coarsen
-/// thresholds; both see the same signal).
-TEST(GradientBoosting, BinnedAgreesWithExactSplits) {
-  Rng rng(61);
-  const auto [x, y] = blobs(400, rng);
-  GradientBoostingConfig config;
-  GradientBoostingClassifier binned(config);
-  config.exact_splits = true;
-  GradientBoostingClassifier exact(config);
-  binned.fit(x, y);
-  exact.fit(x, y);
-  Rng test_rng(62);
-  const auto [tx, ty] = blobs(200, test_rng);
-  (void)ty;
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < tx.rows(); ++i) {
-    agree += binned.predict(tx.row(i)) == exact.predict(tx.row(i));
-    EXPECT_NEAR(binned.predict_proba(tx.row(i)), exact.predict_proba(tx.row(i)), 0.15);
-  }
-  EXPECT_GE(agree, (tx.rows() * 95) / 100);
-}
-
-TEST(RandomForest, BinnedAgreesWithExactSplits) {
-  Rng rng(63);
-  const auto [x, y] = blobs(400, rng);
-  RandomForestConfig config;
-  RandomForestClassifier binned(config);
-  config.exact_splits = true;
-  RandomForestClassifier exact(config);
-  binned.fit(x, y);
-  exact.fit(x, y);
-  Rng test_rng(64);
-  const auto [tx, ty] = blobs(200, test_rng);
-  (void)ty;
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < tx.rows(); ++i) {
-    agree += binned.predict(tx.row(i)) == exact.predict(tx.row(i));
-    // Deep trees on sampled features wander more near the boundary than
-    // GB's shallow ensemble; the hard decisions are the real contract.
-    EXPECT_NEAR(binned.predict_proba(tx.row(i)), exact.predict_proba(tx.row(i)), 0.3);
-  }
-  EXPECT_GE(agree, (tx.rows() * 95) / 100);
-}
-
 /// Shared-store protocol contract: fit_with_store must be bit-identical
 /// to fit on the same matrix, for every store consumer.
 TEST(SharedStoreFit, BitIdenticalToPlainFit) {
