@@ -9,9 +9,12 @@
 #      routinely.
 #   2. TSan (cmake -DAQUA_TSAN=ON): the unit+concurrency+serving+kernel
 #      labels, which include test_concurrency's shared-model /
-#      shared-engine races and its variant-batch suite (mixed
+#      shared-engine races, its variant-batch suite (mixed
 #      replay-pool + full-run-fallback SnapshotBatch builds from the
-#      thread pool and from raw threads), test_serving's daemon
+#      thread pool and from raw threads) and its ConcurrentEnumeration
+#      suite (one shared EnumerationLocalizer called from the main
+#      thread, from a pool worker and from raw threads, all cloning the
+#      same solver prototypes), test_serving's daemon
 #      submit/swap/worker thread interleavings, and
 #      test_compiled_forest's concurrent tile calls on one shared
 #      compiled model. TSan builds compile the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <limits>
 
 #include "common/error.hpp"
@@ -11,14 +12,13 @@
 
 namespace aqua::core {
 
-EnumerationLocalizer::EnumerationLocalizer(const hydraulics::Network& network,
-                                           sensing::SensorSet sensors, EnumerationConfig config)
-    : network_(network), labels_(network), sensors_(std::move(sensors)), config_(config) {
-  AQUA_REQUIRE(!config_.candidate_ecs.empty(), "need at least one candidate EC");
-  AQUA_REQUIRE(config_.max_leaks >= 1, "max leaks must be positive");
-}
-
 namespace {
+
+hydraulics::Network without_emitters(const hydraulics::Network& network) {
+  hydraulics::Network healthy = network;
+  healthy.clear_emitters();
+  return healthy;
+}
 
 std::vector<double> fixed_heads_of(const hydraulics::Network& network) {
   std::vector<double> fixed(network.num_nodes(), 0.0);
@@ -38,39 +38,43 @@ std::vector<double> demands_of(const hydraulics::Network& network, std::size_t p
   return demands;
 }
 
+/// Trial hypotheses can push the network into hydraulically infeasible
+/// regimes (several large emitters at once); those solves may not
+/// converge and simply mean "this hypothesis does not explain the data",
+/// so they score an infinite residual instead of aborting the search.
+hydraulics::SolverOptions trial_options() {
+  hydraulics::SolverOptions options;
+  options.throw_on_divergence = false;
+  return options;
+}
+
+/// One worker's trial network and the solver cloned onto it. The GGA
+/// solver re-reads emitters on every solve, so one context serves every
+/// hypothesis of a localize() call. Pinned in place: the solver binds the
+/// network member by reference.
+struct TrialContext {
+  TrialContext(const hydraulics::Network& healthy, const hydraulics::GgaSolver& prototype)
+      : network(healthy), solver(network, prototype) {}
+  TrialContext(const TrialContext&) = delete;
+  TrialContext& operator=(const TrialContext&) = delete;
+
+  hydraulics::Network network;
+  const hydraulics::GgaSolver solver;
+};
+
 }  // namespace
 
-std::vector<double> EnumerationLocalizer::simulate_deltas(
-    const std::vector<std::pair<std::size_t, double>>& leaks, std::size_t before_period,
-    std::size_t after_period, std::size_t* solves) const {
-  // Snapshot-mode evaluation: healthy steady state at the "before" demand
-  // period, steady state with the hypothesized emitters at the "after"
-  // period. Tanks use initial levels (the baseline has no access to live
-  // internal tank state either).
-  hydraulics::Network candidate = network_;
-  candidate.clear_emitters();
-  const auto fixed = fixed_heads_of(candidate);
-
-  hydraulics::GgaSolver healthy_solver(candidate);
-  const auto before_state = healthy_solver.solve(demands_of(candidate, before_period), fixed);
-  ++*solves;
-
-  for (const auto& [label, ec] : leaks) candidate.set_emitter(labels_.node_of(label), ec);
-  hydraulics::GgaSolver leaky_solver(candidate);
-  const auto after_state =
-      leaky_solver.solve(demands_of(candidate, after_period), fixed, &before_state);
-  ++*solves;
-
-  std::vector<double> deltas(sensors_.size());
-  for (std::size_t i = 0; i < sensors_.size(); ++i) {
-    const auto& sensor = sensors_.sensors[i];
-    if (sensor.kind == sensing::SensorKind::kPressure) {
-      deltas[i] = after_state.pressure[sensor.index] - before_state.pressure[sensor.index];
-    } else {
-      deltas[i] = after_state.flow[sensor.index] - before_state.flow[sensor.index];
-    }
-  }
-  return deltas;
+EnumerationLocalizer::EnumerationLocalizer(const hydraulics::Network& network,
+                                           sensing::SensorSet sensors, EnumerationConfig config)
+    : labels_(network),
+      sensors_(std::move(sensors)),
+      config_(std::move(config)),
+      healthy_(without_emitters(network)),
+      fixed_heads_(fixed_heads_of(healthy_)),
+      healthy_prototype_(healthy_),
+      trial_prototype_(healthy_, trial_options()) {
+  AQUA_REQUIRE(!config_.candidate_ecs.empty(), "need at least one candidate EC");
+  AQUA_REQUIRE(config_.max_leaks >= 1, "max leaks must be positive");
 }
 
 EnumerationOutcome EnumerationLocalizer::localize(std::span<const double> observed_deltas,
@@ -78,20 +82,24 @@ EnumerationOutcome EnumerationLocalizer::localize(std::span<const double> observ
                                                   std::size_t after_period) const {
   AQUA_REQUIRE(observed_deltas.size() == sensors_.size(),
                "observed deltas must match the sensor set");
+  // A NaN would break the strict weak ordering the screening sort needs
+  // and poison every residual comparison.
+  AQUA_REQUIRE(std::all_of(observed_deltas.begin(), observed_deltas.end(),
+                           [](double d) { return std::isfinite(d); }),
+               "observed deltas must be finite");
   const auto start = std::chrono::steady_clock::now();
 
   EnumerationOutcome outcome;
   outcome.predicted.assign(labels_.num_labels(), 0);
 
-  // Shared healthy "before" state, computed once.
-  hydraulics::Network healthy = network_;
-  healthy.clear_emitters();
-  const auto fixed = fixed_heads_of(healthy);
-  hydraulics::GgaSolver healthy_solver(healthy);
-  const auto before_state = healthy_solver.solve(demands_of(healthy, before_period), fixed);
+  // Shared healthy "before" state, computed once, on a clone: solving
+  // mutates a solver's workspace, and the prototypes stay read-only.
+  const hydraulics::GgaSolver healthy_solver(healthy_, healthy_prototype_);
+  const auto before_state =
+      healthy_solver.solve(demands_of(healthy_, before_period), fixed_heads_);
   ++outcome.hydraulic_solves;
 
-  const auto after_demands = demands_of(network_, after_period);
+  const auto after_demands = demands_of(healthy_, after_period);
 
   // Optional screening pass: one linearized probe predicts each label's
   // sensor signature (the first-order response of every sensor to a unit
@@ -109,8 +117,8 @@ EnumerationOutcome EnumerationLocalizer::localize(std::span<const double> observ
     std::vector<double> head_response, flow_response;
     healthy_solver.probe_outflow_response(before_state, probes, head_response, &flow_response);
 
-    const std::size_t n = network_.num_nodes();
-    const std::size_t m = network_.num_links();
+    const std::size_t n = healthy_.num_nodes();
+    const std::size_t m = healthy_.num_links();
     double observed_norm = 0.0;
     for (double d : observed_deltas) observed_norm += d * d;
     observed_norm = std::sqrt(observed_norm);
@@ -140,22 +148,14 @@ EnumerationOutcome EnumerationLocalizer::localize(std::span<const double> observ
     outcome.screened_labels = config_.screen_top_k;
   }
 
-  // Trial hypotheses can push the network into hydraulically infeasible
-  // regimes (several large emitters at once); those solves may not
-  // converge and simply mean "this hypothesis does not explain the data",
-  // so they score an infinite residual instead of aborting the search.
-  hydraulics::SolverOptions solver_options;
-  solver_options.throw_on_divergence = false;
-
-  // Evaluates one hypothesis on a caller-owned network/solver pair. The
-  // GGA solver re-reads emitter attributes each solve, so one solver per
-  // worker serves every trial (assembly and symbolic factorization are
-  // built once, not per hypothesis).
-  auto eval_hypothesis = [&](hydraulics::Network& candidate, const hydraulics::GgaSolver& solver,
+  // Evaluates one hypothesis on a caller-owned trial context.
+  auto eval_hypothesis = [&](TrialContext& context,
                              const std::vector<std::pair<std::size_t, double>>& leaks) {
-    candidate.clear_emitters();
-    for (const auto& [label, ec] : leaks) candidate.set_emitter(labels_.node_of(label), ec);
-    const auto after_state = solver.solve(after_demands, fixed, &before_state);
+    context.network.clear_emitters();
+    for (const auto& [label, ec] : leaks) {
+      context.network.set_emitter(labels_.node_of(label), ec);
+    }
+    const auto after_state = context.solver.solve(after_demands, fixed_heads_, &before_state);
     if (!after_state.converged) return std::numeric_limits<double>::infinity();
     double ss = 0.0;
     for (std::size_t i = 0; i < sensors_.size(); ++i) {
@@ -170,19 +170,22 @@ EnumerationOutcome EnumerationLocalizer::localize(std::span<const double> observ
     return std::sqrt(ss);
   };
 
-  std::vector<std::pair<std::size_t, double>> hypothesis;
-  hydraulics::Network base_candidate = network_;
-  const hydraulics::GgaSolver base_solver(base_candidate, solver_options);
-  double current_residual = eval_hypothesis(base_candidate, base_solver, hypothesis);
-  ++outcome.hydraulic_solves;
-
   // Each greedy round scores every remaining (node, EC) extension of the
   // current hypothesis; the trials are independent hydraulic solves, so
-  // they fan out over the global thread pool with one network/solver
-  // context per worker (GgaSolver instances are not shareable across
-  // threads).
+  // they fan out over the global thread pool with one trial context per
+  // worker (GgaSolver instances are not shareable across threads). The
+  // contexts are built once here and reused by every round. On a pool
+  // worker parallel_for runs inline, so one context serves all trials. A
+  // deque, because it never relocates its elements.
   auto& pool = ThreadPool::global();
-  const std::size_t workers = std::max<std::size_t>(1, pool.size());
+  const std::size_t workers =
+      pool.on_worker_thread() ? 1 : std::max<std::size_t>(1, pool.size());
+  std::deque<TrialContext> contexts;
+  for (std::size_t w = 0; w < workers; ++w) contexts.emplace_back(healthy_, trial_prototype_);
+
+  std::vector<std::pair<std::size_t, double>> hypothesis;
+  double current_residual = eval_hypothesis(contexts.front(), hypothesis);
+  ++outcome.hydraulic_solves;
 
   for (std::size_t round = 0; round < config_.max_leaks; ++round) {
     std::vector<std::pair<std::size_t, double>> trials;  // (label, ec)
@@ -195,16 +198,14 @@ EnumerationOutcome EnumerationLocalizer::localize(std::span<const double> observ
 
     std::vector<double> residuals(trials.size(), std::numeric_limits<double>::infinity());
     std::atomic<std::size_t> solves{0};
-    const std::size_t stripes = std::min(workers, trials.size());
+    const std::size_t stripes = std::min(contexts.size(), trials.size());
     pool.parallel_for(stripes, [&](std::size_t w) {
-      hydraulics::Network candidate = network_;
-      const hydraulics::GgaSolver solver(candidate, solver_options);
       std::size_t local_solves = 0;
       auto trial_hypothesis = hypothesis;
       trial_hypothesis.emplace_back(0, 0.0);
       for (std::size_t t = w; t < trials.size(); t += stripes) {
         trial_hypothesis.back() = trials[t];
-        residuals[t] = eval_hypothesis(candidate, solver, trial_hypothesis);
+        residuals[t] = eval_hypothesis(contexts[w], trial_hypothesis);
         ++local_solves;
       }
       solves.fetch_add(local_solves, std::memory_order_relaxed);

@@ -5,7 +5,11 @@
 // hypotheses; every hypothesis evaluation is a hydraulic solve, which is
 // exactly why the paper calls this approach "computationally expensive or
 // prohibitive" — the detection-time bench quantifies the gap against
-// Phase II profile inference.
+// Phase II profile inference. For that gap to be the method's and not a
+// handicapped baseline's, the solves run the way EPANET 2 runs them: the
+// ordering and symbolic factorization are computed once per localizer and
+// cloned per call, head-loss coefficients once per solver, and each Newton
+// iteration only refills values.
 #pragma once
 
 #include <cstdint>
@@ -45,26 +49,37 @@ struct EnumerationOutcome {
   double seconds = 0.0;
 };
 
+/// Thread-safe: localize() is const and may run concurrently on one
+/// shared localizer. The constructor copies the network and builds the
+/// solver prototypes (ordering, symbolic factorization, head-loss
+/// coefficients) once; each localize() only clones them, so `network`
+/// need not outlive the localizer. Not copyable or movable: the
+/// prototypes are bound to the localizer's own network copy.
 class EnumerationLocalizer {
  public:
   EnumerationLocalizer(const hydraulics::Network& network, sensing::SensorSet sensors,
                        EnumerationConfig config = {});
+  EnumerationLocalizer(const EnumerationLocalizer&) = delete;
+  EnumerationLocalizer& operator=(const EnumerationLocalizer&) = delete;
 
   /// `observed_deltas` are the sensor Δ-readings (after − before, same
-  /// layout as the sensor set, no time feature). `before_period` and
-  /// `after_period` are the demand-pattern periods of e.t−1 and e.t+n.
+  /// layout as the sensor set, no time feature; every value finite).
+  /// `before_period` and `after_period` are the demand-pattern periods of
+  /// e.t−1 and e.t+n.
   EnumerationOutcome localize(std::span<const double> observed_deltas,
                               std::size_t before_period, std::size_t after_period) const;
 
  private:
-  std::vector<double> simulate_deltas(const std::vector<std::pair<std::size_t, double>>& leaks,
-                                      std::size_t before_period, std::size_t after_period,
-                                      std::size_t* solves) const;
-
-  const hydraulics::Network& network_;
   LabelSpace labels_;
   sensing::SensorSet sensors_;
   EnumerationConfig config_;
+  hydraulics::Network healthy_;  // the network with its emitters cleared
+  std::vector<double> fixed_heads_;
+  // Bound to healthy_ and never solved on: localize() clones them, so
+  // concurrent calls only read them. Default options serve the healthy
+  // solve and the probe; trials must not throw on divergence.
+  hydraulics::GgaSolver healthy_prototype_;
+  hydraulics::GgaSolver trial_prototype_;
 };
 
 }  // namespace aqua::core

@@ -50,20 +50,39 @@ double darcy_weisbach_resistance(double length_m, double diameter_m, double roug
   return friction * length_m / diameter_m / (2.0 * kGravity * area * area);
 }
 
-LossGradient link_loss(const Link& link, double flow, HeadLossModel model) {
+LossCoefficients link_loss_coefficients(const Link& link, HeadLossModel model) {
+  LossCoefficients out;
+  switch (link.type) {
+    case LinkType::kPipe:
+      if (model == HeadLossModel::kHazenWilliams) {
+        out.resistance = hazen_williams_resistance(link.length, link.diameter, link.roughness);
+      }
+      out.minor = minor_loss_coefficient(link.minor_loss, link.diameter);
+      break;
+    case LinkType::kPump:
+      break;
+    case LinkType::kValve:
+      // Throttle valve: the setting acts as a minor-loss coefficient.
+      out.minor = minor_loss_coefficient(std::max(link.valve_setting, 0.1), link.diameter);
+      break;
+  }
+  return out;
+}
+
+LossGradient link_loss(const Link& link, const LossCoefficients& coefficients, double flow,
+                       HeadLossModel model) {
   LossGradient out;
   if (link.status == LinkStatus::kClosed) {
     out.loss = kClosedResistance * flow;
     out.gradient = kClosedResistance;
     return out;
   }
+  const double m = coefficients.minor;
   switch (link.type) {
     case LinkType::kPipe: {
       const double magnitude = std::abs(flow);
       if (model == HeadLossModel::kHazenWilliams) {
-        const double r =
-            hazen_williams_resistance(link.length, link.diameter, link.roughness);
-        const double m = minor_loss_coefficient(link.minor_loss, link.diameter);
+        const double r = coefficients.resistance;
         if (magnitude < kFlowEpsilon) {
           // Linearized segment through the origin with the gradient at
           // q = kFlowEpsilon: keeps dh/dq bounded and continuous.
@@ -79,7 +98,6 @@ LossGradient link_loss(const Link& link, double flow, HeadLossModel model) {
       } else {
         const double r =
             darcy_weisbach_resistance(link.length, link.diameter, link.roughness, flow);
-        const double m = minor_loss_coefficient(link.minor_loss, link.diameter);
         const double q = std::max(magnitude, kFlowEpsilon);
         out.loss = (r + m) * q * flow;
         out.gradient = 2.0 * (r + m) * q;
@@ -100,9 +118,7 @@ LossGradient link_loss(const Link& link, double flow, HeadLossModel model) {
       return out;
     }
     case LinkType::kValve: {
-      // Throttle valve: base loss of a short equivalent pipe plus the
-      // setting as a minor-loss coefficient.
-      const double m = minor_loss_coefficient(std::max(link.valve_setting, 0.1), link.diameter);
+      // Base loss of a short equivalent pipe plus the setting's minor loss.
       const double q = std::max(std::abs(flow), kFlowEpsilon);
       out.loss = m * q * flow;
       out.gradient = std::max(2.0 * m * q, 1e-6);
@@ -111,6 +127,10 @@ LossGradient link_loss(const Link& link, double flow, HeadLossModel model) {
   }
   out.gradient = 1e-8;
   return out;
+}
+
+LossGradient link_loss(const Link& link, double flow, HeadLossModel model) {
+  return link_loss(link, link_loss_coefficients(link, model), flow, model);
 }
 
 EmitterFlow emitter_flow(double coefficient, double exponent, double pressure_head) {

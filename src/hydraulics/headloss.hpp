@@ -29,12 +29,30 @@ double hazen_williams_resistance(double length_m, double diameter_m, double roug
 double darcy_weisbach_resistance(double length_m, double diameter_m, double roughness_mm,
                                  double flow_m3s);
 
-/// Evaluates loss and gradient for any link type:
+/// The flow-independent part of a link's head-loss curve, computed once
+/// per link: the Hazen-Williams resistance r of a pipe (0 under
+/// Darcy-Weisbach, whose friction factor depends on flow) and the
+/// minor-loss coefficient m of a pipe or valve (h_minor = m q^2). Pumps
+/// have none. Independent of link status, which link_loss reads on every
+/// call, so a status toggle needs no recomputation.
+struct LossCoefficients {
+  double resistance = 0.0;
+  double minor = 0.0;
+};
+LossCoefficients link_loss_coefficients(const Link& link, HeadLossModel model);
+
+/// Evaluates loss and gradient for any link type at signed flow q, given
+/// the link's coefficients from link_loss_coefficients(link, model):
 ///  - open pipe:   h = (r + m) |q|^(n-1) q with n = 1.852 (HW)
 ///  - pump:        h = -(h0 - r q^w), restricted to forward flow
 ///  - valve:       minor-loss element from setting; closed = huge resistance
 ///  - closed link: linear with a very large resistance (keeps the system
 ///    nonsingular without re-assembling the sparsity pattern)
+LossGradient link_loss(const Link& link, const LossCoefficients& coefficients, double flow,
+                       HeadLossModel model);
+
+/// link_loss with the coefficients computed on the spot; bit-identical to
+/// the split form.
 LossGradient link_loss(const Link& link, double flow, HeadLossModel model);
 
 /// Emitter (leak) outflow Q = EC * max(p, 0)^beta and its gradient w.r.t.

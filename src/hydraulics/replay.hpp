@@ -41,8 +41,8 @@ class BaselineTrajectory {
   /// rows of every scenario that shares these options.
   const SimulationResults& results() const noexcept { return results_; }
 
-  /// The solver whose symbolic factorization (min-degree ordering +
-  /// elimination tree) replay engines clone instead of recomputing.
+  /// The solver whose symbolic factorization (min-degree ordering, factor
+  /// pattern, row schedules) replay engines clone instead of recomputing.
   const GgaSolver& solver() const noexcept { return solver_; }
 
   /// Per-node tank levels entering `step` (step <= last_step + 1).

@@ -41,6 +41,16 @@ double initial_flow(const Link& link) {
   return 0.01;
 }
 
+/// Flow-independent head-loss coefficients of every link of `network`.
+std::vector<LossCoefficients> loss_coefficients_of(const Network& network,
+                                                   HeadLossModel model) {
+  std::vector<LossCoefficients> coefficients(network.num_links());
+  for (LinkId l = 0; l < network.num_links(); ++l) {
+    coefficients[l] = link_loss_coefficients(network.link(l), model);
+  }
+  return coefficients;
+}
+
 }  // namespace
 
 double HydraulicState::total_emitter_outflow() const noexcept {
@@ -72,6 +82,7 @@ GgaSolver::GgaSolver(const Network& network, SolverOptions options)
     : network_(network), options_(options) {
   network_.validate();
   assembly_ = build_assembly();
+  loss_coefficients_ = loss_coefficients_of(network_, options_.headloss);
 
   // Workspace: the one-and-only copy of the pattern plus every buffer the
   // Newton loop needs, so solve() is allocation-free in steady state.
@@ -92,9 +103,9 @@ GgaSolver::GgaSolver(const Network& network, SolverOptions options)
     resolved_solver_ = rows >= options_.auto_crossover_nodes ? LinearSolver::kIc0Cg
                                                              : LinearSolver::kCholesky;
   }
-  // Symbolic setup (LDLT: minimum-degree ordering + elimination tree;
-  // IC(0): lower-triangle pattern) happens once here; every Newton
-  // iteration only refactors values.
+  // Symbolic setup (LDLT: minimum-degree ordering, factor pattern and
+  // row schedules; IC(0): lower-triangle pattern) happens once here; every
+  // Newton iteration only refactors values.
   workspace_.system = linalg::make_linear_system(backend_of(resolved_solver_), options_.cg);
   workspace_.system->analyze(assembly_.pattern);
 }
@@ -129,6 +140,9 @@ GgaSolver::GgaSolver(const Network& network, const GgaSolver& prototype)
                      network_.link(l).to == proto_net.link(l).to,
                  "prototype solver was built for a different topology");
   }
+  // Geometry may differ from the prototype's (roughness, diameters), so
+  // the coefficients come from the network this solver binds.
+  loss_coefficients_ = loss_coefficients_of(network_, options_.headloss);
 }
 
 bool GgaSolver::solve_linear_system(std::string* why) const {
@@ -172,7 +186,8 @@ void GgaSolver::probe_outflow_response(const HydraulicState& state,
   auto values = ws.matrix.values();
   for (LinkId l = 0; l < m; ++l) {
     const Link& link = network_.link(l);
-    const LossGradient lg = link_loss(link, state.flow[l], options_.headloss);
+    const LossGradient lg =
+        link_loss(link, loss_coefficients_[l], state.flow[l], options_.headloss);
     ws.p[l] = 1.0 / lg.gradient;
     const auto& slots = assembly_.link_slots[l];
     const std::size_t rf = assembly_.row_of_node[link.from];
@@ -331,7 +346,8 @@ HydraulicState GgaSolver::solve(const std::vector<double>& demands,
     // Link stamps.
     for (LinkId l = 0; l < m; ++l) {
       const Link& link = network_.link(l);
-      const LossGradient lg = link_loss(link, state.flow[l], options_.headloss);
+      const LossGradient lg =
+          link_loss(link, loss_coefficients_[l], state.flow[l], options_.headloss);
       p[l] = 1.0 / lg.gradient;
       y[l] = state.flow[l] - lg.loss / lg.gradient;
       const auto& slots = assembly_.link_slots[l];

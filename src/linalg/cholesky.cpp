@@ -1,5 +1,6 @@
 #include "linalg/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -14,29 +15,30 @@ void SparseLdlt::analyze(const CsrMatrix& pattern, std::vector<std::size_t> perm
   if (perm.empty()) perm = minimum_degree_ordering(pattern);
   AQUA_REQUIRE(perm.size() == n, "analyze: permutation size mismatch");
   perm_ = std::move(perm);
-  pinv_ = inverse_permutation(perm_);
+  const std::vector<std::size_t> pinv = inverse_permutation(perm_);
+  pattern_nnz_ = pattern.nnz();
 
   const auto rp = pattern.row_pointers();
   const auto ci = pattern.column_indices();
 
   // Elimination tree and column counts of L for the permuted matrix
   // (Davis, ldl_symbolic). Row k of the permuted matrix is original row
-  // perm_[k]; original column c maps to pinv_[c].
-  parent_.assign(n, kNone);
-  flag_.assign(n, kNone);
+  // perm_[k]; original column c maps to pinv[c].
+  std::vector<std::size_t> parent(n, kNone);
+  std::vector<std::size_t> flag(n, kNone);
   std::vector<std::size_t> col_count(n, 0);
   for (std::size_t k = 0; k < n; ++k) {
-    flag_[k] = k;
+    flag[k] = k;
     const std::size_t r = perm_[k];
     for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) {
-      std::size_t i = pinv_[ci[p]];
+      std::size_t i = pinv[ci[p]];
       if (i >= k) continue;
       // Walk up the elimination tree from i to the flagged prefix; every
       // node passed gains a nonzero in column i..'s chain for row k.
-      for (; flag_[i] != k; i = parent_[i]) {
-        if (parent_[i] == kNone) parent_[i] = k;
+      for (; flag[i] != k; i = parent[i]) {
+        if (parent[i] == kNone) parent[i] = k;
         ++col_count[i];
-        flag_[i] = k;
+        flag[i] = k;
       }
     }
   }
@@ -44,11 +46,46 @@ void SparseLdlt::analyze(const CsrMatrix& pattern, std::vector<std::size_t> perm
   lp_.assign(n + 1, 0);
   for (std::size_t k = 0; k < n; ++k) lp_[k + 1] = lp_[k] + col_count[k];
   li_.assign(lp_[n], 0);
+
+  // Row schedules: the scatter of each permuted row's upper-triangular
+  // part and the pattern of row k of L as elimination-tree reaches, in
+  // the topological order the numeric phase eliminates them
+  // (stack[top..n)). Recording them here is what leaves factorize() a
+  // pure replay over values.
+  std::vector<std::size_t> path(n), stack(n), lnz(n, 0);
+  std::fill(flag.begin(), flag.end(), kNone);
+  scatter_ptr_.assign(1, 0);
+  reach_ptr_.assign(1, 0);
+  scatter_.clear();
+  reach_.clear();
+  reach_.reserve(lp_[n]);
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t top = n;
+    flag[k] = k;
+    const std::size_t r = perm_[k];
+    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) {
+      const std::size_t i0 = pinv[ci[p]];
+      if (i0 > k) continue;
+      scatter_.push_back({p, i0});
+      std::size_t len = 0;
+      for (std::size_t i = i0; flag[i] != k; i = parent[i]) {
+        path[len++] = i;
+        flag[i] = k;
+      }
+      while (len > 0) stack[--top] = path[--len];
+    }
+    for (; top < n; ++top) {
+      const std::size_t i = stack[top];
+      const std::size_t slot = lp_[i] + lnz[i]++;
+      li_[slot] = k;
+      reach_.push_back({i, slot});
+    }
+    scatter_ptr_.push_back(scatter_.size());
+    reach_ptr_.push_back(reach_.size());
+  }
+
   lx_.assign(lp_[n], 0.0);
   d_.assign(n, 0.0);
-  pattern_.assign(n, 0);
-  stack_.assign(n, 0);
-  lnz_.assign(n, 0);
   y_.assign(n, 0.0);
   work_.assign(n, 0.0);
   factorized_ = false;
@@ -57,50 +94,26 @@ void SparseLdlt::analyze(const CsrMatrix& pattern, std::vector<std::size_t> perm
 void SparseLdlt::factorize(const CsrMatrix& a) {
   const std::size_t n = dimension();
   AQUA_REQUIRE(analyzed(), "factorize before analyze");
-  AQUA_REQUIRE(a.rows() == n, "factorize: dimension mismatch with analyzed pattern");
+  AQUA_REQUIRE(a.rows() == n && a.nnz() == pattern_nnz_,
+               "factorize: pattern mismatch with analyzed pattern");
 
-  const auto rp = a.row_pointers();
-  const auto ci = a.column_indices();
   const auto ax = a.values();
-
-  // flag_ doubles as the per-step visited marker; reset so stale marks
-  // from a previous factorization cannot collide with step indices.
-  flag_.assign(n, kNone);
-  std::fill(lnz_.begin(), lnz_.end(), std::size_t{0});
-
   for (std::size_t k = 0; k < n; ++k) {
-    // Scatter the upper-triangular part of permuted column k into y_ and
-    // compute the nonzero pattern of row k of L as elimination-tree
-    // reaches, in topological order on stack_[top..n).
-    std::size_t top = n;
-    flag_[k] = k;
-    y_[k] = 0.0;
-    const std::size_t r = perm_[k];
-    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) {
-      const std::size_t i0 = pinv_[ci[p]];
-      if (i0 > k) continue;
-      y_[i0] += ax[p];
-      std::size_t len = 0;
-      for (std::size_t i = i0; flag_[i] != k; i = parent_[i]) {
-        pattern_[len++] = i;
-        flag_[i] = k;
-      }
-      while (len > 0) stack_[--top] = pattern_[--len];
+    // Scatter the upper-triangular part of permuted column k into y_
+    // (all-zero on entry), then eliminate along row k's recorded reach.
+    for (std::size_t s = scatter_ptr_[k]; s < scatter_ptr_[k + 1]; ++s) {
+      y_[scatter_[s].row] += ax[scatter_[s].a_slot];
     }
-
     double dk = y_[k];
     y_[k] = 0.0;
-    for (; top < n; ++top) {
-      const std::size_t i = stack_[top];
+    for (std::size_t e = reach_ptr_[k]; e < reach_ptr_[k + 1]; ++e) {
+      const auto [i, slot] = reach_[e];
       const double yi = y_[i];
       y_[i] = 0.0;
-      const std::size_t pend = lp_[i] + lnz_[i];
-      for (std::size_t p = lp_[i]; p < pend; ++p) y_[li_[p]] -= lx_[p] * yi;
+      for (std::size_t p = lp_[i]; p < slot; ++p) y_[li_[p]] -= lx_[p] * yi;
       const double lki = yi / d_[i];
       dk -= lki * yi;
-      li_[pend] = k;
-      lx_[pend] = lki;
-      ++lnz_[i];
+      lx_[slot] = lki;
     }
     if (!(dk > 0.0) || !std::isfinite(dk)) {
       factorized_ = false;

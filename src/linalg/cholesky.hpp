@@ -1,9 +1,10 @@
 // Sparse LDL^T (Cholesky) factorization with split symbolic/numeric
-// phases, mirroring EPANET 2's solver core: the elimination order and the
-// factor's sparsity structure are computed once per network topology, and
-// every Newton iteration only refills numeric values and re-runs the
-// numeric factorization. Up-looking row algorithm in the style of Davis's
-// LDL (SIAM, "Direct Methods for Sparse Linear Systems", ch. 4).
+// phases, mirroring EPANET 2's solver core: the elimination order, the
+// factor's sparsity structure and each row's elimination schedule are
+// computed once per network topology, and every Newton iteration only
+// refills numeric values and replays that schedule. Up-looking row
+// algorithm in the style of Davis's LDL (SIAM, "Direct Methods for Sparse
+// Linear Systems", ch. 4).
 #pragma once
 
 #include <cstddef>
@@ -18,7 +19,7 @@ namespace aqua::linalg {
 /// sparsity pattern. Workflow:
 ///
 ///   SparseLdlt f;
-///   f.analyze(pattern);        // once: ordering + elimination tree + L pattern
+///   f.analyze(pattern);        // once: ordering + L pattern + row schedules
 ///   f.factorize(a);            // per matrix: numeric values only
 ///   f.solve(b, x);             // allocation-free triangular solves
 ///
@@ -28,12 +29,17 @@ class SparseLdlt {
  public:
   /// Symbolic analysis of `pattern` (square, symmetric, diagonal present
   /// on every row). `perm` is a fill-reducing elimination order; empty
-  /// selects minimum-degree. Values of `pattern` are ignored.
+  /// selects minimum-degree. Values of `pattern` are ignored. Besides the
+  /// pattern of L, records for every permuted row the value slots it
+  /// scatters and its elimination-tree reach in topological order, each
+  /// reach entry with the L slot it fills — factorize() replays them.
   void analyze(const CsrMatrix& pattern, std::vector<std::size_t> perm = {});
 
   /// Numeric factorization of `a`, which must have exactly the sparsity
-  /// pattern given to analyze(). Throws SolverError when a pivot is
-  /// non-positive or non-finite (matrix not SPD / singular).
+  /// pattern given to analyze(). Values only: it replays the recorded row
+  /// schedules, so no tree walk and no index write happen here. Throws
+  /// SolverError when a pivot is non-positive or non-finite (matrix not
+  /// SPD / singular); the next factorize() is unaffected by the failure.
   void factorize(const CsrMatrix& a);
 
   /// Solves A x = b using the current factorization. `b` and `x` must not
@@ -57,7 +63,7 @@ class SparseLdlt {
 
   bool analyzed() const noexcept { return !perm_.empty() || dimension() == 0; }
   bool factorized() const noexcept { return factorized_; }
-  std::size_t dimension() const noexcept { return parent_.size(); }
+  std::size_t dimension() const noexcept { return d_.size(); }
   /// Off-diagonal nonzeros of L (fill metric for ordering quality).
   std::size_t factor_nnz() const noexcept { return li_.size(); }
 
@@ -68,18 +74,38 @@ class SparseLdlt {
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  /// y[row] += a.values()[a_slot]: one entry of a permuted row's
+  /// upper-triangular scatter.
+  struct Scatter {
+    std::size_t a_slot;
+    std::size_t row;
+  };
+  /// One step of a row's elimination: column `col` of L updates the row
+  /// and receives its entry L(k, col) at `l_slot`.
+  struct ReachEntry {
+    std::size_t col;
+    std::size_t l_slot;
+  };
+
   // Symbolic structure (set by analyze).
-  std::vector<std::size_t> perm_, pinv_;
-  std::vector<std::size_t> parent_;  // elimination tree; kNone at roots
-  std::vector<std::size_t> lp_;      // column pointers of L, size n+1
-  std::vector<std::size_t> li_;      // row indices of L (strictly below diag)
+  std::vector<std::size_t> perm_;
+  std::vector<std::size_t> lp_;  // column pointers of L, size n+1
+  std::vector<std::size_t> li_;  // row indices of L (strictly below diag)
+  std::size_t pattern_nnz_ = 0;  // nonzeros of the analyzed pattern
+  // Row k's schedule: scatter_[scatter_ptr_[k], scatter_ptr_[k+1]) and
+  // reach_[reach_ptr_[k], reach_ptr_[k+1]), the reach in the topological
+  // order of the up-looking algorithm. reach_ has one entry per nonzero of
+  // L, so the schedule costs 16 bytes per factor nonzero plus 16 per
+  // stored lower-triangle entry of the pattern.
+  std::vector<std::size_t> scatter_ptr_, reach_ptr_;
+  std::vector<Scatter> scatter_;
+  std::vector<ReachEntry> reach_;
   // Numeric factor (set by factorize).
   std::vector<double> lx_;  // values of L, aligned with li_
   std::vector<double> d_;   // diagonal of D
   bool factorized_ = false;
   // Scratch reused across factorize/solve calls; no allocation in steady
-  // state.
-  std::vector<std::size_t> flag_, pattern_, stack_, lnz_;
+  // state. y_ is all-zero between factorize rows.
   std::vector<double> y_, work_;
   std::vector<double> block_work_;  // node-major tile for solve_block
 };

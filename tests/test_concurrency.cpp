@@ -1,20 +1,28 @@
 // Thread-safety of the const prediction paths (see the contract on
 // ml::BinaryClassifier): concurrent predict_proba on one shared fitted
-// model of every kind, and concurrent infer/infer_batch on one shared
-// InferenceEngine, must produce exactly the serial results with no data
-// races. These tests are meaningful under TSan (-DAQUA_TSAN=ON) — they
+// model of every kind, concurrent infer/infer_batch on one shared
+// InferenceEngine, and concurrent localize on one shared
+// EnumerationLocalizer must produce exactly the serial results with no
+// data races. These tests are meaningful under TSan (-DAQUA_TSAN=ON) — they
 // spawn raw std::threads on purpose, rather than going through the global
 // pool, so the sanitizer sees genuinely concurrent first-touch access to
 // the shared fitted state.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/aquascale.hpp"
+#include "core/enumeration.hpp"
 #include "core/inference_engine.hpp"
 #include "core/scenario.hpp"
 #include "core/snapshots.hpp"
+#include "networks/builtin.hpp"
+#include "sensing/sensors.hpp"
 
 namespace aqua::core {
 namespace {
@@ -206,6 +214,110 @@ TEST(VariantBatchConcurrency, ConcurrentBatchBuildsAndGeneratorsAreIndependent) 
   for (auto& thread : threads) thread.join();
   for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(ok[t], 1) << "thread " << t;
 }
+
+// --- Enumeration localizer under threads ----------------------------------
+
+struct EnumerationEvent {
+  std::vector<double> observed;  // sensor deltas, no time feature
+  std::size_t before_period = 0;
+  std::size_t after_period = 0;
+};
+
+/// Noisy EPA-NET leak events, observed one IoT slot after onset.
+std::vector<EnumerationEvent> enumeration_events(const hydraulics::Network& net,
+                                                 const sensing::SensorSet& sensors,
+                                                 std::size_t count) {
+  ScenarioConfig config;
+  config.max_events = 2;
+  config.seed = 0x5151;
+  ScenarioGenerator generator(net, config);
+  const auto scenarios = generator.generate(count);
+  const SnapshotBatch batch(net, scenarios, {1});
+  const sensing::NoiseModel noise;
+  Rng rng(0x6161);
+  constexpr std::size_t kSlotSeconds = 900;
+  std::vector<EnumerationEvent> events;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    EnumerationEvent event;
+    event.observed = batch.features(i, sensors, 0, noise, rng, false);
+    event.before_period = (scenarios[i].leak_slot - 1) * kSlotSeconds / 3600;
+    event.after_period = (scenarios[i].leak_slot + 1) * kSlotSeconds / 3600;
+    events.push_back(std::move(event));
+  }
+  return events;
+}
+
+bool outcomes_identical(const EnumerationOutcome& a, const EnumerationOutcome& b) {
+  return a.predicted == b.predicted &&
+         std::bit_cast<std::uint64_t>(a.residual) == std::bit_cast<std::uint64_t>(b.residual) &&
+         a.hydraulic_solves == b.hydraulic_solves && a.screened_labels == b.screened_labels;
+}
+
+/// Parameter: EnumerationConfig::screen_top_k (0 = screening off).
+class ConcurrentEnumeration : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ConcurrentEnumeration, PoolWorkerMainThreadAndRawThreadsAgree) {
+  // One const localizer, three ways of calling it: from the main thread
+  // (trials fan out over the global pool, one trial context per worker),
+  // from a pool worker (the fan-out runs inline on one context) and from
+  // raw threads at once (several fan-outs share the pool and all clone
+  // the same solver prototypes). Every call must reproduce the same mask,
+  // residual bits and solve count.
+  const auto net = networks::make_epa_net();
+  const auto sensors = sensing::full_observation(net);
+  EnumerationConfig config;
+  config.candidate_ecs = {0.004};
+  config.max_leaks = 2;
+  config.screen_top_k = GetParam();
+  const EnumerationLocalizer localizer(net, sensors, config);
+  const auto events = enumeration_events(net, sensors, 3);
+
+  std::vector<EnumerationOutcome> from_main;
+  for (const auto& e : events) {
+    from_main.push_back(localizer.localize(e.observed, e.before_period, e.after_period));
+  }
+  std::size_t detected = 0;
+  for (const auto& outcome : from_main) {
+    for (const auto p : outcome.predicted) detected += p;
+  }
+  ASSERT_GT(detected, 0u) << "the events exercise no greedy round past the base residual";
+
+  ThreadPool::global()
+      .submit([&] {
+        for (std::size_t i = 0; i < events.size(); ++i) {
+          const auto& e = events[i];
+          EXPECT_TRUE(outcomes_identical(
+              localizer.localize(e.observed, e.before_period, e.after_period), from_main[i]))
+              << "pool worker, event " << i;
+        }
+      })
+      .get();
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<int> ok(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      bool equal = true;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        const auto& e = events[(i + t) % events.size()];
+        equal = equal &&
+                outcomes_identical(localizer.localize(e.observed, e.before_period, e.after_period),
+                                   from_main[(i + t) % events.size()]);
+      }
+      ok[t] = equal ? 1 : 0;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(ok[t], 1) << "thread " << t;
+}
+
+INSTANTIATE_TEST_SUITE_P(Screening, ConcurrentEnumeration, ::testing::Values(0, 12),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return info.param == 0 ? std::string("Off")
+                                                  : "Top" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace aqua::core

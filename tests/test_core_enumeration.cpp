@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "core/snapshots.hpp"
 #include "networks/builtin.hpp"
@@ -131,6 +134,18 @@ TEST_F(EnumerationTest, Validation) {
   EXPECT_THROW(EnumerationLocalizer(net_, sensors, bad), InvalidArgument);
   const EnumerationLocalizer localizer(net_, sensors, {});
   EXPECT_THROW(localizer.localize(std::vector<double>{1.0}, 0, 0), InvalidArgument);
+  // A non-finite reading would break the screening sort's ordering and
+  // every residual comparison, so it is rejected up front, screened or not.
+  EnumerationConfig screened;
+  screened.screen_top_k = 8;
+  const EnumerationLocalizer screening_localizer(net_, sensors, screened);
+  for (const double bad_reading : {std::numeric_limits<double>::quiet_NaN(),
+                                   std::numeric_limits<double>::infinity()}) {
+    std::vector<double> observed = observed_for(sensors, 20, 0.004, 0, 0);
+    observed[observed.size() / 2] = bad_reading;
+    EXPECT_THROW(localizer.localize(observed, 0, 0), InvalidArgument);
+    EXPECT_THROW(screening_localizer.localize(observed, 0, 0), InvalidArgument);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -137,6 +140,88 @@ TEST(ValveLoss, SettingThrottles) {
   valve.valve_setting = 20.0;
   const auto throttled = link_loss(valve, 0.05, HeadLossModel::kHazenWilliams);
   EXPECT_GT(throttled.loss, open.loss);
+}
+
+// --- Coefficient split ---------------------------------------------------
+
+/// Exact bit equality (== would conflate -0.0 with 0.0 and miss NaN).
+::testing::AssertionResult bits_equal(double a, double b) {
+  if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << a << " != " << b;
+}
+
+/// Coefficients computed once and reused at every flow give exactly the
+/// bits of the composed link_loss, which computes them per call — the
+/// contract that lets GgaSolver hoist them out of its Newton loop.
+void expect_split_matches_composed(const Link& link, HeadLossModel model,
+                                   const std::vector<double>& flows) {
+  const LossCoefficients coefficients = link_loss_coefficients(link, model);
+  for (const double q : flows) {
+    const LossGradient split = link_loss(link, coefficients, q, model);
+    const LossGradient composed = link_loss(link, q, model);
+    EXPECT_TRUE(bits_equal(split.loss, composed.loss)) << "loss at q=" << q;
+    EXPECT_TRUE(bits_equal(split.gradient, composed.gradient)) << "gradient at q=" << q;
+  }
+}
+
+// Flows on both sides of zero, including the |q| < 1e-6 linearized branch.
+const std::vector<double> kFlows = {-0.2, -0.05, -5e-7, 0.0, 3e-7, 0.05, 0.2};
+
+TEST(LossCoefficients, HazenWilliamsPipeSplitIsBitExact) {
+  Link pipe = make_pipe();
+  expect_split_matches_composed(pipe, HeadLossModel::kHazenWilliams, kFlows);
+  pipe.minor_loss = 10.0;
+  expect_split_matches_composed(pipe, HeadLossModel::kHazenWilliams, kFlows);
+}
+
+TEST(LossCoefficients, DarcyWeisbachPipeSplitIsBitExact) {
+  Link pipe = make_pipe(100.0, 0.3, 0.3);  // DW roughness in mm
+  expect_split_matches_composed(pipe, HeadLossModel::kDarcyWeisbach, kFlows);
+  pipe.minor_loss = 10.0;
+  expect_split_matches_composed(pipe, HeadLossModel::kDarcyWeisbach, kFlows);
+}
+
+TEST(LossCoefficients, ValveSplitIsBitExact) {
+  Link valve;
+  valve.type = LinkType::kValve;
+  valve.diameter = 0.3;
+  for (const double setting : {0.0, 5.0}) {  // 0 exercises the 0.1 floor
+    valve.valve_setting = setting;
+    expect_split_matches_composed(valve, HeadLossModel::kHazenWilliams, kFlows);
+  }
+}
+
+TEST(LossCoefficients, PumpSplitIsBitExactForwardAndReverse) {
+  Link pump;
+  pump.type = LinkType::kPump;
+  pump.pump = {50.0, 1000.0, 2.0};
+  expect_split_matches_composed(pump, HeadLossModel::kHazenWilliams, {-0.01, 0.0, 0.05, 0.1});
+}
+
+TEST(LossCoefficients, ClosedLinkSplitIsBitExact) {
+  Link pipe = make_pipe();
+  pipe.minor_loss = 10.0;
+  pipe.status = LinkStatus::kClosed;
+  expect_split_matches_composed(pipe, HeadLossModel::kHazenWilliams, {-0.01, 0.0, 0.01});
+}
+
+TEST(LossCoefficients, AreTheFlowIndependentConstantsAndIgnoreStatus) {
+  Link pipe = make_pipe();
+  pipe.minor_loss = 10.0;
+  const LossCoefficients hw = link_loss_coefficients(pipe, HeadLossModel::kHazenWilliams);
+  EXPECT_TRUE(bits_equal(hw.resistance, hazen_williams_resistance(100.0, 0.3, 120.0)));
+  EXPECT_DOUBLE_EQ(hw.minor, 0.02517 * 10.0 / std::pow(0.3, 4));
+  // Darcy-Weisbach friction depends on flow, so only the minor loss hoists.
+  const LossCoefficients dw = link_loss_coefficients(pipe, HeadLossModel::kDarcyWeisbach);
+  EXPECT_EQ(dw.resistance, 0.0);
+  EXPECT_TRUE(bits_equal(dw.minor, hw.minor));
+  // Status is read per evaluation, so toggling it needs no recomputation.
+  pipe.status = LinkStatus::kClosed;
+  const LossCoefficients closed = link_loss_coefficients(pipe, HeadLossModel::kHazenWilliams);
+  EXPECT_TRUE(bits_equal(closed.resistance, hw.resistance));
+  EXPECT_TRUE(bits_equal(closed.minor, hw.minor));
 }
 
 TEST(Emitter, MatchesEquationOneAbovesmoothing) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -143,6 +145,49 @@ TEST(SparseLdlt, RefactorizationIsBitIdenticalToFreshFactorization) {
   EXPECT_EQ(reused.solve(b), fresh.solve(b));
 }
 
+TEST(SparseLdlt, RefactorizationAfterRejectedPivotIsBitIdenticalToFresh) {
+  Rng rng(29);
+  const auto a = grid_spd(7, 6, rng);
+
+  SparseLdlt reused;
+  reused.analyze(a);
+
+  // Same pattern, but the row eliminated last gets a negative diagonal:
+  // its pivot fails after every earlier row has written its part of the
+  // factor and after the widest reach has been eliminated.
+  auto bad = a;
+  const std::size_t row = reused.permutation()[a.rows() - 1];
+  const auto rp = bad.row_pointers();
+  const auto ci = bad.column_indices();
+  auto bad_values = bad.values();
+  for (std::size_t p = rp[row]; p < rp[row + 1]; ++p) {
+    if (ci[p] == row) bad_values[p] = -100.0;
+  }
+  EXPECT_THROW(reused.factorize(bad), SolverError);
+  EXPECT_FALSE(reused.factorized());
+
+  reused.factorize(a);
+  EXPECT_TRUE(reused.factorized());
+  SparseLdlt fresh;
+  fresh.analyze(a);
+  fresh.factorize(a);
+
+  ASSERT_EQ(reused.factor_nnz(), fresh.factor_nnz());
+  const auto dr = reused.diagonal();
+  const auto df = fresh.diagonal();
+  const auto lr = reused.factor_values();
+  const auto lf = fresh.factor_values();
+  for (std::size_t i = 0; i < dr.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dr[i]), std::bit_cast<std::uint64_t>(df[i]));
+  }
+  for (std::size_t i = 0; i < lr.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lr[i]), std::bit_cast<std::uint64_t>(lf[i]));
+  }
+  std::vector<double> b(a.rows());
+  for (double& v : b) v = rng.normal();
+  EXPECT_EQ(reused.solve(b), fresh.solve(b));
+}
+
 TEST(SparseLdlt, RejectsIndefiniteMatrix) {
   CooBuilder builder(2);
   builder.add(0, 0, 1.0);
@@ -175,6 +220,9 @@ TEST(SparseLdlt, GuardsApiMisuse) {
   const auto a = builder.build();
   EXPECT_THROW(factor.factorize(a), InvalidArgument);  // analyze first
   factor.analyze(a);
+  CooBuilder other(1);
+  const auto empty_row = other.build();
+  EXPECT_THROW(factor.factorize(empty_row), InvalidArgument);  // not the analyzed pattern
   std::vector<double> b{1.0}, x{0.0};
   EXPECT_THROW(factor.solve(b, x), InvalidArgument);  // factorize first
   factor.factorize(a);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include "common/error.hpp"
@@ -142,6 +143,31 @@ TEST(Replay, SolverCloneSolvesIdentically) {
   ASSERT_EQ(a.iterations, b.iterations);
   for (NodeId v = 0; v < net.num_nodes(); ++v) EXPECT_TRUE(bits_equal(a.head[v], b.head[v]));
   for (LinkId l = 0; l < net.num_links(); ++l) EXPECT_TRUE(bits_equal(a.flow[l], b.flow[l]));
+}
+
+TEST(Replay, SolverCloneUsesItsOwnNetworksGeometry) {
+  // The clone shares the prototype's assembly and symbolic analysis but
+  // must take its head-loss coefficients from the network it binds, not
+  // from the prototype's.
+  const Network net = networks::make_epa_net();
+  const GgaSolver prototype(net);
+  Network rough = net;
+  for (LinkId l = 0; l < rough.num_links(); ++l) {
+    if (rough.link(l).type == LinkType::kPipe) rough.link(l).roughness *= 0.7;
+  }
+  rough.set_emitter(rough.junction_ids()[20], 0.003);
+  const GgaSolver cloned(rough, prototype);
+  const GgaSolver fresh(rough);
+  const auto a = cloned.solve_snapshot();
+  const auto b = fresh.solve_snapshot();
+  ASSERT_TRUE(a.converged);
+  ASSERT_EQ(a.iterations, b.iterations);
+  for (NodeId v = 0; v < net.num_nodes(); ++v) EXPECT_TRUE(bits_equal(a.head[v], b.head[v]));
+  for (LinkId l = 0; l < net.num_links(); ++l) EXPECT_TRUE(bits_equal(a.flow[l], b.flow[l]));
+  // And the roughness change is visible, so the comparison has teeth.
+  const auto smooth = prototype.solve_snapshot();
+  const NodeId probe = net.junction_ids()[40];
+  EXPECT_GT(std::abs(smooth.head[probe] - a.head[probe]), 1e-3);
 }
 
 TEST(Replay, SolverCloneRejectsDifferentTopology) {
