@@ -43,7 +43,7 @@ for bench in "${benches[@]}"; do
   echo "== ${bench#./} =="
   if [[ "${bench#./}" == bench_micro_hydraulics ]]; then
     # Skip the google-benchmark micro suite (no BENCH json) and run only
-    # the inner-solver comparison + backend node-count sweep.
+    # the GGA node-count sweep that writes the BENCH json.
     "$bench" --benchmark_filter='^$' || failed+=("${bench#./}")
   else
     "$bench" || failed+=("${bench#./}")

@@ -23,6 +23,9 @@
 #      runtime initializes and crash at startup; clones are bit-identical
 #      so only sanitized-build speed is lost.
 #
+# Both passes build with -DAQUA_WERROR=ON: a warning under -Wall -Wextra
+# fails the run like a test failure does.
+#
 # Usage: scripts/sanitize_tests.sh [asan-build-dir] [tsan-build-dir]
 #        (defaults: build-asan build-tsan)
 set -euo pipefail
@@ -32,12 +35,12 @@ ASAN_DIR=${1:-build-asan}
 TSAN_DIR=${2:-build-tsan}
 
 echo "== pass 1/2: ASan + UBSan (${ASAN_DIR}) =="
-cmake -B "$ASAN_DIR" -S . -DAQUA_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$ASAN_DIR" -S . -DAQUA_SANITIZE=ON -DAQUA_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$ASAN_DIR" -j "$(nproc)"
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$(nproc)"
 
 echo "== pass 2/2: TSan (${TSAN_DIR}) =="
-cmake -B "$TSAN_DIR" -S . -DAQUA_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$TSAN_DIR" -S . -DAQUA_TSAN=ON -DAQUA_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_DIR" -j "$(nproc)"
 # scripts/tsan.supp silences libstdc++'s un-annotated atomic<shared_ptr>
 # internals (see the file for details); races in our own code still fail.

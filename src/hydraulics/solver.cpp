@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "common/error.hpp"
-#include "linalg/solvers.hpp"
 
 namespace aqua::hydraulics {
 namespace {
@@ -59,25 +57,6 @@ double HydraulicState::total_emitter_outflow() const noexcept {
   return sum;
 }
 
-namespace {
-
-/// Maps a resolved LinearSolver choice onto its linalg backend.
-linalg::LinearBackend backend_of(LinearSolver solver) {
-  switch (solver) {
-    case LinearSolver::kCholesky:
-      return linalg::LinearBackend::kLdlt;
-    case LinearSolver::kConjugateGradient:
-      return linalg::LinearBackend::kJacobiCg;
-    case LinearSolver::kIc0Cg:
-      return linalg::LinearBackend::kIc0Cg;
-    case LinearSolver::kAuto:
-      break;
-  }
-  throw InvalidArgument("linear solver choice was not resolved");
-}
-
-}  // namespace
-
 GgaSolver::GgaSolver(const Network& network, SolverOptions options)
     : network_(network), options_(options) {
   network_.validate();
@@ -91,42 +70,22 @@ GgaSolver::GgaSolver(const Network& network, SolverOptions options)
   workspace_.matrix = assembly_.pattern;
   workspace_.rhs.assign(rows, 0.0);
   workspace_.solution.assign(rows, 0.0);
-  workspace_.prev_solution.assign(rows, 0.0);
   workspace_.y.assign(m, 0.0);
   workspace_.p.assign(m, 0.0);
-
-  // kAuto: the direct factorization wins while its refactor cost (which
-  // grows with fill) stays small; past the crossover the O(nnz)-refactor
-  // IC(0)-CG backend takes over. Explicit choices pass through.
-  resolved_solver_ = options_.linear_solver;
-  if (resolved_solver_ == LinearSolver::kAuto) {
-    resolved_solver_ = rows >= options_.auto_crossover_nodes ? LinearSolver::kIc0Cg
-                                                             : LinearSolver::kCholesky;
-  }
-  // Symbolic setup (LDLT: minimum-degree ordering, factor pattern and
-  // row schedules; IC(0): lower-triangle pattern) happens once here; every
-  // Newton iteration only refactors values.
-  workspace_.system = linalg::make_linear_system(backend_of(resolved_solver_), options_.cg);
-  workspace_.system->analyze(assembly_.pattern);
+  // Symbolic setup (minimum-degree ordering, factor pattern and row
+  // schedules) happens once here; every Newton iteration only refactors
+  // values.
+  workspace_.ldlt.analyze(assembly_.pattern);
 }
 
+// Copying the workspace carries the prototype's ordering and symbolic
+// analysis, the point of this constructor: a per-thread solver pool runs
+// one analysis per network.
 GgaSolver::GgaSolver(const Network& network, const GgaSolver& prototype)
     : network_(network),
       options_(prototype.options_),
-      resolved_solver_(prototype.resolved_solver_),
-      assembly_(prototype.assembly_) {
-  const Workspace& proto_ws = prototype.workspace_;
-  workspace_.matrix = proto_ws.matrix;
-  workspace_.rhs = proto_ws.rhs;
-  workspace_.solution = proto_ws.solution;
-  workspace_.prev_solution = proto_ws.prev_solution;
-  workspace_.y = proto_ws.y;
-  workspace_.p = proto_ws.p;
-  // The backend clone carries the prototype's symbolic analysis — the
-  // point of this constructor: a per-thread solver pool computes one
-  // ordering/pattern analysis per network.
-  workspace_.system = proto_ws.system->clone();
-
+      assembly_(prototype.assembly_),
+      workspace_(prototype.workspace_) {
   const Network& proto_net = prototype.network_;
   AQUA_REQUIRE(network_.num_nodes() == proto_net.num_nodes() &&
                    network_.num_links() == proto_net.num_links(),
@@ -147,23 +106,13 @@ GgaSolver::GgaSolver(const Network& network, const GgaSolver& prototype)
 
 bool GgaSolver::solve_linear_system(std::string* why) const {
   Workspace& ws = workspace_;
-  // Warm start from the previous Newton iterate; direct backends simply
-  // overwrite it.
-  std::copy(ws.prev_solution.begin(), ws.prev_solution.end(), ws.solution.begin());
   try {
-    ws.system->refactor_values(ws.matrix);
-    const auto stats = ws.system->solve(ws.rhs, ws.solution);
-    if (!stats.converged) {
-      if (why != nullptr) {
-        *why = std::string(ws.system->name()) + " did not converge (relative residual " +
-               std::to_string(stats.relative_residual) + ")";
-      }
-      return false;
-    }
+    ws.ldlt.factorize(ws.matrix);
   } catch (const SolverError& error) {
     if (why != nullptr) *why = error.what();
     return false;
   }
+  ws.ldlt.solve(ws.rhs, ws.solution);
   return true;
 }
 
@@ -209,7 +158,7 @@ void GgaSolver::probe_outflow_response(const HydraulicState& state,
               .gradient;
     }
   }
-  ws.system->refactor_values(ws.matrix);
+  ws.ldlt.factorize(ws.matrix);
 
   // One blocked solve: RHS k is -e_{row(probe k)} (an extra unit of
   // outflow at the probe junction).
@@ -222,12 +171,7 @@ void GgaSolver::probe_outflow_response(const HydraulicState& state,
     AQUA_REQUIRE(r != kFixed, "probe node must be a junction");
     b[k * rows + r] = -1.0;
   }
-  const auto stats = ws.system->solve_block(b, x, nrhs);
-  if (!stats.converged) {
-    throw SolverError(std::string("probe_outflow_response: ") + ws.system->name() +
-                      " did not converge (relative residual " +
-                      std::to_string(stats.relative_residual) + ")");
-  }
+  ws.ldlt.solve_block(b, x, nrhs);
 
   head_response.assign(nrhs * n, 0.0);
   for (std::size_t k = 0; k < nrhs; ++k) {
@@ -300,6 +244,15 @@ HydraulicState GgaSolver::solve(const std::vector<double>& demands,
   const std::size_t m = network_.num_links();
   AQUA_REQUIRE(demands.size() == n, "demands must be per-node");
   AQUA_REQUIRE(fixed_heads.size() == n, "fixed_heads must be per-node");
+  // Only consulted entries must be finite: a NaN would otherwise surface
+  // iterations later as a bogus non-positive pivot.
+  for (NodeId v = 0; v < n; ++v) {
+    if (network_.node(v).has_fixed_head()) {
+      AQUA_REQUIRE(std::isfinite(fixed_heads[v]), "fixed heads must be finite at reservoirs/tanks");
+    } else {
+      AQUA_REQUIRE(std::isfinite(demands[v]), "demands must be finite at junctions");
+    }
+  }
 
   HydraulicState state;
   state.head.assign(n, 0.0);
@@ -332,10 +285,8 @@ HydraulicState GgaSolver::solve(const std::vector<double>& demands,
   const std::size_t rows = assembly_.node_of_row.size();
   Workspace& ws = workspace_;
   std::vector<double>& rhs = ws.rhs;
-  std::vector<double>& prev_solution = ws.prev_solution;
   std::vector<double>& y = ws.y;
   std::vector<double>& p = ws.p;
-  for (std::size_t r = 0; r < rows; ++r) prev_solution[r] = state.head[assembly_.node_of_row[r]];
 
   for (std::size_t iter = 1; iter <= options_.max_iterations; ++iter) {
     state.iterations = iter;
@@ -389,7 +340,7 @@ HydraulicState GgaSolver::solve(const std::vector<double>& demands,
       if (options_.throw_on_divergence) {
         throw SolverError("GGA: inner linear solve failed (" + why + ")");
       }
-      return state;
+      break;  // best effort through the common epilogue, like the budget exit
     }
     // Past a grace period the iteration is under-relaxed on BOTH heads and
     // flows: networks near hydraulic limits (large concurrent leaks)
@@ -406,35 +357,17 @@ HydraulicState GgaSolver::solve(const std::vector<double>& demands,
     for (std::size_t r = 0; r < rows; ++r) {
       const NodeId v = assembly_.node_of_row[r];
       state.head[v] += relaxation * (ws.solution[r] - state.head[v]);
-      prev_solution[r] = state.head[v];
     }
 
     double flow_change = 0.0;
     double flow_total = 0.0;
-    // The worst-link diagnostic is captured here, *before* state.flow is
-    // overwritten, so the reported dq is the change actually applied this
-    // iteration (recomputing it afterwards always reads ~0).
-    double worst_dq = 0.0;
-    LinkId worst = 0;
     for (LinkId l = 0; l < m; ++l) {
       const Link& link = network_.link(l);
       const double candidate = y[l] + p[l] * (state.head[link.from] - state.head[link.to]);
       const double new_flow = state.flow[l] + relaxation * (candidate - state.flow[l]);
-      const double dq = std::abs(new_flow - state.flow[l]);
-      flow_change += dq;
+      flow_change += std::abs(new_flow - state.flow[l]);
       flow_total += std::abs(new_flow);
-      if (dq > worst_dq) {
-        worst_dq = dq;
-        worst = l;
-      }
       state.flow[l] = new_flow;
-    }
-    if (options_.trace) {
-      const Link& wl = network_.link(worst);
-      std::fprintf(stderr,
-                   "gga iter %zu: ratio=%.3e worst=%s dq=%.4g q=%.4g h_from=%.2f h_to=%.2f\n",
-                   iter, flow_total > 0 ? flow_change / flow_total : -1.0, wl.name.c_str(),
-                   worst_dq, state.flow[worst], state.head[wl.from], state.head[wl.to]);
     }
     // Relative flow-change criterion with an absolute floor so all-zero
     // demand snapshots (flow_total ~ 0) converge instead of dividing by 0.

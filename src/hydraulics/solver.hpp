@@ -5,52 +5,28 @@
 // continuity and the head-loss relations, including pressure-dependent
 // emitter (leak) outflows from Eq. 1 of the paper.
 //
+// Each Newton iteration solves the SPD node system with one sparse LDL^T
+// factorization (linalg/cholesky.hpp), EPANET 2's single direct solver.
 // Everything that depends only on the network's structure and geometry is
 // computed once per solver instance: the node sparsity pattern, the
-// symbolic factorization and each link's head-loss coefficients. A Newton
-// iteration only refills values, so repeated solves over the same network
-// (extended-period simulation, scenario batches, enumeration trials) are
-// cheap.
+// ordering and symbolic factorization, and each link's head-loss
+// coefficients. A Newton iteration only refills values, so repeated solves
+// over the same network (extended-period simulation, scenario batches,
+// enumeration trials) are cheap.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "hydraulics/headloss.hpp"
 #include "hydraulics/network.hpp"
-#include "linalg/linear_system.hpp"
-#include "linalg/solvers.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/sparse.hpp"
 
 namespace aqua::hydraulics {
-
-/// Inner linear solver for the per-iteration SPD node system. Each value
-/// maps onto a linalg::LinearSystem backend (linalg/linear_system.hpp).
-enum class LinearSolver {
-  /// Sparse LDL^T with a minimum-degree ordering and a cached symbolic
-  /// factorization (EPANET 2's approach). Fastest at every size measured
-  /// so far (96 to 50k nodes) — near-planar water networks keep the
-  /// min-degree fill low enough that refactorization stays near-linear.
-  kCholesky,
-  /// Jacobi-preconditioned conjugate gradients, warm-started from the
-  /// previous Newton iterate. Matrix-free cross-check.
-  kConjugateGradient,
-  /// IC(0)-preconditioned conjugate gradients: O(nnz) refactorization per
-  /// Newton iteration and warm-started inner iterations. An explicit
-  /// override for matrices where direct factor fill explodes (dense
-  /// non-planar interconnects) or memory-bound deployments; on the planar
-  /// generated cities the direct backend empirically wins at every
-  /// measured size (see SolverOptions::auto_crossover_nodes).
-  kIc0Cg,
-  /// Pick kCholesky or kIc0Cg from the junction count against
-  /// SolverOptions::auto_crossover_nodes; the default. Resolution happens
-  /// at solver construction (see GgaSolver::linear_backend()).
-  kAuto,
-};
 
 struct SolverOptions {
   HeadLossModel headloss = HeadLossModel::kHazenWilliams;
@@ -59,23 +35,6 @@ struct SolverOptions {
   double accuracy = 1e-4;
   /// Throw SolverError on non-convergence instead of returning best effort.
   bool throw_on_divergence = true;
-  /// Print per-iteration convergence diagnostics to stderr.
-  bool trace = false;
-  /// Inner linear solver; kAuto crosses over on network size, any other
-  /// value is an explicit override.
-  LinearSolver linear_solver = LinearSolver::kAuto;
-  /// kAuto picks kIc0Cg at or above this many solved junction rows,
-  /// kCholesky below. The bench_micro_hydraulics node-count sweep on
-  /// generated city networks (BENCH_micro_hydraulics.json) measured NO
-  /// crossover up to 50k nodes: min-degree keeps the LDLT factor fill
-  /// near 1.3x on these planar grids (refactor ~4 ms at 50k) while the
-  /// Jacobian's ~1e5 conductance contrast pushes IC(0)-CG past 2k inner
-  /// iterations per Newton step. The default therefore sits beyond the
-  /// measured range so kAuto resolves to kCholesky everywhere practical;
-  /// lower it (or set linear_solver explicitly) to opt into kIc0Cg.
-  std::size_t auto_crossover_nodes = 200000;
-  /// Settings for the iterative backends (kConjugateGradient, kIc0Cg).
-  linalg::CgOptions cg;
 };
 
 /// One hydraulic snapshot.
@@ -132,8 +91,11 @@ class GgaSolver {
 
   /// Solves a snapshot. `demands` is per-node (junction entries used)
   /// [m^3/s]; `fixed_heads` is per-node and consulted only for
-  /// reservoir/tank nodes [m]. `warm_start` (optional) seeds heads and
-  /// flows from a previous solution.
+  /// reservoir/tank nodes [m]. Every consulted entry must be finite
+  /// (InvalidArgument otherwise); unconsulted entries are ignored.
+  /// `warm_start` (optional) seeds heads and flows from a previous
+  /// solution. Every returned state, converged or not, has per-node
+  /// `head`, `pressure` and `emitter_outflow` and per-link `flow`.
   HydraulicState solve(const std::vector<double>& demands, const std::vector<double>& fixed_heads,
                        const HydraulicState* warm_start = nullptr) const;
 
@@ -143,10 +105,6 @@ class GgaSolver {
 
   const Network& network() const noexcept { return network_; }
   const SolverOptions& options() const noexcept { return options_; }
-
-  /// The concrete inner backend this solver runs on (kAuto resolved at
-  /// construction; never kAuto itself).
-  LinearSolver linear_backend() const noexcept { return resolved_solver_; }
 
   /// First-order probe around a converged state: refills the node Jacobian
   /// at `state` (link linearization + emitter gradients), refactors once,
@@ -180,26 +138,24 @@ class GgaSolver {
     linalg::CsrMatrix matrix;  // assembly pattern; values refilled per iteration
     std::vector<double> rhs;
     std::vector<double> solution;
-    std::vector<double> prev_solution;
     std::vector<double> y, p;  // per-link GGA intermediates
-    // Backend with its cached symbolic analysis (LDLT factor pattern and
-    // row schedules, IC(0) lower pattern, ...); cloned — not recomputed —
-    // by the prototype constructor.
-    std::unique_ptr<linalg::LinearSystem> system;
+    // Factor with its cached ordering, pattern and row schedules; copied,
+    // not recomputed, by the prototype constructor.
+    linalg::SparseLdlt ldlt;
   };
 
   static constexpr std::size_t kFixed = static_cast<std::size_t>(-1);
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   Assembly build_assembly() const;
-  /// Inner linear solve of workspace matrix/rhs into workspace solution.
-  /// Returns false (with a reason) instead of throwing so the Newton loop
-  /// can surface divergence per SolverOptions::throw_on_divergence.
+  /// Factors the workspace matrix and solves it against the workspace rhs
+  /// into the workspace solution. Returns false (with the factorization's
+  /// reason) instead of throwing so the Newton loop can surface divergence
+  /// per SolverOptions::throw_on_divergence.
   bool solve_linear_system(std::string* why) const;
 
   const Network& network_;
   SolverOptions options_;
-  LinearSolver resolved_solver_ = LinearSolver::kCholesky;
   Assembly assembly_;
   // Per link, from network_'s geometry at construction (never from the
   // prototype's network); solve() and the probe stamp with these.

@@ -5,6 +5,11 @@
 // refills numeric values and replays that schedule. Up-looking row
 // algorithm in the style of Davis's LDL (SIAM, "Direct Methods for Sparse
 // Linear Systems", ch. 4).
+//
+// This is the one inner solver of the hydraulic GGA: every GgaSolver owns
+// a SparseLdlt by value (hydraulics/solver.hpp), and a copy carries the
+// analysis, which is how solver prototypes are cloned without re-running
+// it. conjugate_gradient (solvers.hpp) is kept only as its test oracle.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +29,8 @@ namespace aqua::linalg {
 ///   f.solve(b, x);             // allocation-free triangular solves
 ///
 /// `factorize`/`solve` perform no heap allocation after `analyze`, which is
-/// what makes repeated hydraulic solves cheap.
+/// what makes repeated hydraulic solves cheap. Copies are deep and
+/// independent: a copy keeps the ordering, schedules and current factor.
 class SparseLdlt {
  public:
   /// Symbolic analysis of `pattern` (square, symmetric, diagonal present

@@ -7,142 +7,86 @@
 #include "linalg/dense.hpp"
 
 namespace aqua::linalg {
-namespace {
 
-/// Rebuilds the workspace diagonal-slot cache by scanning the pattern once
-/// (O(nnz)); every subsequent solve against the same pattern refills the
-/// preconditioner from the cached slots in O(n).
-void rebuild_diag_slots(CgWorkspace& ws, const CsrMatrix& a) {
+CgResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
+                            std::span<const double> x0, const CgOptions& options) {
   const std::size_t n = a.rows();
-  const auto rp = a.row_pointers();
-  const auto ci = a.column_indices();
-  ws.diag_slot.assign(n, CgWorkspace::kNoDiag);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (ci[k] == r) ws.diag_slot[r] = k;
-    }
-  }
-  ws.bound_columns = ci.data();
-  ws.bound_rows = n;
-  ws.bound_nnz = a.nnz();
-}
-
-}  // namespace
-
-void CgWorkspace::bind_diag_slots(const CsrMatrix& a, std::span<const std::size_t> slots) {
-  AQUA_REQUIRE(slots.size() == a.rows(), "bind_diag_slots: one slot per row required");
-  diag_slot.assign(slots.begin(), slots.end());
-  bound_columns = a.column_indices().data();
-  bound_rows = a.rows();
-  bound_nnz = a.nnz();
-}
-
-CgStats conjugate_gradient_into(const CsrMatrix& a, std::span<const double> b,
-                                std::span<double> x, CgWorkspace& ws,
-                                const CgOptions& options) {
-  const std::size_t n = a.rows();
+  AQUA_REQUIRE(x0.empty() || x0.size() == n, "warm-start size mismatch");
   AQUA_REQUIRE(b.size() == n, "conjugate_gradient dimension mismatch");
-  AQUA_REQUIRE(x.size() == n, "conjugate_gradient solution size mismatch");
 
-  CgStats stats;
+  CgResult result;
+  result.x.assign(n, 0.0);
+  if (!x0.empty()) result.x.assign(x0.begin(), x0.end());
+  std::vector<double>& x = result.x;
+
   const double bnorm = norm2(b);
   if (bnorm == 0.0) {
     std::fill(x.begin(), x.end(), 0.0);
-    stats.converged = true;
-    return stats;
+    result.converged = true;
+    return result;
   }
 
-  ws.r.resize(n);
-  ws.z.resize(n);
-  ws.p.resize(n);
-  ws.ap.resize(n);
-  ws.inv_diag.resize(n);
+  // Jacobi preconditioner M = diag(A); rows without a (nonzero) stored
+  // diagonal get weight 1.
+  std::vector<double> inv_diag = a.diagonal();
+  for (double& d : inv_diag) d = (d != 0.0) ? 1.0 / d : 1.0;
 
-  // Jacobi preconditioner M = diag(A): slot positions from the workspace
-  // cache (rebuilt only when the pattern changes), values re-read every
-  // call because Newton loops refill the same pattern with new values.
-  if (!ws.bound_to(a)) rebuild_diag_slots(ws, a);
-  {
-    const auto av = a.values();
-    for (std::size_t r = 0; r < n; ++r) {
-      const std::size_t slot = ws.diag_slot[r];
-      const double d = slot == CgWorkspace::kNoDiag ? 0.0 : av[slot];
-      ws.inv_diag[r] = (d != 0.0) ? 1.0 / d : 1.0;
-    }
-  }
-
-  a.multiply_into(x, ws.r);
-  for (std::size_t i = 0; i < n; ++i) ws.r[i] = b[i] - ws.r[i];
-  for (std::size_t i = 0; i < n; ++i) ws.z[i] = ws.inv_diag[i] * ws.r[i];
-  double rz = dot(ws.r, ws.z);
+  std::vector<double> r(n), z(n), p(n), ap(n);
+  a.multiply_into(x, r);
+  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
+  double rz = dot(r, z);
   double rz_prev = 0.0;
 
   // Single exit discipline: the residual is checked at the top of every
   // pass, so `iterations` is the number of updates applied to `x` at every
-  // return — including convergence detected exactly at the budget (the old
-  // post-loop epilogue reported that case inconsistently).
+  // return, including convergence detected exactly at the budget.
   for (std::size_t it = 0;; ++it) {
-    stats.iterations = it;
-    stats.relative_residual = norm2(ws.r) / bnorm;
-    if (!std::isfinite(stats.relative_residual)) {
-      stats.breakdown = true;
-      return stats;
+    result.iterations = it;
+    result.relative_residual = norm2(r) / bnorm;
+    if (!std::isfinite(result.relative_residual)) {
+      result.breakdown = true;
+      return result;
     }
-    if (stats.relative_residual < options.tolerance) {
-      stats.converged = true;
-      return stats;
+    if (result.relative_residual < options.tolerance) {
+      result.converged = true;
+      return result;
     }
-    if (it == options.max_iterations) return stats;
+    if (it == options.max_iterations) return result;
 
     if (it == 0) {
-      std::copy(ws.z.begin(), ws.z.end(), ws.p.begin());
+      std::copy(z.begin(), z.end(), p.begin());
     } else {
       // beta = (r'z)_k / (r'z)_{k-1}. The denominator can underflow to
-      // exactly zero mid-iteration on near-converged / badly scaled
-      // systems; dividing would inject NaN into the iterate, so report
-      // breakdown with the last valid iterate instead.
+      // exactly zero on near-converged or badly scaled systems; dividing
+      // would inject NaN into the iterate, so report breakdown with the
+      // last valid iterate instead.
       if (rz_prev == 0.0 || !std::isfinite(rz)) {
-        stats.breakdown = true;
-        return stats;
+        result.breakdown = true;
+        return result;
       }
       const double beta = rz / rz_prev;
-      for (std::size_t i = 0; i < n; ++i) ws.p[i] = ws.z[i] + beta * ws.p[i];
+      for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
     }
 
-    a.multiply_into(ws.p, ws.ap);
-    const double pap = dot(ws.p, ws.ap);
+    a.multiply_into(p, ap);
+    const double pap = dot(p, ap);
     if (pap < 0.0) {
       throw SolverError("conjugate_gradient: matrix is not positive definite");
     }
     if (pap == 0.0 || !std::isfinite(pap)) {
       // Zero curvature along p (singular direction or underflow): x is
       // still the best iterate; honest failure beats a NaN solution.
-      stats.breakdown = true;
-      return stats;
+      result.breakdown = true;
+      return result;
     }
     const double alpha = rz / pap;
-    axpy(alpha, ws.p, x);
-    axpy(-alpha, ws.ap, ws.r);
-    for (std::size_t i = 0; i < n; ++i) ws.z[i] = ws.inv_diag[i] * ws.r[i];
+    axpy(alpha, p, x);
+    axpy(-alpha, ap, r);
+    for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag[i] * r[i];
     rz_prev = rz;
-    rz = dot(ws.r, ws.z);
+    rz = dot(r, z);
   }
-}
-
-CgResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
-                            std::span<const double> x0, const CgOptions& options) {
-  const std::size_t n = a.rows();
-  AQUA_REQUIRE(x0.empty() || x0.size() == n, "warm-start size mismatch");
-  CgResult result;
-  result.x.assign(n, 0.0);
-  if (!x0.empty()) result.x.assign(x0.begin(), x0.end());
-  CgWorkspace ws;
-  const CgStats stats = conjugate_gradient_into(a, b, result.x, ws, options);
-  result.iterations = stats.iterations;
-  result.relative_residual = stats.relative_residual;
-  result.converged = stats.converged;
-  result.breakdown = stats.breakdown;
-  return result;
 }
 
 }  // namespace aqua::linalg

@@ -1,8 +1,8 @@
-// Iterative solvers for the sparse SPD systems assembled by the hydraulic
-// Global Gradient Algorithm. The direct (and default) alternative lives in
-// cholesky.hpp; CG is retained as the matrix-free fallback and for
-// cross-checking the factorization. The backend-agnostic interface over
-// both families is linalg::LinearSystem (linear_system.hpp).
+// Jacobi-preconditioned conjugate gradients: the named test oracle for the
+// sparse LDL^T factorization (cholesky.hpp), which is the only solver the
+// hydraulic Global Gradient Algorithm runs. An independent iterative
+// method on the same SPD systems cross-checks the direct factor without
+// sharing any of its ordering, symbolic or numeric code.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +18,11 @@ struct CgOptions {
   double tolerance = 1e-10;  // relative residual ||r|| / ||b||
 };
 
+/// `iterations` counts the iterations actually applied to `x` at every
+/// exit, including convergence detected exactly at the iteration budget.
+/// `breakdown` is set when the recurrence could not continue (zero
+/// curvature p'Ap, a vanished r'z, or a non-finite inner product); `x`
+/// then holds the last valid approximation instead of NaN.
 struct CgResult {
   std::vector<double> x;
   std::size_t iterations = 0;
@@ -26,63 +31,10 @@ struct CgResult {
   bool breakdown = false;
 };
 
-/// Convergence info without the solution vector (the in-place API writes
-/// the solution into caller storage). `iterations` always counts the
-/// iterations actually applied to the iterate, at every exit — including
-/// convergence detected exactly at the iteration budget. `breakdown` is
-/// set when the recurrence could not continue (zero curvature p'Ap, a
-/// vanished r'z, or a non-finite inner product); the iterate then holds
-/// the last valid approximation instead of NaN.
-struct CgStats {
-  std::size_t iterations = 0;
-  double relative_residual = 0.0;
-  bool converged = false;
-  bool breakdown = false;
-};
-
-/// Caller-owned scratch for conjugate_gradient_into. Vectors are resized
-/// on first use and reused afterwards, so repeated solves of same-sized
-/// systems perform no allocation.
-///
-/// The workspace also caches the CSR slot of each row's diagonal entry for
-/// the last matrix pattern it saw, so rebuilding the Jacobi preconditioner
-/// on a repeated solve costs O(n) value reads instead of an O(nnz) pattern
-/// scan — the case that matters for Newton loops, which refill one pattern
-/// every iteration. The cache re-keys automatically when a different
-/// pattern arrives (detected via rows/nnz/column-index identity).
-struct CgWorkspace {
-  std::vector<double> r, z, p, ap, inv_diag;
-
-  // Jacobi-preconditioner slot cache (see above). kNoDiag marks rows with
-  // no stored diagonal entry (their preconditioner weight is 1).
-  static constexpr std::size_t kNoDiag = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> diag_slot;
-  const std::size_t* bound_columns = nullptr;  // identity of the cached pattern
-  std::size_t bound_rows = 0;
-  std::size_t bound_nnz = 0;
-
-  bool bound_to(const CsrMatrix& a) const noexcept {
-    return bound_columns == a.column_indices().data() && bound_rows == a.rows() &&
-           bound_nnz == a.nnz();
-  }
-  /// Installs externally known diagonal slots (e.g. the GGA assembly's
-  /// per-row diag_slot) so the first solve skips the pattern scan too.
-  void bind_diag_slots(const CsrMatrix& a, std::span<const std::size_t> slots);
-};
-
-/// Jacobi-preconditioned conjugate gradients for SPD `a`, allocation-free
-/// in steady state: `x` carries the warm start on entry and the solution on
-/// exit, and all temporaries live in `workspace`. Throws SolverError when
-/// the matrix reveals itself indefinite (p'Ap < 0); all other failure
-/// modes (iteration budget, breakdown) return honest CgStats with the best
-/// iterate left in `x`.
-CgStats conjugate_gradient_into(const CsrMatrix& a, std::span<const double> b,
-                                std::span<double> x, CgWorkspace& workspace,
-                                const CgOptions& options = {});
-
-/// Jacobi-preconditioned conjugate gradients for SPD `a`.
-/// `x0` (optional) warm-starts the iteration — the hydraulic solver reuses
-/// the previous Newton iterate, which typically halves iteration counts.
+/// Jacobi-preconditioned conjugate gradients for SPD `a`. `x0` (optional)
+/// warm-starts the iteration. Throws SolverError when the matrix reveals
+/// itself indefinite (p'Ap < 0); the iteration budget and breakdown are
+/// reported in the result instead.
 CgResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
                             std::span<const double> x0 = {}, const CgOptions& options = {});
 

@@ -123,27 +123,5 @@ TEST(ConjugateGradient, DimensionMismatchThrows) {
   EXPECT_THROW(conjugate_gradient(a, std::vector<double>(3, 1.0)), InvalidArgument);
 }
 
-TEST(ConjugateGradient, WorkspaceVariantMatchesAllocatingVariant) {
-  const std::size_t n = 40;
-  const CsrMatrix a = laplacian_chain(n);
-  std::vector<double> x_true(n);
-  for (std::size_t i = 0; i < n; ++i) x_true[i] = std::cos(0.2 * static_cast<double>(i));
-  const auto b = a.multiply(x_true);
-
-  CgWorkspace workspace;
-  std::vector<double> x(n, 0.0);
-  const auto stats = conjugate_gradient_into(a, b, x, workspace, {});
-  const auto reference = conjugate_gradient(a, b);
-  ASSERT_TRUE(stats.converged);
-  EXPECT_EQ(stats.iterations, reference.iterations);
-  EXPECT_EQ(x, reference.x);
-
-  // Reusing the workspace (now pre-sized) must give the same answer.
-  std::fill(x.begin(), x.end(), 0.0);
-  const auto again = conjugate_gradient_into(a, b, x, workspace, {});
-  ASSERT_TRUE(again.converged);
-  EXPECT_EQ(x, reference.x);
-}
-
 }  // namespace
 }  // namespace aqua::linalg

@@ -1,16 +1,16 @@
-// Tests for the pluggable LinearSystem backends (linear_system.hpp): the
-// backend-agnostic lifecycle, agreement between the direct and iterative
-// backends, blocked multi-RHS identity, clone semantics, and the CG
-// breakdown discipline fixed alongside them.
-#include "linalg/linear_system.hpp"
-
+// Tests for solving node systems A x = b the way the hydraulic GGA does:
+// blocked multi-RHS identity and copy semantics of the direct SparseLdlt
+// (cholesky.hpp), and the breakdown and iteration-budget discipline of its
+// conjugate-gradient test oracle (solvers.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/solvers.hpp"
@@ -57,197 +57,121 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-double residual_norm(const CsrMatrix& a, std::span<const double> x, std::span<const double> b) {
-  const auto ax = a.multiply(x);
-  double ss = 0.0;
-  for (std::size_t i = 0; i < ax.size(); ++i) {
-    const double d = ax[i] - b[i];
-    ss += d * d;
-  }
-  return std::sqrt(ss);
-}
-
-TEST(LinearSystem, AllBackendsSolveTheSameSystem) {
-  const CsrMatrix a = grid_laplacian(9);
-  const auto b = random_vector(a.rows(), 7);
-
-  CgOptions cg;
-  cg.tolerance = 1e-13;
-  std::vector<double> reference;
-  for (const LinearBackend backend :
-       {LinearBackend::kLdlt, LinearBackend::kJacobiCg, LinearBackend::kIc0Cg}) {
-    auto system = make_linear_system(backend, cg);
-    system->factor(a);
-    std::vector<double> x(a.rows(), 0.0);
-    const auto stats = system->solve(b, x);
-    EXPECT_TRUE(stats.converged) << system->name();
-    EXPECT_LT(residual_norm(a, x, b), 1e-8) << system->name();
-    if (reference.empty()) {
-      reference = x;
-    } else {
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        EXPECT_NEAR(x[i], reference[i], 1e-8) << system->name() << " entry " << i;
-      }
-    }
-  }
-}
-
-TEST(LinearSystem, RefactorValuesTracksChangedValues) {
-  // Newton-loop usage: one analyze, many refactors over the same pattern.
-  CsrMatrix a = grid_laplacian(6);
-  const auto b = random_vector(a.rows(), 11);
-  for (const LinearBackend backend : {LinearBackend::kLdlt, LinearBackend::kIc0Cg}) {
-    auto system = make_linear_system(backend, CgOptions{.tolerance = 1e-13});
-    system->analyze(a);
-    for (const double scale : {1.0, 2.5, 0.75}) {
-      CsrMatrix scaled = a;
-      auto values = scaled.values();
-      for (double& v : values) v *= scale;
-      system->refactor_values(scaled);
-      std::vector<double> x(a.rows(), 0.0);
-      const auto stats = system->solve(b, x);
-      ASSERT_TRUE(stats.converged) << system->name();
-      // A (s x) = s b / s = b  =>  x_scaled == x_1 / scale.
-      EXPECT_LT(residual_norm(scaled, x, b), 1e-8) << system->name() << " scale " << scale;
-    }
-  }
-}
-
-TEST(LinearSystem, SolveBlockMatchesRepeatedSolves) {
+TEST(SparseLdlt, SolveBlockMatchesRepeatedSolves) {
   const CsrMatrix a = grid_laplacian(8);
   const std::size_t n = a.rows();
-  // 11 RHS: crosses the direct backend's 8-wide tile boundary, so both the
-  // full-tile and remainder paths run.
+  // 11 right-hand sides cross the 8-wide tile boundary, so both the
+  // full-tile and the remainder paths run.
   const std::size_t nrhs = 11;
+  ASSERT_GT(nrhs, SparseLdlt::kBlockWidth);
   std::vector<double> b(nrhs * n);
   for (std::size_t k = 0; k < nrhs; ++k) {
     const auto bk = random_vector(n, 100 + k);
     std::copy(bk.begin(), bk.end(), b.begin() + static_cast<std::ptrdiff_t>(k * n));
   }
 
-  for (const LinearBackend backend : {LinearBackend::kLdlt, LinearBackend::kIc0Cg}) {
-    auto system = make_linear_system(backend, CgOptions{.tolerance = 1e-13});
-    system->factor(a);
+  SparseLdlt factor;
+  factor.analyze(a);
+  factor.factorize(a);
+  std::vector<double> x_block(nrhs * n, 0.0);
+  factor.solve_block(b, x_block, nrhs);
 
-    std::vector<double> x_block(nrhs * n, 0.0);
-    const auto block_stats = system->solve_block(b, x_block, nrhs);
-    EXPECT_TRUE(block_stats.converged) << system->name();
-
-    for (std::size_t k = 0; k < nrhs; ++k) {
-      std::vector<double> x(n, 0.0);
-      const auto stats = system->solve(
-          std::span<const double>(b.data() + k * n, n), x);
-      ASSERT_TRUE(stats.converged);
-      for (std::size_t i = 0; i < n; ++i) {
-        // Bit-identical: solve_block is documented as the identical
-        // per-RHS operation sequence.
-        EXPECT_EQ(x_block[k * n + i], x[i]) << system->name() << " rhs " << k << " entry " << i;
-      }
+  for (std::size_t k = 0; k < nrhs; ++k) {
+    std::vector<double> x(n, 0.0);
+    factor.solve(std::span<const double>(b.data() + k * n, n), x);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Bit-identical: solve_block is documented as the identical per-RHS
+      // operation sequence.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x_block[k * n + i]),
+                std::bit_cast<std::uint64_t>(x[i]))
+          << "rhs " << k << " entry " << i;
     }
   }
 }
 
-TEST(LinearSystem, CloneCarriesAnalysisAndSolvesIndependently) {
-  const CsrMatrix a = grid_laplacian(7);
+TEST(SparseLdlt, CopyRefactorsAndSolvesBitIdentically) {
+  // What the GgaSolver prototype constructor relies on: a copy carries the
+  // analysis and factor, and from then on the two evolve independently.
+  CsrMatrix a = grid_laplacian(7);
   const auto b = random_vector(a.rows(), 23);
-  for (const LinearBackend backend :
-       {LinearBackend::kLdlt, LinearBackend::kJacobiCg, LinearBackend::kIc0Cg}) {
-    auto original = make_linear_system(backend, CgOptions{.tolerance = 1e-13});
-    original->factor(a);
-    std::vector<double> x_orig(a.rows(), 0.0);
-    original->solve(b, x_orig);
 
-    auto copy = original->clone();
-    EXPECT_EQ(copy->dimension(), original->dimension());
-    // The clone drops the matrix reference; refactor then solve.
-    copy->refactor_values(a);
-    std::vector<double> x_copy(a.rows(), 0.0);
-    const auto stats = copy->solve(b, x_copy);
-    EXPECT_TRUE(stats.converged) << copy->name();
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      EXPECT_EQ(x_copy[i], x_orig[i]) << copy->name() << " entry " << i;
-    }
+  SparseLdlt original;
+  original.analyze(a);
+  original.factorize(a);
+  const auto x_before = original.solve(b);
+
+  SparseLdlt copy = original;
+  EXPECT_EQ(copy.solve(b), x_before);
+
+  // Refactor both on new values of the same pattern.
+  auto values = a.values();
+  for (double& v : values) v *= 2.5;
+  copy.factorize(a);
+  original.factorize(a);
+  const auto dc = copy.diagonal();
+  const auto d_orig = original.diagonal();
+  for (std::size_t i = 0; i < dc.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dc[i]), std::bit_cast<std::uint64_t>(d_orig[i]));
   }
+  const auto x_copy = copy.solve(b);
+  const auto x_orig = original.solve(b);
+  for (std::size_t i = 0; i < x_copy.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x_copy[i]), std::bit_cast<std::uint64_t>(x_orig[i]));
+  }
+  // A x = b with A scaled by 2.5 gives x / 2.5 up to rounding.
+  for (std::size_t i = 0; i < x_copy.size(); ++i) {
+    EXPECT_NEAR(x_copy[i], x_before[i] / 2.5, 1e-12);
+  }
+
+  // Refactoring the original must not touch the copy.
+  for (double& v : values) v *= 4.0;
+  original.factorize(a);
+  EXPECT_EQ(copy.solve(b), x_copy);
 }
 
 TEST(ConjugateGradient, BreakdownReportedHonestly) {
   // Singular PSD matrix [[1,1],[1,1]] with b orthogonal to its range: the
-  // first search direction has zero curvature (p'Ap == 0). The old loop
-  // divided by it and silently produced NaN; the fixed loop reports
-  // breakdown and leaves the iterate finite.
+  // first search direction has zero curvature (p'Ap == 0). Dividing by it
+  // would silently produce NaN; the loop reports breakdown instead and
+  // leaves the iterate finite.
   CooBuilder builder(2);
   builder.add(0, 0, 1.0);
   builder.add(0, 1, 1.0);
   builder.add(1, 0, 1.0);
   builder.add(1, 1, 1.0);
   const CsrMatrix a = builder.build();
-  const std::vector<double> b = {1.0, -1.0};
-
-  std::vector<double> x = {0.0, 0.0};
-  CgWorkspace workspace;
-  const auto stats = conjugate_gradient_into(a, b, x, workspace);
-  EXPECT_TRUE(stats.breakdown);
-  EXPECT_FALSE(stats.converged);
-  EXPECT_TRUE(std::isfinite(x[0]) && std::isfinite(x[1]));
-  EXPECT_TRUE(std::isfinite(stats.relative_residual));
+  const auto result = conjugate_gradient(a, std::vector<double>{1.0, -1.0});
+  EXPECT_TRUE(result.breakdown);
+  EXPECT_FALSE(result.converged);
+  EXPECT_TRUE(std::isfinite(result.x[0]) && std::isfinite(result.x[1]));
+  EXPECT_TRUE(std::isfinite(result.relative_residual));
 }
 
 TEST(ConjugateGradient, ConvergenceAtExactIterationBudgetIsConsistent) {
   // Re-running with max_iterations set to the exact count of a converged
-  // solve must still report converged (the old loop could report
-  // iterations == max_iterations with converged flipping on a final
-  // residual check, leaving the two fields contradictory).
+  // solve must still report converged with the same count and iterate,
+  // not a budget exit contradicting a final residual check.
   const CsrMatrix a = grid_laplacian(5);
   const auto b = random_vector(a.rows(), 3);
 
-  std::vector<double> x(a.rows(), 0.0);
-  CgWorkspace workspace;
-  const auto first = conjugate_gradient_into(a, b, x, workspace);
+  const auto first = conjugate_gradient(a, b);
   ASSERT_TRUE(first.converged);
   ASSERT_GT(first.iterations, 0u);
 
-  std::vector<double> x2(a.rows(), 0.0);
   CgOptions exact;
   exact.max_iterations = first.iterations;
-  const auto second = conjugate_gradient_into(a, b, x2, workspace, exact);
+  const auto second = conjugate_gradient(a, b, {}, exact);
   EXPECT_TRUE(second.converged);
   EXPECT_EQ(second.iterations, first.iterations);
   EXPECT_FALSE(second.breakdown);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], x2[i]);
-}
+  EXPECT_EQ(second.x, first.x);
 
-TEST(ConjugateGradient, DiagSlotCacheSurvivesValueChangesAndRekeysOnNewPattern) {
-  CsrMatrix a = grid_laplacian(6);
-  const auto b = random_vector(a.rows(), 5);
-  CgWorkspace workspace;
-  std::vector<double> x(a.rows(), 0.0);
-  ASSERT_TRUE(conjugate_gradient_into(a, b, x, workspace).converged);
-  ASSERT_TRUE(workspace.bound_to(a));
-
-  // Same pattern, new values: the cache must stay bound and the solve must
-  // see the NEW diagonal (a stale preconditioner would still converge, so
-  // check the binding and the solution quality).
-  auto values = a.values();
-  for (double& v : values) v *= 3.0;
-  std::fill(x.begin(), x.end(), 0.0);
-  ASSERT_TRUE(conjugate_gradient_into(a, b, x, workspace).converged);
-  EXPECT_TRUE(workspace.bound_to(a));
-  EXPECT_LT(residual_norm(a, x, b), 1e-8);
-
-  // Different pattern: cache re-keys, solve still correct.
-  const CsrMatrix other = grid_laplacian(9);
-  const auto b2 = random_vector(other.rows(), 6);
-  std::vector<double> x2(other.rows(), 0.0);
-  ASSERT_TRUE(conjugate_gradient_into(other, b2, x2, workspace).converged);
-  EXPECT_TRUE(workspace.bound_to(other));
-  EXPECT_FALSE(workspace.bound_to(a));
-  EXPECT_LT(residual_norm(other, x2, b2), 1e-8);
-}
-
-TEST(LinearSystem, Ic0RequiresAnalyzeBeforeRefactor) {
-  const CsrMatrix a = grid_laplacian(4);
-  auto system = make_linear_system(LinearBackend::kIc0Cg);
-  EXPECT_THROW(system->refactor_values(a), InvalidArgument);
+  // One iteration short is an honest budget exit.
+  exact.max_iterations = first.iterations - 1;
+  const auto short_budget = conjugate_gradient(a, b, {}, exact);
+  EXPECT_FALSE(short_budget.converged);
+  EXPECT_FALSE(short_budget.breakdown);
+  EXPECT_EQ(short_budget.iterations, first.iterations - 1);
 }
 
 }  // namespace

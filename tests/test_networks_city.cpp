@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "gga_oracle.hpp"
 #include "hydraulics/network.hpp"
 #include "hydraulics/solver.hpp"
 
@@ -142,29 +143,15 @@ TEST(GridSkeleton, HonorsOriginAndPrefixes) {
   EXPECT_EQ(net.link(0).name, "D7_P0");
 }
 
-TEST(CityGenerator, SmallCitySolvesWithBothBackends) {
+TEST(CityGenerator, SmallCitySatisfiesNetworkEquations) {
   Network net;
   make_city(net, small_city_spec());
+  const auto state = hydraulics::oracle::expect_satisfies_network_equations(net);
 
-  hydraulics::SolverOptions options;
-  options.linear_solver = hydraulics::LinearSolver::kCholesky;
-  const hydraulics::GgaSolver direct(net, options);
-  const auto direct_state = direct.solve_snapshot();
-  ASSERT_TRUE(direct_state.converged);
-
-  options.linear_solver = hydraulics::LinearSolver::kIc0Cg;
-  options.cg.tolerance = 1e-12;
-  const hydraulics::GgaSolver iterative(net, options);
-  const auto iter_state = iterative.solve_snapshot();
-  ASSERT_TRUE(iter_state.converged);
-
-  for (NodeId v = 0; v < net.num_nodes(); ++v) {
-    EXPECT_NEAR(direct_state.head[v], iter_state.head[v], 1e-6) << "head at node " << v;
-  }
   // Gravity-fed design: every junction keeps positive service pressure.
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
     if (!net.node(v).has_fixed_head()) {
-      EXPECT_GT(direct_state.pressure[v], 0.0) << "pressure at node " << v;
+      EXPECT_GT(state.pressure[v], 0.0) << "pressure at node " << v;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "gga_oracle.hpp"
 #include "hydraulics/headloss.hpp"
 #include "networks/builtin.hpp"
 
@@ -149,81 +150,85 @@ TEST(GgaSolver, InvalidNetworkRejectedAtConstruction) {
   EXPECT_THROW(GgaSolver{net}, InvalidArgument);
 }
 
-TEST(GgaSolver, DefaultInnerSolverIsAutoResolvingToCholeskyOnSmallNets) {
-  EXPECT_EQ(SolverOptions{}.linear_solver, LinearSolver::kAuto);
-  // Both builtin evaluation networks sit far below the crossover, so the
-  // default configuration keeps the exact behavior of the old kCholesky
-  // default.
-  const GgaSolver epa(networks::make_epa_net());
-  EXPECT_EQ(epa.linear_backend(), LinearSolver::kCholesky);
-  const GgaSolver wssc(networks::make_wssc_subnet());
-  EXPECT_EQ(wssc.linear_backend(), LinearSolver::kCholesky);
+TEST(GgaSolver, BuiltinNetworksSatisfyNetworkEquations) {
+  oracle::expect_satisfies_network_equations(networks::make_epa_net());
+  oracle::expect_satisfies_network_equations(networks::make_wssc_subnet());
 }
 
-TEST(GgaSolver, AutoCrossoverHonorsThreshold) {
-  const auto net = networks::make_epa_net();
-  SolverOptions options;
-  options.linear_solver = LinearSolver::kAuto;
-  // Force the crossover below this network's junction count: kAuto must
-  // resolve to the iterative city-scale backend.
-  options.auto_crossover_nodes = 1;
-  const GgaSolver solver(net, options);
-  EXPECT_EQ(solver.linear_backend(), LinearSolver::kIc0Cg);
-  // Explicit choices pass through untouched.
-  options.linear_solver = LinearSolver::kCholesky;
-  const GgaSolver forced(net, options);
-  EXPECT_EQ(forced.linear_backend(), LinearSolver::kCholesky);
-}
-
-/// Solves one snapshot with the given inner solver, at tight tolerances so
-/// both solvers walk essentially the same Newton trajectory.
-HydraulicState solve_with(const Network& net, LinearSolver linear_solver) {
-  SolverOptions options;
-  options.linear_solver = linear_solver;
-  options.accuracy = 1e-10;
-  options.max_iterations = 2000;
-  // Tight inner tolerance so the CG path tracks the direct factorization
-  // to well below the 1e-8 agreement bound (heads are O(100) m).
-  options.cg.tolerance = 1e-14;
-  options.cg.max_iterations = 20000;
-  GgaSolver solver(net, options);
-  return solver.solve_snapshot();
-}
-
-void expect_inner_solvers_agree(const Network& net) {
-  const auto chol = solve_with(net, LinearSolver::kCholesky);
-  ASSERT_TRUE(chol.converged);
-  for (const LinearSolver other : {LinearSolver::kConjugateGradient, LinearSolver::kIc0Cg}) {
-    const auto iter = solve_with(net, other);
-    ASSERT_TRUE(iter.converged);
-    for (std::size_t v = 0; v < net.num_nodes(); ++v) {
-      EXPECT_NEAR(chol.head[v], iter.head[v], 1e-8) << net.name() << " head at node " << v;
-      EXPECT_NEAR(chol.pressure[v], iter.pressure[v], 1e-8);
-      EXPECT_NEAR(chol.emitter_outflow[v], iter.emitter_outflow[v], 1e-8);
-    }
-    for (std::size_t l = 0; l < net.num_links(); ++l) {
-      EXPECT_NEAR(chol.flow[l], iter.flow[l], 1e-8) << net.name() << " flow on link " << l;
-    }
-  }
-}
-
-TEST(GgaSolver, CholeskyMatchesCgOnBuiltinNetworks) {
-  expect_inner_solvers_agree(networks::make_epa_net());
-  expect_inner_solvers_agree(networks::make_wssc_subnet());
-}
-
-TEST(GgaSolver, CholeskyMatchesCgOnBuiltinNetworksWithLeaks) {
+TEST(GgaSolver, BuiltinNetworksWithLeaksSatisfyNetworkEquations) {
   auto epa = networks::make_epa_net();
   auto epa_junctions = epa.junction_ids();
   epa.set_emitter(epa_junctions[7], 0.003);
   epa.set_emitter(epa_junctions[31], 0.005);
-  expect_inner_solvers_agree(epa);
+  const auto epa_state = oracle::expect_satisfies_network_equations(epa);
+  EXPECT_GT(epa_state.total_emitter_outflow(), 0.0);
 
   auto wssc = networks::make_wssc_subnet();
   auto wssc_junctions = wssc.junction_ids();
   wssc.set_emitter(wssc_junctions[40], 0.004);
   wssc.set_emitter(wssc_junctions[200], 0.006);
-  expect_inner_solvers_agree(wssc);
+  const auto wssc_state = oracle::expect_satisfies_network_equations(wssc);
+  EXPECT_GT(wssc_state.total_emitter_outflow(), 0.0);
+}
+
+TEST(GgaSolver, NonFiniteConsultedInputsAreRejected) {
+  const auto net = networks::make_epa_net();
+  const std::size_t n = net.num_nodes();
+  std::vector<double> demands(n, 0.0), fixed(n, 0.0);
+  NodeId reservoir = n;
+  for (NodeId v = 0; v < n; ++v) {
+    const Node& node = net.node(v);
+    demands[v] = net.demand_at(v, 0);
+    if (node.type == NodeType::kReservoir) {
+      fixed[v] = node.elevation;
+      reservoir = v;
+    }
+    if (node.type == NodeType::kTank) fixed[v] = node.elevation + node.init_level;
+  }
+  ASSERT_LT(reservoir, n);
+  const NodeId junction = net.junction_ids()[5];
+
+  for (const bool throw_on_divergence : {true, false}) {
+    SolverOptions options;
+    options.throw_on_divergence = throw_on_divergence;
+    const GgaSolver solver(net, options);
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      auto bad_demands = demands;
+      bad_demands[junction] = bad;
+      EXPECT_THROW(solver.solve(bad_demands, fixed), InvalidArgument) << bad;
+    }
+    auto bad_fixed = fixed;
+    bad_fixed[reservoir] = HUGE_VAL;
+    EXPECT_THROW(solver.solve(demands, bad_fixed), InvalidArgument);
+
+    // Entries the solve never reads stay free: a junction's fixed head.
+    const auto reference = solver.solve(demands, fixed);
+    auto unread = fixed;
+    unread[junction] = std::nan("");
+    const auto state = solver.solve(demands, unread);
+    ASSERT_TRUE(state.converged);
+    EXPECT_EQ(state.head, reference.head);
+    EXPECT_EQ(state.flow, reference.flow);
+  }
+}
+
+TEST(GgaSolver, InnerSolveFailureReturnsFullSizedBestEffortState) {
+  // A finite but overflowing demand drives the heads to -inf, and the next
+  // factorization meets a NaN pivot.
+  const Network net = single_pipe();
+  const std::vector<double> demands = {0.0, 1e300};
+  const std::vector<double> fixed = {50.0, 0.0};
+
+  SolverOptions options;
+  EXPECT_THROW(GgaSolver(net, options).solve(demands, fixed), SolverError);
+
+  options.throw_on_divergence = false;
+  const auto state = GgaSolver(net, options).solve(demands, fixed);
+  EXPECT_FALSE(state.converged);
+  EXPECT_EQ(state.head.size(), net.num_nodes());
+  EXPECT_EQ(state.pressure.size(), net.num_nodes());
+  EXPECT_EQ(state.emitter_outflow.size(), net.num_nodes());
+  EXPECT_EQ(state.flow.size(), net.num_links());
 }
 
 TEST(GgaSolver, WorkspaceReuseAcrossTimestepsIsBitIdentical) {
@@ -261,16 +266,6 @@ TEST(GgaSolver, WorkspaceReuseAcrossTimestepsIsBitIdentical) {
     previous = from_reused;
     have_previous = true;
   }
-}
-
-TEST(GgaSolver, CgInnerSolverStillWorksBehindOption) {
-  SolverOptions options;
-  options.linear_solver = LinearSolver::kConjugateGradient;
-  const Network net = single_pipe(20.0);
-  GgaSolver solver(net, options);
-  const auto state = solver.solve_snapshot();
-  ASSERT_TRUE(state.converged);
-  EXPECT_NEAR(state.flow[0], 0.020, 1e-6);
 }
 
 TEST(GgaSolver, ProbeOutflowResponseMatchesFiniteDifference) {
