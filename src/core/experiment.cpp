@@ -99,7 +99,7 @@ EvalResult ExperimentContext::evaluate_profile(const ProfileModel& profile,
     // features the same way build_dataset degrades training rows.
     const auto faults =
         sensing::resolve_sensor_faults(scenario.sensor_faults, profile.sensors.size());
-    inputs.features.resize(profile.sensors.size() + (profile.include_time_feature ? 1 : 0));
+    inputs.features.resize(profile.num_features());
     test_batch_->features_into(i, profile.sensors, options.elapsed_index, profile.noise, rng,
                                profile.include_time_feature, faults, inputs.features);
     inputs.p_leak_given_freeze = weather_expert;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -73,10 +74,13 @@ std::vector<InferenceResult> InferenceEngine::infer_batch(
   std::vector<InferenceResult> results(batch.size());
   if (batch.empty()) return results;
 
-  const std::size_t dim = batch.front().features.size();
-  AQUA_REQUIRE(dim > 0, "inference inputs have no features");
+  // The classifiers index rows by the profile's feature schema; a row of
+  // another width would be read past its end.
+  const std::size_t dim = profile_.num_features();
   for (const auto& inputs : batch) {
-    AQUA_REQUIRE(inputs.features.size() == dim, "inconsistent feature dimensions across batch");
+    AQUA_REQUIRE(inputs.features.size() == dim,
+                 "request has " + std::to_string(inputs.features.size()) +
+                     " features; the profile takes " + std::to_string(dim));
   }
 
   telemetry::StageTimes batch_times = make_telemetry_schema();

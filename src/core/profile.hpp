@@ -49,6 +49,12 @@ struct ProfileModel {
   std::size_t elapsed_index = 0;  // which entry of the batch's elapsed list
   double train_seconds = 0.0;
 
+  /// Width of a feature row this profile takes: one per sensor, plus the
+  /// time feature when enabled.
+  std::size_t num_features() const noexcept {
+    return sensors.size() + (include_time_feature ? 1 : 0);
+  }
+
   /// Persists the trained profile as a versioned, checksummed artifact
   /// (io/artifact.hpp). `load(save(p))` predicts bit-identically to `p`, so
   /// Phase II services can skip Phase I entirely on a warm artifact.

@@ -24,10 +24,12 @@
 
 namespace aqua::io {
 
-// v2: GB/RF/HybridRSL classifier states gained max_bins and a flag byte
-// (once exact_splits) that is now always written false and ignored on
-// load; every tree ensemble trains through the one histogram kernel.
-inline constexpr std::uint32_t kFormatVersion = 2;
+// v2: GB/RF/HybridRSL classifier states gained max_bins.
+// v3: the `model` payload writes each distinct SVM feature map once, in a
+// table ahead of the classifier states, and every SVM state (plain or
+// inside HybridRSL) refers to its map by index; the GB/RF/HybridRSL
+// states lost v2's retired exact_splits byte.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Collects named sections in memory, then emits the container.
 class ArtifactWriter {

@@ -60,6 +60,8 @@ void BinaryWriter::write_f64_vector(std::span<const double> values) {
   for (double v : values) write_f64(v);
 }
 
+void BinaryWriter::write_bytes(std::string_view bytes) { buffer_.append(bytes); }
+
 std::span<const char> BinaryReader::take(std::size_t count) {
   if (count > remaining()) {
     throw SerializationError("truncated artifact: needed " + std::to_string(count) +

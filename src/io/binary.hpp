@@ -36,6 +36,8 @@ class BinaryWriter {
   void write_string(std::string_view value);
   /// u64 count prefix + packed f64 values.
   void write_f64_vector(std::span<const double> values);
+  /// Raw bytes, no prefix (splices an already encoded payload).
+  void write_bytes(std::string_view bytes);
 
   const std::string& buffer() const noexcept { return buffer_; }
   std::size_t size() const noexcept { return buffer_.size(); }

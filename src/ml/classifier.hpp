@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "ml/binning.hpp"
 #include "ml/dataset.hpp"
 
 namespace aqua::io {
@@ -20,8 +21,26 @@ class BinaryReader;
 
 namespace aqua::ml {
 
-class BinnedDataset;
 class CompiledForest;
+class SvmFeatureMap;
+class SvmMapTable;
+struct SvmConfig;
+
+/// Per-matrix fit state that MultiLabelModel computes once and hands
+/// read-only to every label's fit_with_store() (see the shared-store fit
+/// protocol below). Each member is present only when every label asked
+/// for the same one; a consumer uses what is present and computes the
+/// rest itself.
+struct FitStore {
+  /// Quantile-binned training matrix for the tree ensembles; fitted()
+  /// only when every label agreed on one bin budget.
+  BinnedDataset bins;
+  /// The SVM feature map fitted on the training matrix (null when the
+  /// labels take none), and the training rows through it: the matrix
+  /// every label's SGD trains on.
+  std::shared_ptr<const SvmFeatureMap> svm_map;
+  Matrix svm_features;
+};
 
 /// Reusable per-worker scratch for batched prediction. Holding the
 /// buffers outside the classifiers keeps every const prediction path
@@ -43,9 +62,10 @@ struct PredictWorkspace {
 /// materialized caches, no static or global state, and no RNG use at
 /// prediction time (all randomness — SGD shuffling, bootstrap draws,
 /// random Fourier features — is consumed during fit() and frozen into
-/// plain data members). A fitted classifier may therefore be shared by
-/// any number of concurrent predictors without synchronization; fit() and
-/// load_state() are the only mutators and require exclusive access.
+/// plain data members or an immutable shared SvmFeatureMap). A fitted
+/// classifier may therefore be shared by any number of concurrent
+/// predictors without synchronization; fit() and load_state() are the
+/// only mutators and require exclusive access.
 class BinaryClassifier {
  public:
   virtual ~BinaryClassifier() = default;
@@ -66,22 +86,26 @@ class BinaryClassifier {
   // MultiLabelModel trains one classifier per label, all cloned from one
   // configuration and fitted on the *same* feature matrix. Deterministic
   // fits therefore produce bitwise-identical input transformations across
-  // labels (feature scalers, random-Fourier maps), and the per-snapshot
-  // prediction loop recomputes that identical map once per label. The
-  // protocol below lets a batch predictor hoist the map: one designated
-  // "owner" computes map_input(x) per snapshot, and every label's head
-  // runs predict_proba_mapped() on the shared buffer. Sharing only
-  // activates when accepts_input_map() verifies bitwise equality of the
-  // transform state, so the fast path is bit-identical to predict_proba
-  // by construction — it merely avoids recomputing equal subexpressions.
+  // labels (feature scalers), and the SVM kinds hold one shared
+  // random-Fourier feature map outright (SvmFeatureMap, handed out by the
+  // shared-store fit protocol). The per-snapshot prediction loop would
+  // recompute that identical map once per label. The protocol below lets
+  // a batch predictor hoist the map: one designated "owner" computes
+  // map_input(x) per snapshot, and every label's head runs
+  // predict_proba_mapped() on the shared buffer. Sharing only activates
+  // when accepts_input_map() verifies that the transform is the same —
+  // bitwise-equal scaler state, or the very same SvmFeatureMap object —
+  // so the fast path is bit-identical to predict_proba by construction:
+  // it merely avoids recomputing equal subexpressions.
 
   /// True when map_input() is the identity (the head consumes raw x).
   virtual bool input_map_is_identity() const { return true; }
 
   /// True when this classifier's predict_proba_mapped() is exact on the
   /// map produced by `owner`'s map_input(). The default accepts identity
-  /// maps only; transforming classifiers override with a bitwise state
-  /// comparison, and degenerate constant models accept any owner (they
+  /// maps only; the linear kinds override with a bitwise scaler
+  /// comparison, the SVM kinds with a pointer comparison of their shared
+  /// SvmFeatureMap, and degenerate constant models accept any owner (they
   /// ignore the mapped features entirely).
   virtual bool accepts_input_map(const BinaryClassifier& owner) const {
     return owner.input_map_is_identity();
@@ -131,25 +155,37 @@ class BinaryClassifier {
 
   // --- Shared-store fit protocol (batched training) -------------------
   //
-  // The training-side twin of the input-map protocol above. Tree
-  // ensembles spend their fit start-up quantile-binning the feature
-  // matrix, and MultiLabelModel fits hundreds of labels on the *same*
-  // matrix — so the binned store can be computed once and shared
-  // read-only across every label (BinnedDataset is immutable after fit
-  // and safe for concurrent readers). A classifier opts in by reporting
-  // a nonzero fit_store_bins(); when every label's classifier agrees on
-  // the same bin budget, MultiLabelModel builds one store and calls
-  // fit_with_store(), which must be bit-identical to fit() on the same
-  // matrix. Non-tree classifiers keep the defaults and train unchanged.
+  // The training-side twin of the input-map protocol above. MultiLabelModel
+  // fits hundreds of labels on the *same* matrix, so state that depends
+  // only on the matrix is computed once into a FitStore and shared
+  // read-only across every label (BinnedDataset and SvmFeatureMap are
+  // immutable after fit and safe for concurrent readers):
+  //   - Tree ensembles spend their fit start-up quantile-binning the
+  //     matrix; a classifier opts in by reporting a nonzero
+  //     fit_store_bins().
+  //   - SVM kinds draw a label-independent random-Fourier feature map; a
+  //     classifier opts in by reporting its SvmConfig from
+  //     fit_store_svm_map(), and every label then trains on, and keeps,
+  //     the one map.
+  // A store member is built only when every label agrees on it.
+  // MultiLabelModel trains every label through fit_with_store(), which
+  // must be bit-identical to fit() on the same matrix; a consumer
+  // computes whatever the store lacks itself. Other kinds keep the
+  // defaults and train unchanged.
 
   /// Bin budget of the BinnedDataset this classifier trains through, or
   /// 0 when it does not consume a binned store.
   virtual std::size_t fit_store_bins() const { return 0; }
 
-  /// fit() through a shared store previously fitted on exactly `x` with
-  /// fit_store_bins() bins. Bit-identical to fit(x, y). The default
-  /// ignores the store and trains normally.
-  virtual void fit_with_store(const Matrix& x, const Labels& y, const BinnedDataset& store) {
+  /// The SvmConfig whose feature map this classifier trains through, or
+  /// nullptr when it takes none.
+  virtual const SvmConfig* fit_store_svm_map() const { return nullptr; }
+
+  /// fit() through a store whose present members were fitted on exactly
+  /// `x` with this classifier's fit_store_bins() / fit_store_svm_map().
+  /// Bit-identical to fit(x, y). The default ignores the store and trains
+  /// normally.
+  virtual void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) {
     (void)store;
     fit(x, y);
   }
@@ -162,12 +198,14 @@ class BinaryClassifier {
 
   /// Serializes hyper-parameters and all fitted state; a load_state() of
   /// the written bytes must reproduce bit-identical predict_proba output.
-  /// Framing (classifier kind tag) is handled by ml/model_io.hpp.
-  virtual void save_state(io::BinaryWriter& writer) const = 0;
+  /// Framing (classifier kind tag) is handled by ml/model_io.hpp. A shared
+  /// SvmFeatureMap is not written inline: the state stores its index in
+  /// `maps`, which the enclosing model payload writes once.
+  virtual void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const = 0;
 
-  /// Restores state written by save_state(); throws io::SerializationError
-  /// on malformed input.
-  virtual void load_state(io::BinaryReader& reader) = 0;
+  /// Restores state written by save_state(), resolving map indices in
+  /// `maps`; throws io::SerializationError on malformed input.
+  virtual void load_state(io::BinaryReader& reader, const SvmMapTable& maps) = 0;
 };
 
 /// Balanced per-class sample weights: w_pos * n_pos == w_neg * n_neg, mean

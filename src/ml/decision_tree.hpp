@@ -102,6 +102,10 @@ class RegressionTree {
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t depth() const noexcept;
 
+  /// Bytes of the smallest serialized tree (five config words and the
+  /// node count): the bound ensemble loaders put on a tree count.
+  static constexpr std::size_t kMinSerializedBytes = 48;
+
   void save(io::BinaryWriter& writer) const;
   void load(io::BinaryReader& reader);
 

@@ -23,11 +23,15 @@ void GradientBoostingClassifier::fit(const Matrix& x, const Labels& y) {
 }
 
 void GradientBoostingClassifier::fit_with_store(const Matrix& x, const Labels& y,
-                                                const BinnedDataset& store) {
-  AQUA_REQUIRE(store.fitted() && store.num_samples() == x.rows() &&
-                   store.num_features() == x.cols() && store.max_bins() == config_.max_bins,
+                                                const FitStore& store) {
+  if (!store.bins.fitted()) {
+    fit_impl(x, y, nullptr);
+    return;
+  }
+  AQUA_REQUIRE(store.bins.num_samples() == x.rows() && store.bins.num_features() == x.cols() &&
+                   store.bins.max_bins() == config_.max_bins,
                "shared store does not match the training matrix");
-  fit_impl(x, y, &store);
+  fit_impl(x, y, &store.bins);
 }
 
 void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
@@ -130,7 +134,7 @@ std::unique_ptr<BinaryClassifier> GradientBoostingClassifier::clone_config() con
   return std::make_unique<GradientBoostingClassifier>(config_);
 }
 
-void GradientBoostingClassifier::save_state(io::BinaryWriter& writer) const {
+void GradientBoostingClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) const {
   writer.write_u64(config_.num_rounds);
   writer.write_f64(config_.learning_rate);
   writer.write_u64(config_.max_depth);
@@ -138,7 +142,6 @@ void GradientBoostingClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_f64(config_.subsample);
   writer.write_u64(config_.seed);
   writer.write_u64(config_.max_bins);
-  writer.write_bool(false);  // retired v2 exact_splits slot
   writer.write_f64(base_score_);
   writer.write_bool(constant_);
   writer.write_f64(constant_probability_);
@@ -146,7 +149,7 @@ void GradientBoostingClassifier::save_state(io::BinaryWriter& writer) const {
   for (const auto& tree : trees_) tree.save(writer);
 }
 
-void GradientBoostingClassifier::load_state(io::BinaryReader& reader) {
+void GradientBoostingClassifier::load_state(io::BinaryReader& reader, const SvmMapTable&) {
   config_.num_rounds = reader.read_u64();
   config_.learning_rate = reader.read_f64();
   config_.max_depth = reader.read_u64();
@@ -154,14 +157,23 @@ void GradientBoostingClassifier::load_state(io::BinaryReader& reader) {
   config_.subsample = reader.read_f64();
   config_.seed = reader.read_u64();
   config_.max_bins = reader.read_u64();
-  reader.read_bool();  // retired v2 exact_splits slot
   base_score_ = reader.read_f64();
   constant_ = reader.read_bool();
   constant_probability_ = reader.read_f64();
   const std::uint64_t count = reader.read_u64();
-  if (count > (std::uint64_t{1} << 24)) throw io::SerializationError("malformed ensemble size");
-  trees_.assign(count, RegressionTree{});
-  for (auto& tree : trees_) tree.load(reader);
+  // A count the payload cannot hold is rejected before anything is
+  // allocated for it.
+  if (count > (std::uint64_t{1} << 24) ||
+      count > reader.remaining() / RegressionTree::kMinSerializedBytes) {
+    throw io::SerializationError("malformed ensemble size");
+  }
+  trees_.clear();
+  trees_.reserve(count);
+  for (std::uint64_t t = 0; t < count; ++t) {
+    RegressionTree tree;
+    tree.load(reader);
+    trees_.push_back(std::move(tree));
+  }
   compiled_.compile(trees_, config_.learning_rate);
 }
 

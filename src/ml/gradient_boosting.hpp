@@ -38,11 +38,11 @@ class GradientBoostingClassifier final : public BinaryClassifier {
   }
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "GB"; }
-  void save_state(io::BinaryWriter& writer) const override;
-  void load_state(io::BinaryReader& reader) override;
+  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
+  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
 
   std::size_t fit_store_bins() const override { return config_.max_bins; }
-  void fit_with_store(const Matrix& x, const Labels& y, const BinnedDataset& store) override;
+  void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
 
   std::size_t num_rounds_fitted() const noexcept { return trees_.size(); }
 

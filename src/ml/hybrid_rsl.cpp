@@ -11,15 +11,11 @@ HybridRslClassifier::HybridRslClassifier(HybridRslConfig config)
     : config_(config), forest_(config.forest), svm_(config.svm), meta_(config.meta) {}
 
 void HybridRslClassifier::fit(const Matrix& x, const Labels& y) {
-  fit_impl(x, y, nullptr);
+  fit_with_store(x, y, FitStore{});
 }
 
 void HybridRslClassifier::fit_with_store(const Matrix& x, const Labels& y,
-                                         const BinnedDataset& store) {
-  fit_impl(x, y, &store);
-}
-
-void HybridRslClassifier::fit_impl(const Matrix& x, const Labels& y, const BinnedDataset* store) {
+                                         const FitStore& store) {
   AQUA_REQUIRE(x.rows() == y.size(), "feature/label row mismatch");
 
   const double pos_rate = positive_rate(y);
@@ -30,18 +26,16 @@ void HybridRslClassifier::fit_impl(const Matrix& x, const Labels& y, const Binne
   }
   constant_ = false;
 
-  if (store != nullptr) {
-    forest_.fit_with_store(x, y, *store);
-  } else {
-    forest_.fit(x, y);
-  }
-  svm_.fit(x, y);
+  forest_.fit_with_store(x, y, store);
+  const std::vector<double> decision = svm_.fit_decisions(x, y, store);
 
-  // Stack the base learners' probabilities as the meta feature set.
+  // Stack the base learners' probabilities as the meta feature set. The
+  // SVM column comes from the decisions its Platt fit already computed:
+  // probability(decision[i]) is bitwise svm_.predict_proba(x.row(i)).
   Matrix meta_features(x.rows(), 2);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     meta_features(i, 0) = forest_.predict_proba(x.row(i));
-    meta_features(i, 1) = svm_.predict_proba(x.row(i));
+    meta_features(i, 1) = svm_.probability(decision[i]);
   }
   meta_.fit(meta_features, y);
 }
@@ -75,8 +69,7 @@ void HybridRslClassifier::map_input(std::span<const double> x, PredictWorkspace&
 
 double HybridRslClassifier::predict_proba_mapped(std::span<const double> mapped) const {
   if (constant_) return constant_probability_;
-  const std::size_t svm_dim =
-      config_.svm.rff_dimension > 0 ? config_.svm.rff_dimension : mapped.size() / 2;
+  const std::size_t svm_dim = svm_.feature_map()->dimension();
   AQUA_REQUIRE(mapped.size() > svm_dim, "hybrid shared map too small");
   const std::size_t d = mapped.size() - svm_dim;
   const double meta_input[2] = {forest_.predict_proba(mapped.first(d)),
@@ -91,8 +84,7 @@ void HybridRslClassifier::predict_proba_mapped_tile(const double* const* rows, s
     for (std::size_t i = 0; i < count; ++i) out[i * stride] = constant_probability_;
     return;
   }
-  const std::size_t svm_dim =
-      config_.svm.rff_dimension > 0 ? config_.svm.rff_dimension : dim / 2;
+  const std::size_t svm_dim = svm_.feature_map()->dimension();
   AQUA_REQUIRE(dim > svm_dim, "hybrid shared map too small");
   const std::size_t d = dim - svm_dim;
   double forest_p[kPredictTileRows];
@@ -114,7 +106,7 @@ std::unique_ptr<BinaryClassifier> HybridRslClassifier::clone_config() const {
   return std::make_unique<HybridRslClassifier>(config_);
 }
 
-void HybridRslClassifier::save_state(io::BinaryWriter& writer) const {
+void HybridRslClassifier::save_state(io::BinaryWriter& writer, SvmMapTable& maps) const {
   writer.write_u64(config_.forest.num_trees);
   writer.write_u64(config_.forest.max_depth);
   writer.write_u64(config_.forest.min_samples_leaf);
@@ -122,7 +114,6 @@ void HybridRslClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_f64(config_.forest.max_features_fraction);
   writer.write_u64(config_.forest.seed);
   writer.write_u64(config_.forest.max_bins);
-  writer.write_bool(false);  // retired v2 exact_splits slot
   write_sgd_config(writer, config_.svm.sgd);
   writer.write_u64(config_.svm.rff_dimension);
   writer.write_f64(config_.svm.rff_gamma);
@@ -135,13 +126,13 @@ void HybridRslClassifier::save_state(io::BinaryWriter& writer) const {
   // the unfitted default (which the members' own load-time validation
   // rejects); prediction never consults them either, so skip them.
   if (!constant_) {
-    forest_.save_state(writer);
-    svm_.save_state(writer);
-    meta_.save_state(writer);
+    forest_.save_state(writer, maps);
+    svm_.save_state(writer, maps);
+    meta_.save_state(writer, maps);
   }
 }
 
-void HybridRslClassifier::load_state(io::BinaryReader& reader) {
+void HybridRslClassifier::load_state(io::BinaryReader& reader, const SvmMapTable& maps) {
   config_.forest.num_trees = reader.read_u64();
   config_.forest.max_depth = reader.read_u64();
   config_.forest.min_samples_leaf = reader.read_u64();
@@ -149,7 +140,6 @@ void HybridRslClassifier::load_state(io::BinaryReader& reader) {
   config_.forest.max_features_fraction = reader.read_f64();
   config_.forest.seed = reader.read_u64();
   config_.forest.max_bins = reader.read_u64();
-  reader.read_bool();  // retired v2 exact_splits slot
   config_.svm.sgd = read_sgd_config(reader);
   config_.svm.rff_dimension = reader.read_u64();
   config_.svm.rff_gamma = reader.read_f64();
@@ -158,9 +148,14 @@ void HybridRslClassifier::load_state(io::BinaryReader& reader) {
   constant_ = reader.read_bool();
   constant_probability_ = reader.read_f64();
   if (!constant_) {
-    forest_.load_state(reader);
-    svm_.load_state(reader);
-    meta_.load_state(reader);
+    forest_.load_state(reader, maps);
+    svm_.load_state(reader, maps);
+    meta_.load_state(reader, maps);
+    // Fitted stacks degenerate together; the mapped paths size the SVM
+    // branch by its feature map.
+    if (svm_.feature_map() == nullptr) {
+      throw io::SerializationError("malformed HybridRSL state: fitted stack without an SVM map");
+    }
   }
 }
 

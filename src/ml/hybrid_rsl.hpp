@@ -25,10 +25,10 @@ class HybridRslClassifier final : public BinaryClassifier {
   void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
   /// Shared-input-map protocol: the map is [x | svm-map(x)] — raw
-  /// features for the forest branch, the inner SVM's full feature
-  /// pipeline (shared across labels, see SvmClassifier) for the SVM
-  /// branch. Heads run the per-label trees, linear SVM weights and meta
-  /// logistic on the shared buffer.
+  /// features for the forest branch, the inner SVM's SvmFeatureMap (one
+  /// object shared by every label, see SvmClassifier) for the SVM branch.
+  /// Heads run the per-label trees, linear SVM weights and meta logistic
+  /// on the shared buffer.
   bool input_map_is_identity() const override { return false; }
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;
@@ -40,21 +40,21 @@ class HybridRslClassifier final : public BinaryClassifier {
   const CompiledForest* compiled_forest() const override {
     return constant_ ? nullptr : forest_.compiled_forest();
   }
-  /// Shared-store fit protocol: the store feeds the forest branch (the
-  /// SVM and meta stages are not tree-based and train unchanged).
+  /// Shared-store fit protocol: the binned store feeds the forest branch
+  /// and the SVM feature map the SVM branch; the meta stage trains on
+  /// their per-label outputs.
   std::size_t fit_store_bins() const override { return forest_.fit_store_bins(); }
-  void fit_with_store(const Matrix& x, const Labels& y, const BinnedDataset& store) override;
+  const SvmConfig* fit_store_svm_map() const override { return svm_.fit_store_svm_map(); }
+  void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "HybridRSL"; }
-  void save_state(io::BinaryWriter& writer) const override;
-  void load_state(io::BinaryReader& reader) override;
+  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
+  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
 
   const RandomForestClassifier& forest() const noexcept { return forest_; }
   const SvmClassifier& svm() const noexcept { return svm_; }
 
  private:
-  void fit_impl(const Matrix& x, const Labels& y, const BinnedDataset* store);
-
   HybridRslConfig config_;
   RandomForestClassifier forest_;
   SvmClassifier svm_;

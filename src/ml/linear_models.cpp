@@ -53,20 +53,28 @@ double positive_rate(const Labels& y) {
 
 namespace detail {
 
-void LinearModelCore::fit(const Matrix& x, const Labels& y) {
+bool LinearModelCore::fit_constant(const Matrix& x, const Labels& y) {
   AQUA_REQUIRE(x.rows() == y.size(), "feature/label row mismatch");
   AQUA_REQUIRE(x.rows() > 0, "empty training set");
-
   const double pos_rate = positive_rate(y);
-  if (pos_rate == 0.0 || pos_rate == 1.0) {
-    constant_ = true;
-    constant_probability_ = pos_rate;
-    return;
-  }
-  constant_ = false;
+  constant_ = pos_rate == 0.0 || pos_rate == 1.0;
+  if (constant_) constant_probability_ = pos_rate;
+  return constant_;
+}
 
+void LinearModelCore::fit(const Matrix& x, const Labels& y) {
+  if (fit_constant(x, y)) return;
   scaler_.fit(x);
-  const Matrix xs = scaler_.transform(x);
+  train(scaler_.transform(x), y);
+}
+
+void LinearModelCore::fit_standardized(const Matrix& xs, const Labels& y) {
+  scaler_ = StandardScaler{};
+  if (fit_constant(xs, y)) return;
+  train(xs, y);
+}
+
+void LinearModelCore::train(const Matrix& xs, const Labels& y) {
   const std::size_t n = xs.rows(), d = xs.cols();
   const auto [w_neg, w_pos] = balanced_class_weights(y);
 
@@ -224,12 +232,12 @@ std::unique_ptr<BinaryClassifier> LinearRegressionClassifier::clone_config() con
   return std::make_unique<LinearRegressionClassifier>(config_);
 }
 
-void LinearRegressionClassifier::save_state(io::BinaryWriter& writer) const {
+void LinearRegressionClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) const {
   write_sgd_config(writer, config_);
   core_.save(writer);
 }
 
-void LinearRegressionClassifier::load_state(io::BinaryReader& reader) {
+void LinearRegressionClassifier::load_state(io::BinaryReader& reader, const SvmMapTable&) {
   config_ = read_sgd_config(reader);
   core_.load(reader);
 }
@@ -266,12 +274,12 @@ std::unique_ptr<BinaryClassifier> LogisticRegressionClassifier::clone_config() c
   return std::make_unique<LogisticRegressionClassifier>(config_);
 }
 
-void LogisticRegressionClassifier::save_state(io::BinaryWriter& writer) const {
+void LogisticRegressionClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) const {
   write_sgd_config(writer, config_);
   core_.save(writer);
 }
 
-void LogisticRegressionClassifier::load_state(io::BinaryReader& reader) {
+void LogisticRegressionClassifier::load_state(io::BinaryReader& reader, const SvmMapTable&) {
   config_ = read_sgd_config(reader);
   core_.load(reader);
 }

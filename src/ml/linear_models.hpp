@@ -27,7 +27,12 @@ class LinearModelCore {
  public:
   LinearModelCore(LinearLoss loss, SgdConfig config) : loss_(loss), config_(config) {}
 
+  /// Fits this core's scaler on x, then trains on the standardized rows.
   void fit(const Matrix& x, const Labels& y);
+  /// Trains on rows an outside scaler already standardized (the SVM's
+  /// shared feature map); this core's own scaler stays unfitted, so only
+  /// decision_pretransformed() applies.
+  void fit_standardized(const Matrix& xs, const Labels& y);
   double decision(std::span<const double> x) const;
   /// decision() on features already standardized by this core's scaler
   /// (shared-input-map fast path): bias + w.xs, no transform, no alloc.
@@ -41,6 +46,12 @@ class LinearModelCore {
   void load(io::BinaryReader& reader);
 
  private:
+  /// Single-class targets degenerate to the constant predictor; returns
+  /// whether this fit did.
+  bool fit_constant(const Matrix& x, const Labels& y);
+  /// Adam over standardized rows.
+  void train(const Matrix& xs, const Labels& y);
+
   LinearLoss loss_;
   SgdConfig config_;
   StandardScaler scaler_;
@@ -71,8 +82,8 @@ class LinearRegressionClassifier final : public BinaryClassifier {
   double predict_proba_mapped(std::span<const double> mapped) const override;
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "LinearR"; }
-  void save_state(io::BinaryWriter& writer) const override;
-  void load_state(io::BinaryReader& reader) override;
+  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
+  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
   const detail::LinearModelCore& core() const noexcept { return core_; }
 
  private:
@@ -92,8 +103,8 @@ class LogisticRegressionClassifier final : public BinaryClassifier {
   double predict_proba_mapped(std::span<const double> mapped) const override;
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "LogisticR"; }
-  void save_state(io::BinaryWriter& writer) const override;
-  void load_state(io::BinaryReader& reader) override;
+  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
+  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
   const detail::LinearModelCore& core() const noexcept { return core_; }
 
  private:

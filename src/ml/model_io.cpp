@@ -8,9 +8,10 @@
 
 namespace aqua::ml {
 
-void save_classifier(io::BinaryWriter& writer, const BinaryClassifier& classifier) {
+void save_classifier(io::BinaryWriter& writer, const BinaryClassifier& classifier,
+                     SvmMapTable& maps) {
   writer.write_string(classifier.name());
-  classifier.save_state(writer);
+  classifier.save_state(writer, maps);
 }
 
 std::unique_ptr<BinaryClassifier> make_classifier_by_name(const std::string& name) {
@@ -23,9 +24,10 @@ std::unique_ptr<BinaryClassifier> make_classifier_by_name(const std::string& nam
   throw io::SerializationError("unknown classifier kind tag: '" + name + "'");
 }
 
-std::unique_ptr<BinaryClassifier> load_classifier(io::BinaryReader& reader) {
+std::unique_ptr<BinaryClassifier> load_classifier(io::BinaryReader& reader,
+                                                  const SvmMapTable& maps) {
   auto classifier = make_classifier_by_name(reader.read_string());
-  classifier->load_state(reader);
+  classifier->load_state(reader, maps);
   return classifier;
 }
 
@@ -39,7 +41,10 @@ linalg::Matrix read_matrix(io::BinaryReader& reader) {
   const std::uint64_t rows = reader.read_u64();
   const std::uint64_t cols = reader.read_u64();
   const std::vector<double> data = reader.read_f64_vector();
-  if (data.size() != rows * cols) {
+  // Checked by division so a crafted shape cannot wrap rows * cols.
+  const bool fits =
+      cols == 0 ? data.empty() : data.size() % cols == 0 && data.size() / cols == rows;
+  if (!fits) {
     throw io::SerializationError("malformed matrix: shape/data mismatch");
   }
   linalg::Matrix matrix(rows, cols);

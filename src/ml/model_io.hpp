@@ -14,12 +14,15 @@
 
 namespace aqua::ml {
 
-/// Kind tag + state payload.
-void save_classifier(io::BinaryWriter& writer, const BinaryClassifier& classifier);
+/// Kind tag + state payload; shared SVM feature maps go to `maps`.
+void save_classifier(io::BinaryWriter& writer, const BinaryClassifier& classifier,
+                     SvmMapTable& maps);
 
 /// Reinstantiates the concrete classifier named by the kind tag and loads
-/// its state; throws io::SerializationError for unknown tags.
-std::unique_ptr<BinaryClassifier> load_classifier(io::BinaryReader& reader);
+/// its state, resolving map indices in `maps`; throws
+/// io::SerializationError for unknown tags.
+std::unique_ptr<BinaryClassifier> load_classifier(io::BinaryReader& reader,
+                                                  const SvmMapTable& maps);
 
 /// Default-configured instance for a kind tag ("LinearR", "LogisticR",
 /// "GB", "RF", "SVM", "HybridRSL"); throws io::SerializationError otherwise.

@@ -6,6 +6,7 @@
 #include "common/thread_pool.hpp"
 #include "ml/binning.hpp"
 #include "ml/model_io.hpp"
+#include "ml/svm.hpp"
 
 namespace aqua::ml {
 
@@ -24,24 +25,29 @@ void MultiLabelModel::fit(const MultiLabelDataset& data, bool parallel, bool sha
   classifiers_.resize(labels);
   for (auto& c : classifiers_) c = factory_();
 
-  // Shared-store fit protocol: bin the feature matrix once when every
-  // label's classifier agrees on one nonzero bin budget. The store is
-  // immutable after fit, so concurrent per-label fits read it freely.
-  BinnedDataset store;
+  // Shared-store fit protocol: bin the feature matrix and fit the SVM
+  // feature map once each, when every label's classifier agrees on the
+  // bin budget / map. Both are immutable after fit, so concurrent
+  // per-label fits read them freely.
+  FitStore store;
   if (shared_store) {
     const std::size_t bins = classifiers_.front()->fit_store_bins();
-    bool all_agree = bins > 0;
-    for (const auto& c : classifiers_) all_agree = all_agree && c->fit_store_bins() == bins;
-    if (all_agree) store.fit(data.features, bins);
+    const SvmConfig* svm = classifiers_.front()->fit_store_svm_map();
+    bool bins_agree = bins > 0;
+    bool svm_agree = svm != nullptr;
+    for (const auto& c : classifiers_) {
+      bins_agree = bins_agree && c->fit_store_bins() == bins;
+      const SvmConfig* other = c->fit_store_svm_map();
+      svm_agree = svm_agree && other != nullptr && SvmFeatureMap::same_map(*svm, *other);
+    }
+    if (bins_agree) store.bins.fit(data.features, bins);
+    if (svm_agree) store.svm_map = SvmFeatureMap::fit(data.features, *svm, store.svm_features);
   }
 
+  // Every consumer computes what the store lacks itself, so an empty
+  // store is a plain fit.
   auto train_one = [&](std::size_t v) {
-    const Labels column = data.label_column(v);
-    if (store.fitted()) {
-      classifiers_[v]->fit_with_store(data.features, column, store);
-    } else {
-      classifiers_[v]->fit(data.features, column);
-    }
+    classifiers_[v]->fit_with_store(data.features, data.label_column(v), store);
   };
   if (parallel) {
     ThreadPool::global().parallel_for(labels, train_one);
@@ -190,19 +196,31 @@ const BinaryClassifier& MultiLabelModel::classifier(std::size_t label) const {
 
 void MultiLabelModel::save(io::BinaryWriter& writer) const {
   AQUA_REQUIRE(fitted(), "save on unfitted model");
+  // The states go to a scratch buffer first, collecting the distinct SVM
+  // feature maps they index, so the map table can precede them.
+  SvmMapTable maps;
+  io::BinaryWriter states;
+  for (const auto& c : classifiers_) save_classifier(states, *c, maps);
   writer.write_u64(classifiers_.size());
-  for (const auto& c : classifiers_) save_classifier(writer, *c);
+  maps.save(writer);
+  writer.write_bytes(states.buffer());
 }
 
 MultiLabelModel MultiLabelModel::load(io::BinaryReader& reader) {
+  // No classifier frame is shorter than a kind tag's length prefix plus
+  // the shortest tag ("GB", "RF"); a label count the payload cannot hold
+  // is rejected before anything is reserved for it.
+  constexpr std::size_t kMinClassifierBytes = 4 + 2;
   const std::uint64_t count = reader.read_u64();
-  if (count == 0 || count > (std::uint64_t{1} << 24)) {
+  if (count == 0 || count > (std::uint64_t{1} << 24) ||
+      count > reader.remaining() / kMinClassifierBytes) {
     throw io::SerializationError("malformed multi-label model: label count");
   }
+  const SvmMapTable maps = SvmMapTable::load(reader);
   MultiLabelModel model;
   model.classifiers_.reserve(count);
   for (std::uint64_t v = 0; v < count; ++v) {
-    model.classifiers_.push_back(load_classifier(reader));
+    model.classifiers_.push_back(load_classifier(reader, maps));
   }
   // Rebuild the factory from the first classifier so fit() keeps working on
   // a loaded model (all labels share one configuration by construction).

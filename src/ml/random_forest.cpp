@@ -19,11 +19,15 @@ void RandomForestClassifier::fit(const Matrix& x, const Labels& y) {
 }
 
 void RandomForestClassifier::fit_with_store(const Matrix& x, const Labels& y,
-                                            const BinnedDataset& store) {
-  AQUA_REQUIRE(store.fitted() && store.num_samples() == x.rows() &&
-                   store.num_features() == x.cols() && store.max_bins() == config_.max_bins,
+                                            const FitStore& store) {
+  if (!store.bins.fitted()) {
+    fit_impl(x, y, nullptr);
+    return;
+  }
+  AQUA_REQUIRE(store.bins.num_samples() == x.rows() && store.bins.num_features() == x.cols() &&
+                   store.bins.max_bins() == config_.max_bins,
                "shared store does not match the training matrix");
-  fit_impl(x, y, &store);
+  fit_impl(x, y, &store.bins);
 }
 
 void RandomForestClassifier::fit_impl(const Matrix& x, const Labels& y,
@@ -128,7 +132,7 @@ std::unique_ptr<BinaryClassifier> RandomForestClassifier::clone_config() const {
   return std::make_unique<RandomForestClassifier>(config_);
 }
 
-void RandomForestClassifier::save_state(io::BinaryWriter& writer) const {
+void RandomForestClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) const {
   writer.write_u64(config_.num_trees);
   writer.write_u64(config_.max_depth);
   writer.write_u64(config_.min_samples_leaf);
@@ -136,14 +140,13 @@ void RandomForestClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_f64(config_.max_features_fraction);
   writer.write_u64(config_.seed);
   writer.write_u64(config_.max_bins);
-  writer.write_bool(false);  // retired v2 exact_splits slot
   writer.write_bool(constant_);
   writer.write_f64(constant_probability_);
   writer.write_u64(trees_.size());
   for (const auto& tree : trees_) tree.save(writer);
 }
 
-void RandomForestClassifier::load_state(io::BinaryReader& reader) {
+void RandomForestClassifier::load_state(io::BinaryReader& reader, const SvmMapTable&) {
   config_.num_trees = reader.read_u64();
   config_.max_depth = reader.read_u64();
   config_.min_samples_leaf = reader.read_u64();
@@ -151,13 +154,22 @@ void RandomForestClassifier::load_state(io::BinaryReader& reader) {
   config_.max_features_fraction = reader.read_f64();
   config_.seed = reader.read_u64();
   config_.max_bins = reader.read_u64();
-  reader.read_bool();  // retired v2 exact_splits slot
   constant_ = reader.read_bool();
   constant_probability_ = reader.read_f64();
   const std::uint64_t count = reader.read_u64();
-  if (count > (std::uint64_t{1} << 24)) throw io::SerializationError("malformed forest size");
-  trees_.assign(count, RegressionTree{});
-  for (auto& tree : trees_) tree.load(reader);
+  // A count the payload cannot hold is rejected before anything is
+  // allocated for it.
+  if (count > (std::uint64_t{1} << 24) ||
+      count > reader.remaining() / RegressionTree::kMinSerializedBytes) {
+    throw io::SerializationError("malformed forest size");
+  }
+  trees_.clear();
+  trees_.reserve(count);
+  for (std::uint64_t t = 0; t < count; ++t) {
+    RegressionTree tree;
+    tree.load(reader);
+    trees_.push_back(std::move(tree));
+  }
   compiled_.compile(trees_, 1.0);
 }
 

@@ -43,11 +43,11 @@ class RandomForestClassifier final : public BinaryClassifier {
   }
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "RF"; }
-  void save_state(io::BinaryWriter& writer) const override;
-  void load_state(io::BinaryReader& reader) override;
+  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
+  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
 
   std::size_t fit_store_bins() const override { return config_.max_bins; }
-  void fit_with_store(const Matrix& x, const Labels& y, const BinnedDataset& store) override;
+  void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
 
   std::size_t num_trees() const noexcept { return trees_.size(); }
 

@@ -52,30 +52,137 @@ void rff_map_into(const Matrix& weights, const std::vector<double>& offsets,
 
 }  // namespace
 
+std::shared_ptr<const SvmFeatureMap> SvmFeatureMap::fit(const Matrix& x, const SvmConfig& config,
+                                                        Matrix& features) {
+  auto map = std::make_shared<SvmFeatureMap>();
+  if (config.rff_dimension == 0) {
+    map->decision_scaler_.fit(x);
+    features = map->decision_scaler_.transform(x);
+    return map;
+  }
+
+  map->input_scaler_.fit(x);
+  const double gamma =
+      config.rff_gamma > 0.0 ? config.rff_gamma : 1.0 / static_cast<double>(x.cols());
+  // W ~ N(0, 2*gamma I), b ~ U[0, 2*pi) gives E[z(x).z(y)] = exp(-gamma |x-y|^2).
+  Rng rng(config.seed);
+  const std::size_t dimension = config.rff_dimension;
+  map->rff_weights_ = Matrix(dimension, x.cols());
+  map->rff_offsets_.resize(dimension);
+  const double sigma = std::sqrt(2.0 * gamma);
+  for (std::size_t k = 0; k < dimension; ++k) {
+    auto row = map->rff_weights_.row(k);
+    for (std::size_t c = 0; c < x.cols(); ++c) row[c] = rng.normal(0.0, sigma);
+    map->rff_offsets_[k] = rng.uniform(0.0, 6.283185307179586);
+  }
+
+  Matrix rff(x.rows(), dimension);
+  std::vector<double> xs;
+  const double scale = std::sqrt(2.0 / static_cast<double>(dimension));
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    map->input_scaler_.transform_row_into(x.row(r), xs);
+    rff_map_into(map->rff_weights_, map->rff_offsets_, xs.data(), xs.size(), scale,
+                 rff.row(r).data());
+  }
+  map->decision_scaler_.fit(rff);
+  features = map->decision_scaler_.transform(rff);
+  return map;
+}
+
+void SvmFeatureMap::map_into(std::span<const double> x, PredictWorkspace& ws) const {
+  if (rff_offsets_.empty()) {
+    decision_scaler_.transform_row_into(x, ws.mapped);
+    return;
+  }
+  input_scaler_.transform_row_into(x, ws.scratch);
+  const std::size_t dimension = rff_offsets_.size();
+  ws.scratch2.resize(dimension);
+  const double scale = std::sqrt(2.0 / static_cast<double>(dimension));
+  rff_map_into(rff_weights_, rff_offsets_, ws.scratch.data(), ws.scratch.size(), scale,
+               ws.scratch2.data());
+  decision_scaler_.transform_row_into(ws.scratch2, ws.mapped);
+}
+
+void SvmFeatureMap::save(io::BinaryWriter& writer) const {
+  input_scaler_.save(writer);
+  write_matrix(writer, rff_weights_);
+  writer.write_f64_vector(rff_offsets_);
+  decision_scaler_.save(writer);
+}
+
+std::shared_ptr<const SvmFeatureMap> SvmFeatureMap::load(io::BinaryReader& reader) {
+  auto map = std::make_shared<SvmFeatureMap>();
+  map->input_scaler_.load(reader);
+  map->rff_weights_ = read_matrix(reader);
+  map->rff_offsets_ = reader.read_f64_vector();
+  map->decision_scaler_.load(reader);
+  // map_into reads rff_weights_ rows [0, D) and columns [0, d): the input
+  // scaler's width must be the weight columns, the offsets the weight
+  // rows, and the decision scaler must take the D features they make.
+  const std::size_t d = map->input_scaler_.mean().size();
+  const std::size_t features = map->rff_offsets_.size();
+  if (map->rff_weights_.cols() != d) {
+    throw io::SerializationError("malformed SVM feature map: input-scaler width differs from "
+                                 "RFF weight columns");
+  }
+  if (map->rff_weights_.rows() != features) {
+    throw io::SerializationError("malformed SVM feature map: RFF weight rows differ from offsets");
+  }
+  const bool shaped = features > 0 ? d > 0 && map->dimension() == features
+                                   : d == 0 && map->dimension() > 0;
+  if (!shaped) {
+    throw io::SerializationError("malformed SVM feature map: decision-scaler width differs from "
+                                 "the RFF dimension");
+  }
+  return map;
+}
+
+std::uint64_t SvmMapTable::index_of(const std::shared_ptr<const SvmFeatureMap>& map) {
+  AQUA_REQUIRE(map != nullptr, "cannot index a null feature map");
+  const auto it = std::find(maps_.begin(), maps_.end(), map);
+  if (it != maps_.end()) return static_cast<std::uint64_t>(it - maps_.begin());
+  maps_.push_back(map);
+  return maps_.size() - 1;
+}
+
+const std::shared_ptr<const SvmFeatureMap>& SvmMapTable::at(std::uint64_t index) const {
+  if (index >= maps_.size()) {
+    throw io::SerializationError("malformed model: SVM feature map index out of range");
+  }
+  return maps_[index];
+}
+
+void SvmMapTable::save(io::BinaryWriter& writer) const {
+  writer.write_u64(maps_.size());
+  for (const auto& map : maps_) map->save(writer);
+}
+
+SvmMapTable SvmMapTable::load(io::BinaryReader& reader) {
+  // The smallest map (every vector empty) is 64 bytes: two scalers of two
+  // length-prefixed vectors, the weight shape and data prefix, the offsets
+  // prefix. A count the payload cannot hold is rejected before reserving.
+  constexpr std::size_t kMinMapBytes = 64;
+  const std::uint64_t count = reader.read_u64();
+  if (count > reader.remaining() / kMinMapBytes) {
+    throw io::SerializationError("malformed model: SVM feature map count");
+  }
+  SvmMapTable table;
+  table.maps_.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) table.maps_.push_back(SvmFeatureMap::load(reader));
+  return table;
+}
+
 SvmClassifier::SvmClassifier(SvmConfig config)
     : config_(config), core_(detail::LinearLoss::kHinge, config.sgd) {}
 
-Matrix SvmClassifier::map_matrix(const Matrix& x) const {
-  if (config_.rff_dimension == 0) return x;
-  Matrix out(x.rows(), config_.rff_dimension);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto mapped = map_features(x.row(r));
-    std::copy(mapped.begin(), mapped.end(), out.row(r).begin());
-  }
-  return out;
+void SvmClassifier::fit(const Matrix& x, const Labels& y) { fit_decisions(x, y, FitStore{}); }
+
+void SvmClassifier::fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) {
+  fit_decisions(x, y, store);
 }
 
-std::vector<double> SvmClassifier::map_features(std::span<const double> x) const {
-  if (config_.rff_dimension == 0) return {x.begin(), x.end()};
-  const std::vector<double> xs = input_scaler_.transform_row(x);
-  const std::size_t d = xs.size();
-  std::vector<double> z(config_.rff_dimension);
-  const double scale = std::sqrt(2.0 / static_cast<double>(config_.rff_dimension));
-  rff_map_into(rff_weights_, rff_offsets_, xs.data(), d, scale, z.data());
-  return z;
-}
-
-void SvmClassifier::fit(const Matrix& x, const Labels& y) {
+std::vector<double> SvmClassifier::fit_decisions(const Matrix& x, const Labels& y,
+                                                 const FitStore& store) {
   AQUA_REQUIRE(x.rows() == y.size(), "feature/label row mismatch");
   AQUA_REQUIRE(x.rows() > 0, "empty training set");
 
@@ -83,38 +190,38 @@ void SvmClassifier::fit(const Matrix& x, const Labels& y) {
   if (pos_rate == 0.0 || pos_rate == 1.0) {
     constant_ = true;
     constant_probability_ = pos_rate;
-    return;
+    map_.reset();
+    return {};
   }
   constant_ = false;
 
-  if (config_.rff_dimension > 0) {
-    input_scaler_.fit(x);
-    const double gamma =
-        config_.rff_gamma > 0.0 ? config_.rff_gamma : 1.0 / static_cast<double>(x.cols());
-    // W ~ N(0, 2*gamma I), b ~ U[0, 2*pi) gives E[z(x).z(y)] = exp(-gamma |x-y|^2).
-    Rng rng(config_.seed);
-    rff_weights_ = Matrix(config_.rff_dimension, x.cols());
-    rff_offsets_.resize(config_.rff_dimension);
-    const double sigma = std::sqrt(2.0 * gamma);
-    for (std::size_t k = 0; k < config_.rff_dimension; ++k) {
-      auto row = rff_weights_.row(k);
-      for (std::size_t c = 0; c < x.cols(); ++c) row[c] = rng.normal(0.0, sigma);
-      rff_offsets_[k] = rng.uniform(0.0, 6.283185307179586);
-    }
+  Matrix own_features;
+  const Matrix* features = &store.svm_features;
+  if (store.svm_map != nullptr) {
+    AQUA_REQUIRE(store.svm_map->input_dimension() == x.cols() &&
+                     store.svm_map->rff_dimension() == config_.rff_dimension &&
+                     store.svm_features.rows() == x.rows() &&
+                     store.svm_features.cols() == store.svm_map->dimension(),
+                 "shared feature map does not match the training matrix");
+    map_ = store.svm_map;
+  } else {
+    map_ = SvmFeatureMap::fit(x, config_, own_features);
+    features = &own_features;
   }
 
-  const Matrix mapped = map_matrix(x);
-  core_.fit(mapped, y);
-  fit_platt(mapped, y);
+  core_.fit_standardized(*features, y);
+  std::vector<double> decision(x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    decision[i] = core_.decision_pretransformed(features->row(i));
+  }
+  fit_platt(decision, y);
+  return decision;
 }
 
-void SvmClassifier::fit_platt(const Matrix& mapped, const Labels& y) {
+void SvmClassifier::fit_platt(const std::vector<double>& decision, const Labels& y) {
   // Platt scaling: fit P(y=1|f) = sigmoid(a*f + b) by a few Newton steps on
   // the regularized targets from Platt (1999).
-  const std::size_t n = mapped.rows();
-  std::vector<double> decision(n);
-  for (std::size_t i = 0; i < n; ++i) decision[i] = core_.decision(mapped.row(i));
-
+  const std::size_t n = decision.size();
   std::size_t positives = 0;
   for (auto v : y) positives += (v != 0);
   const double t_pos = (static_cast<double>(positives) + 1.0) / (static_cast<double>(positives) + 2.0);
@@ -150,25 +257,20 @@ void SvmClassifier::fit_platt(const Matrix& mapped, const Labels& y) {
 
 double SvmClassifier::decision_value(std::span<const double> x) const {
   AQUA_REQUIRE(!constant_, "decision_value on a degenerate constant model");
-  return core_.decision(map_features(x));
+  PredictWorkspace ws;
+  map_->map_into(x, ws);
+  return core_.decision_pretransformed(ws.mapped);
 }
 
 double SvmClassifier::predict_proba(std::span<const double> x) const {
   if (constant_) return constant_probability_;
-  return sigmoid(platt_a_ * decision_value(x) + platt_b_);
+  return probability(decision_value(x));
 }
 
 bool SvmClassifier::accepts_input_map(const BinaryClassifier& owner) const {
   if (constant_) return true;  // ignores the map entirely
   const auto* peer = dynamic_cast<const SvmClassifier*>(&owner);
-  if (peer == nullptr || peer->constant_) return false;
-  return config_.rff_dimension == peer->config_.rff_dimension &&
-         input_scaler_.identical(peer->input_scaler_) &&
-         rff_weights_.rows() == peer->rff_weights_.rows() &&
-         rff_weights_.cols() == peer->rff_weights_.cols() &&
-         rff_weights_.data() == peer->rff_weights_.data() &&
-         rff_offsets_ == peer->rff_offsets_ &&
-         core_.scaler().identical(peer->core_.scaler());
+  return peer != nullptr && !peer->constant_ && peer->map_ == map_;
 }
 
 void SvmClassifier::map_input(std::span<const double> x, PredictWorkspace& ws) const {
@@ -176,61 +278,50 @@ void SvmClassifier::map_input(std::span<const double> x, PredictWorkspace& ws) c
     ws.mapped.assign(x.begin(), x.end());
     return;
   }
-  // Same arithmetic as predict_proba's map_features + core scaler, with
-  // every intermediate in caller-owned buffers.
-  if (config_.rff_dimension == 0) {
-    ws.scratch2.assign(x.begin(), x.end());
-  } else {
-    input_scaler_.transform_row_into(x, ws.scratch);
-    const std::size_t d = ws.scratch.size();
-    ws.scratch2.resize(config_.rff_dimension);
-    const double scale = std::sqrt(2.0 / static_cast<double>(config_.rff_dimension));
-    rff_map_into(rff_weights_, rff_offsets_, ws.scratch.data(), d, scale, ws.scratch2.data());
-  }
-  core_.scaler().transform_row_into(ws.scratch2, ws.mapped);
+  map_->map_into(x, ws);
 }
 
 double SvmClassifier::predict_proba_mapped(std::span<const double> mapped) const {
   if (constant_) return constant_probability_;
-  return sigmoid(platt_a_ * core_.decision_pretransformed(mapped) + platt_b_);
+  return probability(core_.decision_pretransformed(mapped));
 }
 
 std::unique_ptr<BinaryClassifier> SvmClassifier::clone_config() const {
   return std::make_unique<SvmClassifier>(config_);
 }
 
-void SvmClassifier::save_state(io::BinaryWriter& writer) const {
+void SvmClassifier::save_state(io::BinaryWriter& writer, SvmMapTable& maps) const {
   write_sgd_config(writer, config_.sgd);
   writer.write_u64(config_.rff_dimension);
   writer.write_f64(config_.rff_gamma);
   writer.write_u64(config_.seed);
-  core_.save(writer);
-  input_scaler_.save(writer);
-  write_matrix(writer, rff_weights_);
-  writer.write_f64_vector(rff_offsets_);
-  writer.write_f64(platt_a_);
-  writer.write_f64(platt_b_);
   writer.write_bool(constant_);
   writer.write_f64(constant_probability_);
+  if (constant_) return;  // a constant model has neither a map nor weights
+  writer.write_u64(maps.index_of(map_));
+  core_.save(writer);
+  writer.write_f64(platt_a_);
+  writer.write_f64(platt_b_);
 }
 
-void SvmClassifier::load_state(io::BinaryReader& reader) {
+void SvmClassifier::load_state(io::BinaryReader& reader, const SvmMapTable& maps) {
   config_.sgd = read_sgd_config(reader);
   config_.rff_dimension = reader.read_u64();
   config_.rff_gamma = reader.read_f64();
   config_.seed = reader.read_u64();
-  core_.load(reader);
-  input_scaler_.load(reader);
-  rff_weights_ = read_matrix(reader);
-  rff_offsets_ = reader.read_f64_vector();
-  platt_a_ = reader.read_f64();
-  platt_b_ = reader.read_f64();
   constant_ = reader.read_bool();
   constant_probability_ = reader.read_f64();
-  if (config_.rff_dimension > 0 && !constant_ &&
-      (rff_weights_.rows() != config_.rff_dimension ||
-       rff_offsets_.size() != config_.rff_dimension)) {
-    throw io::SerializationError("malformed SVM state: RFF shape mismatch");
+  map_.reset();
+  if (constant_) return;
+  map_ = maps.at(reader.read_u64());
+  core_.load(reader);
+  platt_a_ = reader.read_f64();
+  platt_b_ = reader.read_f64();
+  if (core_.constant() || core_.weights().size() != map_->dimension()) {
+    throw io::SerializationError("malformed SVM state: weight count differs from its map");
+  }
+  if (map_->rff_dimension() != config_.rff_dimension) {
+    throw io::SerializationError("malformed SVM state: RFF dimension differs from its map");
   }
 }
 

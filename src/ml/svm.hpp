@@ -6,6 +6,8 @@
 // scaling (a sigmoid fitted to the decision values).
 #pragma once
 
+#include <memory>
+
 #include "ml/classifier.hpp"
 #include "ml/linear_models.hpp"
 
@@ -20,41 +22,113 @@ struct SvmConfig {
   std::uint64_t seed = 41;
 };
 
+/// The SVM's feature pipeline: input scaler -> random Fourier features
+/// z(x) = sqrt(2/D) cos(W x + b) -> decision-space scaler (without RFF,
+/// only the decision-space scaler). It depends on the training matrix and
+/// the map half of SvmConfig (rff_dimension, rff_gamma, seed), never on a
+/// label, so MultiLabelModel fits one per profile and hands it to every
+/// label through the shared-store fit protocol; each SvmClassifier holds
+/// it by shared_ptr<const>. Immutable after fit/load, so every member is
+/// reentrant.
+class SvmFeatureMap {
+ public:
+  /// Fits the map on x and writes x's rows through it into `features`
+  /// (the matrix the SGD trains on).
+  static std::shared_ptr<const SvmFeatureMap> fit(const Matrix& x, const SvmConfig& config,
+                                                  Matrix& features);
+
+  /// True when `a` and `b` draw the same map from the same matrix.
+  static bool same_map(const SvmConfig& a, const SvmConfig& b) noexcept {
+    return a.rff_dimension == b.rff_dimension && a.rff_gamma == b.rff_gamma && a.seed == b.seed;
+  }
+
+  /// Input width the map was fitted on.
+  std::size_t input_dimension() const noexcept {
+    return rff_dimension() > 0 ? input_scaler_.mean().size() : dimension();
+  }
+  /// Output width: the RFF dimension, or the input width without RFF.
+  std::size_t dimension() const noexcept { return decision_scaler_.mean().size(); }
+  /// Number of random Fourier features (0 for a plain linear SVM).
+  std::size_t rff_dimension() const noexcept { return rff_offsets_.size(); }
+
+  /// x through the whole map into ws.mapped; clobbers ws.scratch and
+  /// ws.scratch2. Allocation-free once the buffers are warm.
+  void map_into(std::span<const double> x, PredictWorkspace& ws) const;
+
+  void save(io::BinaryWriter& writer) const;
+  /// Reads a map written by save() and checks its shapes (input-scaler
+  /// width = weight columns; offsets, weight rows and decision-scaler
+  /// width agree), so no loaded map can index past its own buffers.
+  /// Throws io::SerializationError.
+  static std::shared_ptr<const SvmFeatureMap> load(io::BinaryReader& reader);
+
+ private:
+  StandardScaler input_scaler_;     // d (unfitted without RFF)
+  Matrix rff_weights_;              // D x d
+  std::vector<double> rff_offsets_;  // D
+  StandardScaler decision_scaler_;  // D (d without RFF)
+};
+
+/// The distinct SvmFeatureMaps of one model payload. Saving assigns each
+/// map an index on first use; the payload writes the table once, ahead of
+/// the classifier states that refer to it. Loading reads and validates
+/// every map once, then resolves each state's index.
+class SvmMapTable {
+ public:
+  /// Save side: the index of `map`, appended on first use.
+  std::uint64_t index_of(const std::shared_ptr<const SvmFeatureMap>& map);
+  /// Load side: the map at a stored index; throws io::SerializationError
+  /// when the index is out of range.
+  const std::shared_ptr<const SvmFeatureMap>& at(std::uint64_t index) const;
+
+  void save(io::BinaryWriter& writer) const;
+  static SvmMapTable load(io::BinaryReader& reader);
+
+ private:
+  std::vector<std::shared_ptr<const SvmFeatureMap>> maps_;
+};
+
 class SvmClassifier final : public BinaryClassifier {
  public:
   explicit SvmClassifier(SvmConfig config = {});
 
   void fit(const Matrix& x, const Labels& y) override;
+  /// Shared-store fit protocol: every label trains on, and keeps, the one
+  /// map in store.svm_map; without one the label fits its own.
+  const SvmConfig* fit_store_svm_map() const override { return &config_; }
+  void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
+  /// fit_with_store() that also returns the training rows' decision
+  /// values (empty for a degenerate constant model), from which HybridRSL
+  /// takes its stacked column as probability(decision).
+  std::vector<double> fit_decisions(const Matrix& x, const Labels& y, const FitStore& store);
+
   double predict_proba(std::span<const double> x) const override;
-  /// Shared-input-map protocol: the map is the full feature pipeline
-  /// (input scaler -> random Fourier features -> decision-space scaler),
-  /// which is bitwise identical across a MultiLabelModel's labels (same
-  /// training features, same seeds); only w, b and the Platt sigmoid are
-  /// per-label. Hoisting it is the dominant batched-inference win: the
-  /// RFF map (D x d multiplies + D cosines) runs once per snapshot
-  /// instead of once per label.
+  /// Shared-input-map protocol: the map is the whole SvmFeatureMap; only
+  /// w, b and the Platt sigmoid are per-label. Hoisting it is the
+  /// dominant batched-inference win: the RFF map (D x d multiplies + D
+  /// cosines) runs once per snapshot instead of once per label. Labels
+  /// share a map when they hold the same SvmFeatureMap object.
   bool input_map_is_identity() const override { return false; }
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;
   double predict_proba_mapped(std::span<const double> mapped) const override;
   /// Raw (pre-Platt) decision value, exposed for tests.
   double decision_value(std::span<const double> x) const;
+  /// The Platt sigmoid of a decision value.
+  double probability(double decision) const { return sigmoid(platt_a_ * decision + platt_b_); }
+  /// The fitted feature map (null for a degenerate constant model).
+  const std::shared_ptr<const SvmFeatureMap>& feature_map() const noexcept { return map_; }
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "SVM"; }
-  void save_state(io::BinaryWriter& writer) const override;
-  void load_state(io::BinaryReader& reader) override;
+  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
+  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
 
  private:
-  std::vector<double> map_features(std::span<const double> x) const;
-  Matrix map_matrix(const Matrix& x) const;
-  void fit_platt(const Matrix& mapped, const Labels& y);
+  void fit_platt(const std::vector<double>& decision, const Labels& y);
 
   SvmConfig config_;
   detail::LinearModelCore core_;
-  StandardScaler input_scaler_;
-  // RFF projection: z(x) = sqrt(2/D) cos(W x + b).
-  Matrix rff_weights_;             // D x d
-  std::vector<double> rff_offsets_;  // D
+  std::shared_ptr<const SvmFeatureMap> map_;
   double platt_a_ = -1.0;
   double platt_b_ = 0.0;
   bool constant_ = false;

@@ -1,6 +1,7 @@
 #include "serving/daemon.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -83,6 +84,11 @@ const std::string& ServingDaemon::district_name(std::size_t district) const {
 std::uint64_t ServingDaemon::submit(std::size_t district, core::InferenceInputs inputs,
                                     double event_seconds) {
   District& dist = district_at(district);
+  // Checked here, not in the worker: a bad request throws to its caller
+  // instead of failing the batch it would share with good ones.
+  AQUA_REQUIRE(inputs.features.size() == dist.num_features,
+               "request has " + std::to_string(inputs.features.size()) + " features; district '" +
+                   dist.config.name + "' takes " + std::to_string(dist.num_features));
   PendingRequest request;
   request.event_seconds = event_seconds;
   request.submit_seconds = telemetry::monotonic_seconds();
@@ -114,6 +120,10 @@ std::uint64_t ServingDaemon::submit(std::size_t district, core::InferenceInputs 
 void ServingDaemon::swap_model(std::size_t district, std::shared_ptr<const ModelBundle> bundle) {
   AQUA_REQUIRE(bundle != nullptr, "cannot swap in a null model bundle");
   District& dist = district_at(district);
+  AQUA_REQUIRE(bundle->profile().num_features() == dist.num_features,
+               "bundle takes " + std::to_string(bundle->profile().num_features()) +
+                   " features; district '" + dist.config.name + "' takes " +
+                   std::to_string(dist.num_features));
   dist.bundle.store(std::move(bundle));  // RCU publish: readers pin via load()
   dist.stats.add_count(kCounterSwaps, 1);
 }

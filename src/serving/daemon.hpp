@@ -164,6 +164,9 @@ class ServingDaemon {
   /// timestamp (e.g. the scheduled arrival of an open-loop load test)
   /// echoed back in the ResultEvent. May shed the oldest queued request
   /// (never the new one); sheds are counted and reported to the ShedSink.
+  /// Throws InvalidArgument, before queueing, for a request whose feature
+  /// width differs from the district's profile; the other requests keep
+  /// being served.
   std::uint64_t submit(std::size_t district, core::InferenceInputs inputs,
                        double event_seconds = 0.0);
 
@@ -171,7 +174,9 @@ class ServingDaemon {
   /// model. Batches already in flight keep the bundle they pinned at
   /// dequeue time and finish on it bit-identically; requests dequeued
   /// after the swap see the new bundle. Never blocks on inference and
-  /// never drops a request.
+  /// never drops a request. Throws InvalidArgument for a bundle whose
+  /// profile takes another feature width than the district's, so every
+  /// admitted request stays valid for whichever bundle serves it.
   void swap_model(std::size_t district, std::shared_ptr<const ModelBundle> bundle);
 
   /// The district's currently published bundle.
@@ -213,10 +218,14 @@ class ServingDaemon {
   struct District {
     explicit District(DistrictConfig district_config)
         : config(std::move(district_config)),
+          num_features(config.model->profile().num_features()),
           bundle(config.model),
           stats(make_district_schema()) {}
 
     DistrictConfig config;
+    /// Feature width of every bundle this district serves (swap_model
+    /// keeps it fixed), checked by submit().
+    const std::size_t num_features;
     std::atomic<std::shared_ptr<const ModelBundle>> bundle;
     std::deque<PendingRequest> queue;
     bool in_flight = false;

@@ -86,6 +86,10 @@ TEST(ConcurrentEngine, SharedEngineInfersIdenticallyFromManyThreads) {
   profile.kind = ModelKind::kHybridRsl;
   profile.model = ml::MultiLabelModel(make_classifier_factory(profile.kind));
   profile.model.fit(data);
+  // The synthetic feature columns stand for placeholder sensors; there is
+  // no time feature.
+  profile.sensors.sensors.resize(data.num_features());
+  profile.include_time_feature = false;
 
   Rng rng(0x9090);
   std::vector<InferenceInputs> batch(16);

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
 #include <functional>
@@ -6,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "io/binary.hpp"
 #include "ml/gradient_boosting.hpp"
 #include "ml/hybrid_rsl.hpp"
 #include "ml/linear_models.hpp"
@@ -308,12 +310,16 @@ TEST(SharedStoreFit, BitIdenticalToPlainFit) {
                    std::make_unique<GradientBoostingClassifier>()});
   cases.push_back({"RF", std::make_unique<RandomForestClassifier>(),
                    std::make_unique<RandomForestClassifier>()});
+  cases.push_back({"SVM", std::make_unique<SvmClassifier>(), std::make_unique<SvmClassifier>()});
   cases.push_back({"HybridRSL", std::make_unique<HybridRslClassifier>(),
                    std::make_unique<HybridRslClassifier>()});
   for (auto& c : cases) {
-    ASSERT_GT(c.plain->fit_store_bins(), 0u) << c.name;
-    BinnedDataset store;
-    store.fit(x, c.plain->fit_store_bins());
+    FitStore store;
+    if (c.plain->fit_store_bins() > 0) store.bins.fit(x, c.plain->fit_store_bins());
+    if (const SvmConfig* svm = c.plain->fit_store_svm_map()) {
+      store.svm_map = SvmFeatureMap::fit(x, *svm, store.svm_features);
+    }
+    ASSERT_TRUE(store.bins.fitted() || store.svm_map != nullptr) << c.name;
     c.plain->fit(x, y);
     c.stored->fit_with_store(x, y, store);
     Rng test_rng(66);
@@ -328,10 +334,23 @@ TEST(SharedStoreFit, BitIdenticalToPlainFit) {
 TEST(SharedStoreFit, MismatchedStoreIsRejected) {
   Rng rng(67);
   const auto [x, y] = blobs(100, rng);
-  BinnedDataset store;
-  store.fit(x, 32);  // budget disagrees with the classifier's max_bins
+  FitStore store;
+  store.bins.fit(x, 32);  // budget disagrees with the classifier's max_bins
   GradientBoostingClassifier gb;
   EXPECT_THROW(gb.fit_with_store(x, y, store), InvalidArgument);
+
+  // A feature map fitted on another width, or drawn without RFF, does not
+  // fit this SVM's training matrix.
+  FitStore narrow;
+  const Matrix first_column = Matrix(x.rows(), 1, 0.5);
+  narrow.svm_map = SvmFeatureMap::fit(first_column, SvmConfig{}, narrow.svm_features);
+  SvmClassifier svm;
+  EXPECT_THROW(svm.fit_with_store(x, y, narrow), InvalidArgument);
+  SvmConfig linear;
+  linear.rff_dimension = 0;
+  FitStore plain;
+  plain.svm_map = SvmFeatureMap::fit(x, linear, plain.svm_features);
+  EXPECT_THROW(svm.fit_with_store(x, y, plain), InvalidArgument);
 }
 
 TEST(MultiLabel, ParallelFitBitIdenticalToSerial) {
@@ -349,16 +368,126 @@ TEST(MultiLabel, ParallelFitBitIdenticalToSerial) {
 }
 
 TEST(MultiLabel, SharedStoreBitIdenticalToPerLabelBinning) {
+  // The shared store (one binning, one SVM feature map) against the
+  // per-label reference (one of each per label): bitwise equal
+  // predictions, per row and through the batched path that hoists the
+  // shared map.
   Rng rng(69);
   const auto data = tree_multilabel_data(250, 4, rng);
-  MultiLabelModel shared([] { return std::make_unique<RandomForestClassifier>(); });
-  MultiLabelModel per_label([] { return std::make_unique<RandomForestClassifier>(); });
-  shared.fit(data, /*parallel=*/true, /*shared_store=*/true);
-  per_label.fit(data, /*parallel=*/true, /*shared_store=*/false);
-  for (std::size_t i = 0; i < 50; ++i) {
-    const auto a = shared.predict_proba(data.features.row(i));
-    const auto b = per_label.predict_proba(data.features.row(i));
-    EXPECT_EQ(a, b);
+  const std::vector<ModelCase> cases = {
+      {"RF", [] { return std::make_unique<RandomForestClassifier>(); }},
+      {"SVM", [] { return std::make_unique<SvmClassifier>(); }},
+      {"HybridRSL", [] { return std::make_unique<HybridRslClassifier>(); }},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    MultiLabelModel shared(c.factory);
+    MultiLabelModel per_label(c.factory);
+    shared.fit(data, /*parallel=*/true, /*shared_store=*/true);
+    per_label.fit(data, /*parallel=*/true, /*shared_store=*/false);
+    for (std::size_t i = 0; i < 50; ++i) {
+      const auto a = shared.predict_proba(data.features.row(i));
+      const auto b = per_label.predict_proba(data.features.row(i));
+      EXPECT_EQ(a, b);
+    }
+    Matrix batch_shared, batch_per_label;
+    shared.predict_proba_batch_into(data.features, batch_shared, /*parallel=*/false);
+    per_label.predict_proba_batch_into(data.features, batch_per_label, /*parallel=*/false);
+    EXPECT_EQ(batch_shared.data(), batch_per_label.data());
+  }
+}
+
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
+}
+
+/// `bytes` with its trailing u64 replaced by `value`.
+std::string with_trailing_u64(std::string bytes, std::uint64_t value) {
+  io::BinaryWriter tail;
+  tail.write_u64(value);
+  bytes.replace(bytes.size() - 8, 8, tail.buffer());
+  return bytes;
+}
+
+TEST(ModelIo, CapSizedCountsThrowBeforeAllocating) {
+  // Each payload declares 2^24 elements (the sanity cap) and then ends.
+  // The loaders bound a count by what the remaining bytes can hold, so
+  // they throw before allocating for the elements: at 64 bytes per empty
+  // tree, allocating first would cost 1 GiB.
+  constexpr std::uint64_t kCap = std::uint64_t{1} << 24;
+  Rng rng(71);
+  const auto [x, y] = blobs(40, rng);
+  const Labels negatives(y.size(), 0);  // constant models: an empty tree list ends the state
+  const SvmMapTable no_maps;
+  const double before = peak_rss_mib();
+
+  RandomForestClassifier forest;
+  forest.fit(x, negatives);
+  GradientBoostingClassifier boosting;
+  boosting.fit(x, negatives);
+  // The count check itself must fire, not a truncation error after the
+  // allocation.
+  auto expect_count_rejected = [](const std::function<void()>& load, const std::string& reason) {
+    try {
+      load();
+      ADD_FAILURE() << "accepted a cap-sized count: " << reason;
+    } catch (const io::SerializationError& error) {
+      EXPECT_NE(std::string(error.what()).find(reason), std::string::npos) << error.what();
+    }
+  };
+  for (BinaryClassifier* classifier : {static_cast<BinaryClassifier*>(&forest),
+                                       static_cast<BinaryClassifier*>(&boosting)}) {
+    SvmMapTable maps;
+    io::BinaryWriter state;
+    classifier->save_state(state, maps);
+    const std::string crafted = with_trailing_u64(state.buffer(), kCap);
+    auto fresh = classifier->clone_config();
+    expect_count_rejected(
+        [&] {
+          io::BinaryReader reader(crafted);
+          fresh->load_state(reader, no_maps);
+        },
+        classifier == &forest ? "malformed forest size" : "malformed ensemble size");
+  }
+
+  io::BinaryWriter labels;
+  labels.write_u64(kCap);
+  expect_count_rejected(
+      [&] {
+        io::BinaryReader reader(labels.buffer());
+        MultiLabelModel::load(reader);
+      },
+      "label count");
+
+  EXPECT_LT(peak_rss_mib() - before, 64.0);
+}
+
+TEST(HybridRsl, StackedSvmColumnIsTheSvmProbability) {
+  // fit() takes the stacked SVM column from the decision values of the
+  // Platt fit. It must be bitwise the inner SVM's predict_proba on each
+  // training row: a meta learner refit on predict_proba stacks then
+  // predicts exactly as the hybrid does.
+  Rng rng(72);
+  const auto [x, y] = blobs(300, rng);
+  HybridRslClassifier hybrid;
+  hybrid.fit(x, y);
+  Matrix stacked(x.rows(), 2);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    stacked(i, 0) = hybrid.forest().predict_proba(x.row(i));
+    stacked(i, 1) = hybrid.svm().predict_proba(x.row(i));
+  }
+  LogisticRegressionClassifier reference(HybridRslConfig{}.meta);
+  reference.fit(stacked, y);
+  Rng test_rng(73);
+  const auto [tx, ty] = blobs(100, test_rng);
+  (void)ty;
+  for (std::size_t i = 0; i < tx.rows(); ++i) {
+    const double meta_input[2] = {hybrid.forest().predict_proba(tx.row(i)),
+                                  hybrid.svm().predict_proba(tx.row(i))};
+    EXPECT_EQ(hybrid.predict_proba(tx.row(i)),
+              reference.predict_proba(std::span<const double>(meta_input, 2)));
   }
 }
 

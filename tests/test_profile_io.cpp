@@ -12,6 +12,9 @@
 #include "io/artifact.hpp"
 #include "io/binary.hpp"
 #include "io/mapped_artifact.hpp"
+#include "ml/hybrid_rsl.hpp"
+#include "ml/model_io.hpp"
+#include "ml/svm.hpp"
 #include "networks/builtin.hpp"
 #include "sensing/placement.hpp"
 
@@ -168,12 +171,16 @@ TEST(ProfileIo, StoreTrainedNonDefaultBinsRoundTrip) {
 
 TEST(ProfileIo, SaveLoadSaveIsStable) {
   // Serialization is a pure function of model state: saving the loaded
-  // model reproduces the original byte stream exactly.
+  // model reproduces the original byte stream exactly, SVM feature map
+  // table included.
   const auto s = make_setup(false);
-  const ProfileModel original = train_kind(*s, ModelKind::kLogisticR);
-  const std::string first = save_bytes(original);
-  const std::string second = save_bytes(load_bytes(first));
-  EXPECT_EQ(first, second);
+  for (ModelKind kind : all_model_kinds()) {
+    SCOPED_TRACE(model_kind_name(kind));
+    const ProfileModel original = train_kind(*s, kind);
+    const std::string first = save_bytes(original);
+    const std::string second = save_bytes(load_bytes(first));
+    EXPECT_EQ(first, second);
+  }
 }
 
 TEST(ProfileIo, LoadedModelCanRefit) {
@@ -184,6 +191,155 @@ TEST(ProfileIo, LoadedModelCanRefit) {
   EXPECT_EQ(loaded.model.num_labels(), s->eval.num_labels());
   const auto proba = loaded.model.predict_proba(s->eval.features.row(0));
   EXPECT_EQ(proba.size(), s->eval.num_labels());
+}
+
+/// The feature map of every fitted label's SVM, plain or inside HybridRSL
+/// (degenerate constant labels hold none).
+std::vector<const ml::SvmFeatureMap*> svm_maps(const ProfileModel& profile) {
+  std::vector<const ml::SvmFeatureMap*> maps;
+  for (std::size_t label = 0; label < profile.model.num_labels(); ++label) {
+    const ml::BinaryClassifier& c = profile.model.classifier(label);
+    const auto* svm = dynamic_cast<const ml::SvmClassifier*>(&c);
+    if (const auto* hybrid = dynamic_cast<const ml::HybridRslClassifier*>(&c)) svm = &hybrid->svm();
+    if (svm != nullptr && svm->feature_map() != nullptr) maps.push_back(svm->feature_map().get());
+  }
+  return maps;
+}
+
+TEST(ProfileIo, SvmKindsHoldOneFeatureMapAfterFitAndBothLoads) {
+  // MultiLabelModel fits one SVM feature map and every label keeps it;
+  // the artifact writes it once and both readers hand every label the
+  // one loaded object, so the batched path shares it by pointer.
+  const auto s = make_setup(false);
+  const std::string path = ::testing::TempDir() + "aqua_profile_shared_map.aquamodl";
+  for (ModelKind kind : {ModelKind::kSvm, ModelKind::kHybridRsl}) {
+    SCOPED_TRACE(model_kind_name(kind));
+    const ProfileModel original = train_kind(*s, kind);
+    original.save_file(path);
+    std::ifstream in(path, std::ios::binary);
+    const ProfileModel buffered = ProfileModel::load(in);
+    const io::MappedArtifactReader mapped(path);
+    const ProfileModel via_mapped = ProfileModel::load(mapped);
+    for (const ProfileModel* profile : {&original, &buffered, &via_mapped}) {
+      const auto maps = svm_maps(*profile);
+      ASSERT_GE(maps.size(), 2u);
+      for (const ml::SvmFeatureMap* map : maps) EXPECT_EQ(map, maps.front());
+      EXPECT_TRUE(profile->model.has_shared_input_map());
+    }
+    EXPECT_NE(svm_maps(buffered).front(), svm_maps(original).front());
+    expect_bit_identical(original, via_mapped, s->eval.features);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ProfileIo, HybridArtifactWritesTheFeatureMapOnce) {
+  // One map per fitted label would make the artifact at least that many
+  // maps long; the shared table keeps it well under.
+  const auto s = make_setup(false);
+  const ProfileModel profile = train_kind(*s, ModelKind::kHybridRsl);
+  const auto maps = svm_maps(profile);
+  ASSERT_GE(maps.size(), 3u);
+  io::BinaryWriter one_map;
+  maps.front()->save(one_map);
+  EXPECT_LT(save_bytes(profile).size(), maps.size() * one_map.size());
+}
+
+/// The artifact's sections as (name, payload), in table order.
+std::vector<std::pair<std::string, std::string>> artifact_sections(const std::string& bytes) {
+  io::BinaryReader header(std::string_view(bytes).substr(8));  // past the magic
+  header.read_u32();                                            // version
+  const std::uint32_t count = header.read_u32();
+  std::vector<std::pair<std::string, std::uint64_t>> table;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::string name = header.read_string();
+    const std::uint64_t size = header.read_u64();
+    header.read_u32();  // CRC
+    table.emplace_back(std::move(name), size);
+  }
+  std::size_t offset = bytes.size() - header.remaining();
+  std::vector<std::pair<std::string, std::string>> sections;
+  for (const auto& [name, size] : table) {
+    sections.emplace_back(name, bytes.substr(offset, size));
+    offset += size;
+  }
+  return sections;
+}
+
+/// `bytes` re-emitted with the `model` payload replaced; ArtifactWriter
+/// re-stamps every section CRC, so the crafted payload reaches the model
+/// decoder.
+std::string with_model_payload(const std::string& bytes, const std::string& model) {
+  io::ArtifactWriter writer;
+  for (const auto& [name, payload] : artifact_sections(bytes)) {
+    writer.section(name).write_bytes(name == "model" ? model : payload);
+  }
+  std::ostringstream out(std::ios::binary);
+  writer.write_to(out);
+  return out.str();
+}
+
+/// A feature map payload of the given shapes (v3 layout: input scaler,
+/// RFF weights, offsets, decision scaler); the values do not matter.
+std::string map_payload(std::size_t scaler_width, std::size_t rows, std::size_t cols,
+                        std::size_t decision_width) {
+  io::BinaryWriter writer;
+  writer.write_f64_vector(std::vector<double>(scaler_width, 0.0));
+  writer.write_f64_vector(std::vector<double>(scaler_width, 1.0));
+  ml::write_matrix(writer, ml::Matrix(rows, cols, 0.1));
+  writer.write_f64_vector(std::vector<double>(rows, 0.0));
+  writer.write_f64_vector(std::vector<double>(decision_width, 0.0));
+  writer.write_f64_vector(std::vector<double>(decision_width, 1.0));
+  return writer.buffer();
+}
+
+void expect_rejected(const std::string& bytes, const std::string& reason) {
+  std::istringstream in(bytes);
+  try {
+    ProfileModel::load(in);
+    ADD_FAILURE() << "loaded an artifact with " << reason;
+  } catch (const io::SerializationError& error) {
+    EXPECT_NE(std::string(error.what()).find(reason), std::string::npos) << error.what();
+  }
+}
+
+TEST(ProfileIo, HostileFeatureMapTableThrows) {
+  // The v3 model payload is [label count][map count][maps][states]. Each
+  // case swaps the one map for a crafted table and re-stamps the CRCs;
+  // a table of the right shapes still loads, so the decoder is reached.
+  const auto s = make_setup(false);
+  for (ModelKind kind : {ModelKind::kSvm, ModelKind::kHybridRsl}) {
+    SCOPED_TRACE(model_kind_name(kind));
+    const ProfileModel profile = train_kind(*s, kind);
+    const auto maps = svm_maps(profile);
+    ASSERT_FALSE(maps.empty());
+    io::BinaryWriter real_map;
+    maps.front()->save(real_map);
+    const std::string bytes = save_bytes(profile);
+    std::string model;
+    for (const auto& [name, payload] : artifact_sections(bytes)) {
+      if (name == "model") model = payload;
+    }
+    io::BinaryReader counts(model);
+    ASSERT_EQ(counts.read_u64(), profile.model.num_labels());
+    ASSERT_EQ(counts.read_u64(), 1u);
+    const std::string head = model.substr(0, 8);
+    const std::string states = model.substr(16 + real_map.size());
+    auto with_table = [&](std::uint64_t map_count, const std::string& table) {
+      io::BinaryWriter count;
+      count.write_u64(map_count);
+      return with_model_payload(bytes, head + count.buffer() + table + states);
+    };
+    const std::size_t d = profile.num_features();
+    const std::size_t dim = maps.front()->dimension();
+
+    std::istringstream control(with_table(1, map_payload(d, dim, d, dim)));
+    EXPECT_NO_THROW(ProfileModel::load(control));
+    expect_rejected(with_table(0, ""), "index out of range");
+    expect_rejected(with_table(1, map_payload(d + 1, dim, d, dim)),
+                    "input-scaler width differs from RFF weight columns");
+    expect_rejected(with_table(1, map_payload(d, dim - 1, d, dim - 1)),
+                    "weight count differs from its map");
+  }
 }
 
 TEST(ProfileIo, TruncatedArtifactThrows) {

@@ -340,6 +340,10 @@ ProfileModel make_synthetic_profile(ModelKind kind, std::uint64_t seed) {
   profile.kind = kind;
   profile.model = ml::MultiLabelModel(make_classifier_factory(kind));
   profile.model.fit(data);
+  // The synthetic feature columns stand for placeholder sensors; there is
+  // no time feature.
+  profile.sensors.sensors.resize(features);
+  profile.include_time_feature = false;
   return profile;
 }
 

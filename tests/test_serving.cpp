@@ -50,7 +50,12 @@ std::shared_ptr<const ProfileModel> make_profile(std::uint64_t seed,
   auto profile = std::make_shared<ProfileModel>();
   profile->kind = kind;
   profile->model = ml::MultiLabelModel(core::make_classifier_factory(kind));
-  profile->model.fit(synthetic_dataset(seed));
+  const auto data = synthetic_dataset(seed);
+  profile->model.fit(data);
+  // The synthetic feature columns stand for placeholder sensors; there is
+  // no time feature.
+  profile->sensors.sensors.resize(data.num_features());
+  profile->include_time_feature = false;
   return profile;
 }
 
@@ -384,6 +389,78 @@ TEST(ServingDaemon, MetricsExportCoversEveryDistrictWithPrefixes) {
   EXPECT_GT(exported.at("district.alpha.forest.compile_seconds"), 0.0);
   EXPECT_EQ(exported.at("district.beta.forest.compiled_trees"), 0.0);
   EXPECT_EQ(exported.at("district.beta.forest.compile_seconds"), 0.0);
+}
+
+TEST(InferenceEngine, RejectsRequestsOfAnotherWidthForEveryKind) {
+  // The compiled forests read feature indices up to the profile's width
+  // and the scalers assert on it, so a short or long request must be
+  // refused before any classifier sees it, for every kind, alone or
+  // inside a batch.
+  for (ModelKind kind : core::all_model_kinds()) {
+    SCOPED_TRACE(core::model_kind_name(kind));
+    const auto profile = make_profile(0x90, kind);
+    ASSERT_EQ(profile->num_features(), 6u);
+    const core::InferenceEngine engine(*profile);
+    const InferenceInputs good = make_inputs(1, 6, profile->model.num_labels(), 0x91).front();
+    for (const std::size_t width : {std::size_t{3}, std::size_t{7}}) {
+      InferenceInputs bad = good;
+      bad.features.resize(width, 0.5);
+      EXPECT_THROW(engine.infer(bad), InvalidArgument) << width << " features";
+      const std::vector<InferenceInputs> batch = {good, bad};
+      EXPECT_THROW(engine.infer_batch(batch), InvalidArgument) << width << " features";
+    }
+    EXPECT_NO_THROW(engine.infer(good));
+  }
+}
+
+TEST(ServingDaemon, RejectsRequestsOfAnotherWidthAndKeepsServing) {
+  // A request of the wrong width throws to its submitter before it is
+  // queued, so no worker ever runs it; the good requests around it are
+  // served in order, bit-identical to the engine. A bundle of another
+  // width cannot be swapped in under requests admitted for this one.
+  for (ModelKind kind : {ModelKind::kLogisticR, ModelKind::kHybridRsl}) {
+    SCOPED_TRACE(core::model_kind_name(kind));
+    auto profile = make_profile(0x81, kind);
+    DistrictConfig config;
+    config.name = "strict";
+    config.model = std::make_shared<ModelBundle>(profile, 1);
+    config.max_batch = 4;
+
+    Collector collector;
+    ServingDaemonOptions options;
+    options.num_workers = 1;
+    ServingDaemon daemon({config}, options, collector.sink());
+    const auto inputs = make_inputs(9, 6, profile->model.num_labels(), 0x82);
+    for (const auto& in : inputs) {
+      InferenceInputs short_request = in;
+      short_request.features.resize(3);
+      EXPECT_THROW(daemon.submit(0, short_request), InvalidArgument);
+      daemon.submit(0, in);
+      InferenceInputs long_request = in;
+      long_request.features.push_back(1.0);
+      EXPECT_THROW(daemon.submit(0, long_request), InvalidArgument);
+    }
+
+    auto wider = std::make_shared<ProfileModel>();
+    wider->kind = kind;
+    wider->model = ml::MultiLabelModel(core::make_classifier_factory(kind));
+    wider->model.fit(synthetic_dataset(0x83));
+    wider->sensors.sensors.resize(6);  // 6 sensors + the time feature
+    EXPECT_THROW(daemon.swap_model(0, std::make_shared<ModelBundle>(wider, 2)), InvalidArgument);
+    EXPECT_EQ(daemon.model(0)->version(), 1u);
+
+    daemon.drain();
+    const auto& entries = collector.by_district[0];
+    ASSERT_EQ(entries.size(), inputs.size());
+    const core::InferenceEngine reference(*profile);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(entries[i].sequence, i);  // refused requests take no sequence
+      expect_identical(entries[i].result, reference.infer(inputs[i]),
+                       "request " + std::to_string(i));
+    }
+    EXPECT_EQ(daemon.submitted_count(0), inputs.size());
+    EXPECT_EQ(daemon.served_count(0), inputs.size());
+  }
 }
 
 TEST(TelemetryRegistry, ConcurrentRecordSnapshotAndResetStayConsistent) {
