@@ -17,7 +17,6 @@
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/inference_engine.hpp"
-#include "ml/compiled_forest.hpp"
 #include "networks/builtin.hpp"
 
 using namespace aqua;
@@ -129,14 +128,7 @@ void run_network(const hydraulics::Network& net, std::size_t train_samples,
   }
   const double naive_s = seconds_since(t_naive);
 
-  // Batched engine, pointer-walking tree kernel (the PR 4 baseline).
-  ml::set_compiled_forest_enabled(false);
-  const auto t_pointer = std::chrono::steady_clock::now();
-  const auto pointer_results = engine.infer_batch(batch);
-  const double pointer_s = seconds_since(t_pointer);
-  ml::set_compiled_forest_enabled(true);
-
-  // Batched engine, compiled SoA tree kernel (blocked tile traversal).
+  // Batched engine (compiled forest kernel).
   engine.reset_telemetry();
   const auto t_engine = std::chrono::steady_clock::now();
   const auto results = engine.infer_batch(batch);
@@ -144,21 +136,10 @@ void run_network(const hydraulics::Network& net, std::size_t train_samples,
   std::vector<double> engine_latency(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) engine_latency[i] = results[i].infer_seconds;
 
-  // Kernel-identity gate: both kernels must produce the same bits.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!identical(results[i], pointer_results[i])) {
-      bit_identical = false;
-      std::fprintf(stderr, "%s: COMPILED KERNEL DIVERGES FROM POINTER WALK\n", key.c_str());
-      break;
-    }
-  }
-
   const double n = static_cast<double>(batch.size());
   const double naive_rate = naive_s > 0.0 ? n / naive_s : 0.0;
-  const double pointer_rate = pointer_s > 0.0 ? n / pointer_s : 0.0;
   const double engine_rate = engine_s > 0.0 ? n / engine_s : 0.0;
   const double speedup = engine_s > 0.0 ? naive_s / engine_s : 0.0;
-  const double kernel_speedup = engine_s > 0.0 ? pointer_s / engine_s : 0.0;
   const auto forest = engine.forest_compile_report();
 
   std::printf("\n%s (%zu nodes, %zu labels), %zu snapshots, HybridRSL @100%% IoT:\n",
@@ -167,17 +148,13 @@ void run_network(const hydraulics::Network& net, std::size_t train_samples,
   table.add_row({"sequential loop", Table::num(naive_s, 3), Table::num(naive_rate, 1),
                  Table::num(1e3 * percentile(naive_latency, 50.0), 3),
                  Table::num(1e3 * percentile(naive_latency, 95.0), 3)});
-  table.add_row({"engine kernel=pointer", Table::num(pointer_s, 3), Table::num(pointer_rate, 1),
-                 "-", "-"});
-  table.add_row({"engine kernel=compiled", Table::num(engine_s, 3), Table::num(engine_rate, 1),
+  table.add_row({"engine", Table::num(engine_s, 3), Table::num(engine_rate, 1),
                  Table::num(1e3 * percentile(engine_latency, 50.0), 3),
                  Table::num(1e3 * percentile(engine_latency, 95.0), 3)});
   table.print();
-  std::printf(
-      "engine vs sequential: %.1fx | compiled vs pointer kernel: %.2fx | shared input map: %s | "
-      "bit-identical: %s\n",
-      speedup, kernel_speedup, profile.model.has_shared_input_map() ? "yes" : "no",
-      bit_identical ? "yes" : "NO");
+  std::printf("engine vs sequential: %.1fx | shared input map: %s | bit-identical: %s\n",
+              speedup, profile.model.has_shared_input_map() ? "yes" : "no",
+              bit_identical ? "yes" : "NO");
   std::printf("forest compile: %zu trees / %zu nodes across %zu heads in %.3f ms\n", forest.trees,
               forest.internal_nodes, forest.classifiers, 1e3 * forest.seconds);
 
@@ -185,12 +162,9 @@ void run_network(const hydraulics::Network& net, std::size_t train_samples,
   metrics.emplace_back(key + ".labels", static_cast<double>(profile.model.num_labels()));
   metrics.emplace_back(key + ".sequential_s", naive_s);
   metrics.emplace_back(key + ".engine_s", engine_s);
-  metrics.emplace_back(key + ".engine_pointer_s", pointer_s);
   metrics.emplace_back(key + ".sequential_snapshots_per_s", naive_rate);
   metrics.emplace_back(key + ".engine_snapshots_per_s", engine_rate);
-  metrics.emplace_back(key + ".engine_pointer_snapshots_per_s", pointer_rate);
   metrics.emplace_back(key + ".speedup", speedup);
-  metrics.emplace_back(key + ".kernel_speedup", kernel_speedup);
   metrics.emplace_back(key + ".sequential_p50_ms", 1e3 * percentile(naive_latency, 50.0));
   metrics.emplace_back(key + ".sequential_p95_ms", 1e3 * percentile(naive_latency, 95.0));
   metrics.emplace_back(key + ".engine_p50_ms", 1e3 * percentile(engine_latency, 50.0));

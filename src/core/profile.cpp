@@ -110,6 +110,19 @@ ProfileModel ProfileModel::load(const io::ArtifactSource& artifact) {
   auto model_reader = artifact.section("model");
   profile.model = ml::MultiLabelModel::load(model_reader);
   model_reader.expect_end();
+
+  // Requests are checked against num_features() only, and the compiled
+  // forest reads x[feature] unchecked: every label must read within it.
+  const std::size_t dim = profile.num_features();
+  for (std::size_t v = 0; v < profile.model.num_labels(); ++v) {
+    const auto need = profile.model.classifier(v).input_width();
+    if (!need.admits(dim)) {
+      throw io::SerializationError(
+          "malformed profile: label " + std::to_string(v) + " reads " +
+          (need.exact ? "exactly " : "at least ") + std::to_string(need.width) +
+          " features, the sensors section gives " + std::to_string(dim));
+    }
+  }
   return profile;
 }
 

@@ -81,6 +81,19 @@ class BinaryClassifier {
   /// Hard decision: S-membership per the paper is p(1) > p(0).
   bool predict(std::span<const double> x) const { return predict_proba(x) > 0.5; }
 
+  /// The feature-row width predict_proba() reads. Tree ensembles read
+  /// only their split features, unchecked, so a row needs at least
+  /// `width` (the largest split feature + 1) and may be wider; the linear
+  /// kinds and the SVM standardize the whole row, so it needs exactly
+  /// `width`. A degenerate constant model reads nothing: {0, false}.
+  /// ProfileModel::load checks it against the profile's feature count.
+  struct InputWidth {
+    std::size_t width = 0;
+    bool exact = false;
+    bool admits(std::size_t dim) const noexcept { return exact ? dim == width : dim >= width; }
+  };
+  virtual InputWidth input_width() const = 0;
+
   // --- Shared-input-map protocol (batched prediction) -----------------
   //
   // MultiLabelModel trains one classifier per label, all cloned from one
@@ -127,9 +140,9 @@ class BinaryClassifier {
   //
   // The batched predictors advance a small tile of snapshots through one
   // classifier at a time, so tree-backed classifiers can run their
-  // compiled SoA traversal kernel (ml/compiled_forest.hpp) with node
-  // loads amortized across the tile. The default is the per-row loop, so
-  // classifier kinds without trees are a transparent fallback.
+  // compiled traversal kernel (ml/compiled_forest.hpp) once per tile. The
+  // default is the per-row loop, so classifier kinds without trees are a
+  // transparent fallback.
 
   /// Rows per tile handed down by the batched predictors. Matches
   /// CompiledForest::kTileRows (static_assert'd in compiled_forest.cpp).
@@ -148,7 +161,7 @@ class BinaryClassifier {
     }
   }
 
-  /// The compiled SoA ensemble backing this classifier's tile path, or
+  /// The compiled ensemble backing this classifier's tile path, or
   /// nullptr for classifier kinds without trees (or whose ensemble is
   /// unfitted / degenerate / uncompilable).
   virtual const CompiledForest* compiled_forest() const { return nullptr; }

@@ -1,14 +1,9 @@
 #include "ml/compiled_forest.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <limits>
-#include <numeric>
-#include <utility>
 
-#include "common/cpu_dispatch.hpp"
 #include "common/error.hpp"
 #include "ml/classifier.hpp"
 #include "ml/decision_tree.hpp"
@@ -20,257 +15,81 @@ static_assert(BinaryClassifier::kPredictTileRows == CompiledForest::kTileRows,
 
 namespace {
 
-std::atomic<bool> g_compiled_forest_enabled{true};
-
-/// The flattened planes of one ensemble, passed by value into the kernel
-/// so every field lives in a register. The pointers are __restrict so the
-/// accumulator stores cannot force plane or row-pointer reloads (the
-/// planes are CompiledForest-owned and never overlap a caller's output).
-struct ForestPlanes {
-  const std::uint16_t* __restrict feature;
-  const double* __restrict threshold;
-  const std::int32_t* __restrict left;
-  const std::int32_t* __restrict right;
-  const double* __restrict leaves;
-  const std::int32_t* __restrict sorted_root;
-  const std::uint32_t* __restrict rank;
-  const std::uint32_t* __restrict chunk_depth;
-  const std::uint32_t* __restrict level_offset;
-  const std::uint32_t* __restrict level_counts;
-  std::size_t trees;
-};
-
-// The whole forest for kRows rows, always inlined into the target_clones
-// dispatcher below so the level-synchronous rounds and the ordered leaf
-// accumulation compile as one flat loop nest with compile-time row trip
-// counts — with the shallow ensembles the profile models grow (a handful
-// of internal nodes per tree), per-tree loop overhead and the mispredicted
-// data-dependent depth branches of a tree-at-a-time walk would otherwise
-// dominate the kernel. Per-lane IEEE `x <= t` is the exact comparison the
-// pointer walk performs, the selects only choose between the same two
-// children, and the per-row adds run in ensemble order, so neither the
-// tiling, the depth-sorted schedule, nor the dispatch changes a single
-// routing decision or sum bit.
-template <std::size_t kRows>
-[[gnu::always_inline]] inline void forest_tile(const ForestPlanes& p,
-                                               const double* const* __restrict rows,
-                                               double* __restrict acc) {
-  // Hoist the row pointers and accumulators into locals: with __restrict
-  // the compiler keeps the running sums in registers across whole chunks
-  // instead of storing/reloading acc[] on every tree.
-  const double* __restrict row[kRows];
-  double sum[kRows];
-  for (std::size_t i = 0; i < kRows; ++i) row[i] = rows[i];
-  for (std::size_t i = 0; i < kRows; ++i) sum[i] = acc[i];
-  // Node cursors for one chunk of trees: 8 KiB at the serving tile width,
-  // L1-resident for the whole chunk.
-  alignas(64) std::int32_t cur[CompiledForest::kTreeChunk][kRows];
-  const std::size_t chunks =
-      (p.trees + CompiledForest::kTreeChunk - 1) / CompiledForest::kTreeChunk;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t base = c * CompiledForest::kTreeChunk;
-    const std::size_t n = std::min(CompiledForest::kTreeChunk, p.trees - base);
-    const std::uint32_t depth = p.chunk_depth[c];
-    const std::uint32_t* __restrict counts = p.level_counts + p.level_offset[c];
-    // Root round, fused with the seed: every active tree's rows sit at its
-    // root, so the node fields load once per tree and only the feature
-    // value gathers per row. The depth-sorted suffix past the round-0
-    // count holds single-leaf trees — their roots are already negative
-    // leaf references and ride through the rounds untouched.
-    const std::size_t active0 = depth > 0 ? counts[0] : 0;
-    for (std::size_t j = 0; j < active0; ++j) {
-      const std::int32_t root = p.sorted_root[base + j];
-      const std::uint16_t f0 = p.feature[root];
-      const double t0 = p.threshold[root];
-      const std::int32_t l0 = p.left[root];
-      const std::int32_t r0 = p.right[root];
-      for (std::size_t i = 0; i < kRows; ++i) cur[j][i] = row[i][f0] <= t0 ? l0 : r0;
-    }
-    for (std::size_t j = active0; j < n; ++j) {
-      const std::int32_t root = p.sorted_root[base + j];
-      for (std::size_t i = 0; i < kRows; ++i) cur[j][i] = root;
-    }
-    // Deeper level-synchronous rounds over the depth-sorted chunk: round L
-    // advances exactly the `level_counts` prefix of trees still having
-    // internal nodes at depth L — every loop bound comes from the
-    // schedule, so nothing here branches on per-row traversal state.
-    // Rows that reached a leaf early keep their negative reference via
-    // the final select (their gather reads node 0 harmlessly), which is
-    // why per-lane `x <= t` stays the exact compare the pointer walk
-    // performs: the select only ever picks between the same two children.
-    for (std::uint32_t level = 1; level < depth; ++level) {
-      const std::size_t active = counts[level];
-      for (std::size_t j = 0; j < active; ++j) {
-        std::int32_t* __restrict lane = cur[j];
-        for (std::size_t i = 0; i < kRows; ++i) {
-          const std::int32_t idx = lane[i];
-          const std::int32_t safe = idx & ~(idx >> 31);  // max(idx, 0)
-          const double x = row[i][p.feature[safe]];
-          const std::int32_t next = x <= p.threshold[safe] ? p.left[safe] : p.right[safe];
-          lane[i] = idx < 0 ? idx : next;
-        }
-      }
-    }
-    // Ordered accumulation: replay the chunk's trees in ensemble order
-    // (rank maps each ensemble position to its sorted slot), so per-row
-    // sums add tree contributions in exactly the pointer walk's order.
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::int32_t* __restrict lane = cur[p.rank[base + k]];
-      for (std::size_t i = 0; i < kRows; ++i) sum[i] += p.leaves[~lane[i]];
-    }
-  }
-  for (std::size_t i = 0; i < kRows; ++i) acc[i] = sum[i];
-}
-
-// Runtime dispatcher: full tiles take the unrolled kRows-wide body;
-// partial tails run row-at-a-time (a width-1 instance of the same body,
-// so the arithmetic per row is identical regardless of tile occupancy).
-AQUA_TARGET_CLONES void accumulate_forest(const ForestPlanes p, const double* const* rows,
-                                          std::size_t count, double* acc) {
-  if (count == CompiledForest::kTileRows) {
-    forest_tile<CompiledForest::kTileRows>(p, rows, acc);
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) forest_tile<1>(p, rows + i, acc + i);
-}
+/// Nodes or leaves one tree may hold: local references 0..32767 and
+/// ~0..~32767 must fit the int16 child fields.
+constexpr std::size_t kMaxPerTree = std::size_t{1} << 15;
 
 }  // namespace
 
-bool compiled_forest_enabled() noexcept {
-  return g_compiled_forest_enabled.load(std::memory_order_relaxed);
-}
-
-void set_compiled_forest_enabled(bool enabled) noexcept {
-  g_compiled_forest_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 void CompiledForest::clear() {
-  feature_.clear();
-  threshold_.clear();
-  left_.clear();
-  right_.clear();
+  nodes_.clear();
   leaf_value_.clear();
-  roots_.clear();
-  levels_.clear();
-  sorted_root_.clear();
-  rank_.clear();
-  chunk_depth_.clear();
-  level_offset_.clear();
-  level_counts_.clear();
+  trees_.clear();
   compile_seconds_ = 0.0;
 }
 
 void CompiledForest::compile(std::span<const RegressionTree> trees, double leaf_scale) {
+  static_assert(sizeof(Node) == 16 && sizeof(Tree) == 12, "record sizes DESIGN.md §14 states");
   const auto start = std::chrono::steady_clock::now();
   clear();
   if (trees.empty()) return;
 
-  roots_.reserve(trees.size());
-  levels_.reserve(trees.size());
-
-  std::vector<std::int32_t> global_of;  // tree node index -> internal plane index
-  std::vector<int> frontier, next_frontier, order;
+  // A fitted binary tree of n nodes has n / 2 internal ones (n odd) and
+  // one leaf more, so every array is sized once.
+  std::size_t internal_total = 0;
+  for (const RegressionTree& tree : trees) internal_total += tree.node_count() / 2;
+  nodes_.reserve(internal_total);
+  leaf_value_.reserve(internal_total + trees.size());
+  trees_.reserve(trees.size());
+  std::vector<std::int32_t> local;  // tree node index -> tree-local reference
   for (const RegressionTree& tree : trees) {
     if (!tree.fitted()) {
       clear();
       return;
     }
-    const std::size_t base = feature_.size();
-    global_of.assign(tree.node_count(), -1);
-
-    const RegressionTree::NodeView root = tree.node_view(0);
-    if (root.feature < 0) {
-      // Single-leaf tree: the root itself is an inlined leaf reference.
-      roots_.push_back(~static_cast<std::int32_t>(leaf_value_.size()));
-      leaf_value_.push_back(leaf_scale * root.value);
-      levels_.push_back(0);
-      continue;
-    }
-
-    // Pass 1: breadth-first numbering of the internal nodes, so every
-    // depth level occupies one contiguous plane block and the level count
-    // bounds the traversal iterations.
-    order.clear();
-    frontier.assign(1, 0);
-    std::uint32_t levels = 0;
-    while (!frontier.empty()) {
-      ++levels;
-      next_frontier.clear();
-      for (const int n : frontier) {
-        global_of[static_cast<std::size_t>(n)] =
-            static_cast<std::int32_t>(base + order.size());
-        order.push_back(n);
-        const RegressionTree::NodeView node = tree.node_view(static_cast<std::size_t>(n));
-        if (tree.node_view(static_cast<std::size_t>(node.left)).feature >= 0) {
-          next_frontier.push_back(node.left);
-        }
-        if (tree.node_view(static_cast<std::size_t>(node.right)).feature >= 0) {
-          next_frontier.push_back(node.right);
-        }
+    // Pass 1: number internal nodes and leaves in storage order (the
+    // fitters' pre-order, so the root is node 0) and push the leaves'
+    // scaled values.
+    const std::size_t node_base = nodes_.size();
+    const std::size_t leaf_base = leaf_value_.size();
+    local.resize(tree.node_count());
+    std::size_t internal = 0;
+    std::size_t leaves = 0;
+    for (std::size_t i = 0; i < tree.node_count(); ++i) {
+      const RegressionTree::NodeView node = tree.node_view(i);
+      if (node.feature >= 0) {
+        local[i] = static_cast<std::int32_t>(internal++);
+      } else {
+        local[i] = ~static_cast<std::int32_t>(leaves++);
+        leaf_value_.push_back(leaf_scale * node.value);
       }
-      frontier.swap(next_frontier);
+    }
+    if (internal > kMaxPerTree || leaves > kMaxPerTree) {
+      clear();  // child references too narrow — callers keep the pointer walk
+      return;
     }
 
-    // Pass 2: fill the planes in that order, inlining leaf children as
-    // negative references into the leaf-value plane (encounter order).
-    for (const int n : order) {
-      const RegressionTree::NodeView node = tree.node_view(static_cast<std::size_t>(n));
-      if (node.feature > std::numeric_limits<std::uint16_t>::max()) {
-        clear();  // feature plane too narrow — callers keep the pointer walk
-        return;
-      }
-      auto child_ref = [&](int child) -> std::int32_t {
-        const RegressionTree::NodeView c = tree.node_view(static_cast<std::size_t>(child));
-        if (c.feature >= 0) return global_of[static_cast<std::size_t>(child)];
-        const std::int32_t leaf = static_cast<std::int32_t>(leaf_value_.size());
-        leaf_value_.push_back(leaf_scale * c.value);
-        return ~leaf;
-      };
-      feature_.push_back(static_cast<std::uint16_t>(node.feature));
-      threshold_.push_back(node.threshold);
-      left_.push_back(child_ref(node.left));
-      right_.push_back(child_ref(node.right));
+    // Pass 2: one record per internal node, in the same order.
+    for (std::size_t i = 0; i < tree.node_count(); ++i) {
+      const RegressionTree::NodeView node = tree.node_view(i);
+      if (node.feature < 0) continue;
+      nodes_.push_back({node.threshold,
+                        {static_cast<std::int16_t>(local[static_cast<std::size_t>(node.left)]),
+                         static_cast<std::int16_t>(local[static_cast<std::size_t>(node.right)])},
+                        static_cast<std::uint32_t>(node.feature)});
     }
-    roots_.push_back(global_of[0]);
-    levels_.push_back(levels);
+    // A single-leaf tree points its base at node 0: its lockstep lane
+    // re-reads that record while the rest of its group walks, so the
+    // base must stay in range.
+    trees_.push_back({static_cast<std::uint32_t>(internal > 0 ? node_base : 0),
+                      static_cast<std::uint32_t>(leaf_base), local[0]});
   }
 
-  // The int32 child planes must be able to address every node and leaf.
-  const auto limit = static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
-  if (feature_.size() >= limit || leaf_value_.size() >= limit) {
+  // The uint32 tree bases must be able to address every node and leaf.
+  const auto limit = static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max());
+  if (nodes_.size() > limit || leaf_value_.size() > limit) {
     clear();
     return;
-  }
-
-  // Traversal schedule: depth-sort (descending, stable) within each
-  // ensemble-order chunk of kTreeChunk trees, so the kernel's round L runs
-  // over the contiguous prefix of trees that still have internal nodes at
-  // depth L. rank_ inverts the sort for the ordered accumulation pass, and
-  // chunks themselves stay in ensemble order, so the global add order is
-  // untouched by the reordering.
-  const std::size_t total = roots_.size();
-  sorted_root_.resize(total);
-  rank_.resize(total);
-  std::vector<std::uint32_t> slot;
-  for (std::size_t base = 0; base < total; base += kTreeChunk) {
-    const std::size_t n = std::min(kTreeChunk, total - base);
-    slot.resize(n);
-    std::iota(slot.begin(), slot.end(), 0u);
-    std::stable_sort(slot.begin(), slot.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return levels_[base + a] > levels_[base + b];
-    });
-    const std::uint32_t depth = n > 0 ? levels_[base + slot[0]] : 0;
-    chunk_depth_.push_back(depth);
-    level_offset_.push_back(static_cast<std::uint32_t>(level_counts_.size()));
-    for (std::uint32_t level = 0; level < depth; ++level) {
-      std::uint32_t active = 0;
-      while (active < n && levels_[base + slot[active]] > level) ++active;
-      level_counts_.push_back(active);
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      sorted_root_[base + j] = roots_[base + slot[j]];
-      rank_[base + slot[j]] = static_cast<std::uint32_t>(j);
-    }
   }
 
   compile_seconds_ =
@@ -288,15 +107,62 @@ ForestCompileReport CompiledForest::report() const {
   return r;
 }
 
+// Groups of kLockstepTrees trees advance together: each step moves every
+// lane of the group one level, with a lane already on its leaf re-reading
+// its root (index max(c, 0)) and keeping its leaf through the select, so
+// the step neither branches on a compare nor on a lane's state. The AND of
+// the new cursors is taken inside the step, so the loop test needs no
+// reload of the cursors just stored. The leaf adds then run in ensemble
+// order, which keeps every sum bit the pointer walk's. The child index is
+// the compare's negation, not a ?: over two fields, so the compiler emits
+// setcc plus an indexed load instead of a conditional jump on the
+// threshold compare.
+double CompiledForest::accumulate_row(const double* x, double sum) const {
+  constexpr std::size_t kLanes = kLockstepTrees;
+  const Node* nodes = nodes_.data();
+  const double* leaves = leaf_value_.data();
+  const std::size_t num_trees = trees_.size();
+  std::size_t t = 0;
+  for (; t + kLanes <= num_trees; t += kLanes) {
+    const Tree* group = trees_.data() + t;
+    std::int32_t cur[kLanes];
+    std::int32_t all = -1;  // sign set once every lane holds a leaf
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      cur[k] = group[k].root;
+      all &= cur[k];
+    }
+    while (all >= 0) {
+      all = -1;
+#pragma GCC unroll 8
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        const std::int32_t c = cur[k];
+        const Node& n = nodes[group[k].nodes + static_cast<std::uint32_t>(c & ~(c >> 31))];
+        const std::int32_t next = n.child[!(x[n.feature] <= n.threshold)];
+        cur[k] = c < 0 ? c : next;
+        all &= cur[k];
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < kLanes; ++k) sum += leaves[group[k].leaves + ~cur[k]];
+  }
+  for (; t < num_trees; ++t) {
+    const Tree& tree = trees_[t];
+    std::int32_t c = tree.root;
+    while (c >= 0) {
+      const Node& n = nodes[tree.nodes + static_cast<std::uint32_t>(c)];
+      c = n.child[!(x[n.feature] <= n.threshold)];
+    }
+    sum += leaves[tree.leaves + ~c];
+  }
+  return sum;
+}
+
 void CompiledForest::accumulate_tile(const double* const* rows, std::size_t count,
                                      double* acc) const {
   AQUA_REQUIRE(compiled(), "accumulate on an uncompiled forest");
   AQUA_REQUIRE(count <= kTileRows, "tile exceeds kTileRows");
-  const ForestPlanes planes{feature_.data(),     threshold_.data(),    left_.data(),
-                            right_.data(),       leaf_value_.data(),   sorted_root_.data(),
-                            rank_.data(),        chunk_depth_.data(),  level_offset_.data(),
-                            level_counts_.data(), roots_.size()};
-  accumulate_forest(planes, rows, count, acc);
+  for (std::size_t i = 0; i < count; ++i) acc[i] = accumulate_row(rows[i], acc[i]);
 }
 
 double CompiledForest::accumulate(std::span<const double> x, double init) const {

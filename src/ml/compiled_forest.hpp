@@ -1,22 +1,24 @@
-// Compiled structure-of-arrays forest-inference kernels. A fitted tree
-// ensemble (the trees of RandomForest, GradientBoosting, or the forest
-// inside HybridRSL) walks heap-allocated 40-byte Node objects pointer by
-// pointer at prediction time — the last unvectorized Phase II hot path
-// after PR 4 hoisted the shared input map and PR 5 vectorized training.
-// CompiledForest flattens every ensemble once at fit/load time into
-// contiguous node planes (uint16 feature, double threshold, int32 child
-// offsets with leaves inlined as negative offsets referencing a separate
-// leaf-value plane), laid out breadth-first so each depth level is a
-// contiguous block, plus a blocked traversal kernel that advances a tile
-// of kTileRows snapshots through one tree at a time — node loads amortize
-// across the tile and the compare/select step is hand-vectorized behind
-// the same target_clones avx2/avx512 dispatch as the training kernels.
+// Compiled forest-inference kernel. A fitted tree ensemble (the trees of
+// RandomForest, GradientBoosting, or the forest inside HybridRSL) walks
+// heap-allocated 40-byte Node objects pointer by pointer at prediction
+// time. CompiledForest flattens every ensemble once at fit/load time into
+// 16-byte node records (the original double threshold, two tree-local
+// int16 child references and the feature index), a pre-scaled leaf plane,
+// and one small record per tree holding its node and leaf bases.
+//
+// The kernel walks each row through the trees in ensemble-order groups of
+// kLockstepTrees: the group's cursors advance together with the
+// branchless step `child[!(x[feature] <= threshold)]` until every one of
+// them sits on a leaf, so the eight independent load chains overlap and
+// no step branches on a compare. Trees past the last full group are
+// walked one at a time.
 //
 // Bit-identity contract: traversal decisions are the exact IEEE compare
-// `x[feature] <= threshold` on the original double threshold, the leaf
-// payload is `leaf_scale * value` computed once at compile time (the same
-// product the pointer walk computes per visit), and accumulation adds
-// tree contributions in ensemble order — so every compiled prediction is
+// `x[feature] <= threshold` on the original double threshold (NaN and
+// +Inf go right at every node, as in the pointer walk), the leaf payload
+// is `leaf_scale * value` computed once at compile time (the same product
+// the pointer walk computes per visit), and each row adds its tree
+// contributions in ensemble order — so every compiled prediction is
 // bitwise equal to the pointer-walking oracle it was flattened from.
 #pragma once
 
@@ -40,25 +42,14 @@ struct ForestCompileReport {
   double seconds = 0.0;
 };
 
-/// Process-wide kernel switch, read on every tile call. Defaults to
-/// enabled; benches and tests flip it to time / cross-check the retained
-/// pointer-walking path. Not meant for production tuning.
-bool compiled_forest_enabled() noexcept;
-void set_compiled_forest_enabled(bool enabled) noexcept;
-
 class CompiledForest {
  public:
-  /// Rows advanced together through the ensemble. 8 keeps the kernel's
-  /// per-chunk node cursors (kTreeChunk x kTileRows int32) inside an
-  /// 8 KiB stack block that stays L1-resident while still amortizing
-  /// every node and leaf load 8-fold across the tile.
+  /// Rows per accumulate_tile() call, the width the batched predictors
+  /// hand down (BinaryClassifier::kPredictTileRows).
   static constexpr std::size_t kTileRows = 8;
 
-  /// Trees traversed level-synchronously per scratch block. The kernel
-  /// walks a chunk's trees depth-sorted so each traversal round runs over
-  /// a branchless prefix of the chunk (no per-tree mispredicted depth
-  /// loops), then replays the leaf adds in ensemble order.
-  static constexpr std::size_t kTreeChunk = 256;
+  /// Trees whose cursors one row advances together.
+  static constexpr std::size_t kLockstepTrees = 8;
 
   CompiledForest() = default;
 
@@ -66,58 +57,55 @@ class CompiledForest {
   /// into the leaf plane: the pointer paths add `scale * leaf` per tree
   /// (RandomForest scale 1, GradientBoosting the learning rate), and
   /// computing that product once at compile time yields the same bits as
-  /// computing it per visit. Compilation fails soft — ensembles whose
-  /// feature indices exceed the uint16 plane stay uncompiled and the
-  /// callers fall back to the pointer walk.
+  /// computing it per visit. Compilation fails soft — an ensemble holding
+  /// a tree of more than 32768 internal nodes or leaves (the reach of the
+  /// int16 child references) stays uncompiled, and the callers keep the
+  /// pointer walk.
   void compile(std::span<const RegressionTree> trees, double leaf_scale);
 
   void clear();
 
-  bool compiled() const noexcept { return !roots_.empty(); }
-  std::size_t num_trees() const noexcept { return roots_.size(); }
-  std::size_t num_internal_nodes() const noexcept { return feature_.size(); }
+  bool compiled() const noexcept { return !trees_.empty(); }
+  std::size_t num_trees() const noexcept { return trees_.size(); }
+  std::size_t num_internal_nodes() const noexcept { return nodes_.size(); }
   std::size_t num_leaves() const noexcept { return leaf_value_.size(); }
   double compile_seconds() const noexcept { return compile_seconds_; }
-  /// Per-tree BFS level counts (the traversal iterations each tree needs);
-  /// structural introspection for tests and tuning probes.
-  std::span<const std::uint32_t> levels() const noexcept { return levels_; }
   ForestCompileReport report() const;
 
   /// Advances `count` (<= kTileRows) rows through every tree in ensemble
   /// order, adding each tree's scaled leaf value into acc[i]. Callers
   /// seed acc with the ensemble's initial score (0 for a forest mean,
   /// base_score for boosting). Reentrant: all state is immutable after
-  /// compile() and the scratch is stack-local.
+  /// compile(). Reads x[f] for every split feature f unchecked;
+  /// ProfileModel::load rejects a profile whose rows are narrower than
+  /// its trees read.
   void accumulate_tile(const double* const* rows, std::size_t count, double* acc) const;
 
   /// Single-row convenience over accumulate_tile (tests, oracles).
   double accumulate(std::span<const double> x, double init) const;
 
  private:
-  // Node planes over every internal node of every tree, breadth-first per
-  // tree (depth level d of a tree is one contiguous block, so a tile of
-  // rows at the same level touches a compact plane range). Child entries
-  // >= 0 index these planes (forest-global); a negative child c is an
-  // inlined leaf reference: leaf_value_[~c].
-  std::vector<std::uint16_t> feature_;
-  std::vector<double> threshold_;
-  std::vector<std::int32_t> left_;
-  std::vector<std::int32_t> right_;
-  std::vector<double> leaf_value_;  // pre-scaled by leaf_scale
-  std::vector<std::int32_t> roots_;   // per tree: internal node or ~leaf
-  std::vector<std::uint32_t> levels_;  // per tree: traversal iterations
+  /// One internal node. A child reference >= 0 is a node of the same
+  /// tree (relative to Tree::nodes); a negative one c is the tree's leaf
+  /// ~c (relative to Tree::leaves).
+  struct Node {
+    double threshold;       // child[0] when x[feature] <= threshold
+    std::int16_t child[2];  // {left, right}
+    std::uint32_t feature;
+  };
 
-  // Traversal schedule, derived at compile time: trees are partitioned
-  // into ensemble-order chunks of kTreeChunk and depth-sorted (descending,
-  // stable) inside each chunk, so traversal round L of a chunk touches
-  // the branchless prefix of `level_counts_` active trees. `rank_` maps
-  // an ensemble position back to its chunk-local sorted slot for the
-  // ordered accumulation pass.
-  std::vector<std::int32_t> sorted_root_;    // per chunk: roots, depth-sorted
-  std::vector<std::uint32_t> rank_;          // ensemble pos -> chunk-local slot
-  std::vector<std::uint32_t> chunk_depth_;   // per chunk: rounds to run
-  std::vector<std::uint32_t> level_offset_;  // per chunk: index into level_counts_
-  std::vector<std::uint32_t> level_counts_;  // active trees at each round
+  struct Tree {
+    std::uint32_t nodes;   // first node record (0 for a single-leaf tree)
+    std::uint32_t leaves;  // first leaf value
+    std::int32_t root;     // 0, or ~0 when the root itself is a leaf
+  };
+
+  /// sum plus every tree's leaf for row x, added in ensemble order.
+  double accumulate_row(const double* x, double sum) const;
+
+  std::vector<Node> nodes_;         // per tree, in the tree's storage order
+  std::vector<double> leaf_value_;  // pre-scaled by leaf_scale
+  std::vector<Tree> trees_;
   double compile_seconds_ = 0.0;
 };
 

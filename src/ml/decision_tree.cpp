@@ -863,6 +863,14 @@ std::size_t RegressionTree::depth() const noexcept {
   return max_depth;
 }
 
+std::size_t RegressionTree::input_width() const noexcept {
+  std::size_t width = 0;
+  for (const Node& node : nodes_) {
+    if (node.feature >= 0) width = std::max(width, static_cast<std::size_t>(node.feature) + 1);
+  }
+  return width;
+}
+
 void RegressionTree::save(io::BinaryWriter& writer) const {
   writer.write_u64(config_.max_depth);
   writer.write_u64(config_.min_samples_split);

@@ -101,6 +101,9 @@ class RegressionTree {
   bool fitted() const noexcept { return !nodes_.empty(); }
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t depth() const noexcept;
+  /// Largest split feature + 1 (0 for a single leaf): the row width
+  /// predict() reads.
+  std::size_t input_width() const noexcept;
 
   /// Bytes of the smallest serialized tree (five config words and the
   /// node count): the bound ensemble loaders put on a tree count.

@@ -105,6 +105,13 @@ void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
   compiled_.compile(trees_, config_.learning_rate);
 }
 
+BinaryClassifier::InputWidth GradientBoostingClassifier::input_width() const {
+  if (constant_) return {};
+  std::size_t width = 0;
+  for (const auto& tree : trees_) width = std::max(width, tree.input_width());
+  return {width, false};
+}
+
 double GradientBoostingClassifier::predict_proba(std::span<const double> x) const {
   if (constant_) return constant_probability_;
   AQUA_REQUIRE(!trees_.empty(), "predict on unfitted model");
@@ -117,7 +124,7 @@ void GradientBoostingClassifier::predict_proba_mapped_tile(const double* const* 
                                                            std::size_t count, std::size_t dim,
                                                            double* out,
                                                            std::size_t stride) const {
-  if (constant_ || !compiled_.compiled() || !compiled_forest_enabled()) {
+  if (constant_ || !compiled_.compiled()) {
     BinaryClassifier::predict_proba_mapped_tile(rows, count, dim, out, stride);
     return;
   }

@@ -27,7 +27,8 @@ class GradientBoostingClassifier final : public BinaryClassifier {
 
   void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
-  /// Compiled SoA traversal over the whole tile (bit-identical to the
+  InputWidth input_width() const override;
+  /// Compiled traversal over the whole tile (bit-identical to the
   /// per-row pointer walk): the learning rate is baked into the leaf
   /// plane at compile time, so accumulation replays score += lr * leaf
   /// in round order exactly.
@@ -51,7 +52,7 @@ class GradientBoostingClassifier final : public BinaryClassifier {
 
   GradientBoostingConfig config_;
   std::vector<RegressionTree> trees_;
-  /// SoA flattening of trees_ (leaf values pre-scaled by learning_rate),
+  /// Compiled flattening of trees_ (leaf values pre-scaled by learning_rate),
   /// rebuilt after every fit/load; derived state, never serialized.
   CompiledForest compiled_;
   double base_score_ = 0.0;  // initial log-odds

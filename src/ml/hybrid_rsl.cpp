@@ -40,6 +40,14 @@ void HybridRslClassifier::fit_with_store(const Matrix& x, const Labels& y,
   meta_.fit(meta_features, y);
 }
 
+BinaryClassifier::InputWidth HybridRslClassifier::input_width() const {
+  if (constant_) return {};
+  const InputWidth trees = forest_.input_width();
+  const InputWidth svm = svm_.input_width();
+  if (!svm.exact) return trees;  // a constant SVM branch reads nothing
+  return {std::max(trees.width, svm.width), true};
+}
+
 double HybridRslClassifier::predict_proba(std::span<const double> x) const {
   if (constant_) return constant_probability_;
   const double meta_input[2] = {forest_.predict_proba(x), svm_.predict_proba(x)};

@@ -24,6 +24,10 @@ class HybridRslClassifier final : public BinaryClassifier {
 
   void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
+  /// The SVM branch standardizes the whole row and the forest branch
+  /// reads its prefix, so the row must be the SVM's width and cover the
+  /// forest's splits.
+  InputWidth input_width() const override;
   /// Shared-input-map protocol: the map is [x | svm-map(x)] — raw
   /// features for the forest branch, the inner SVM's SvmFeatureMap (one
   /// object shared by every label, see SvmClassifier) for the SVM branch.
@@ -33,7 +37,7 @@ class HybridRslClassifier final : public BinaryClassifier {
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;
   double predict_proba_mapped(std::span<const double> mapped) const override;
-  /// Tile path: the forest branch runs the inner RF's compiled SoA kernel
+  /// Tile path: the forest branch runs the inner RF's compiled kernel
   /// over the whole tile; the SVM and meta heads stay per-row.
   void predict_proba_mapped_tile(const double* const* rows, std::size_t count, std::size_t dim,
                                  double* out, std::size_t stride) const override;

@@ -41,6 +41,11 @@ class LinearModelCore {
   double constant_probability() const noexcept { return constant_probability_; }
   const std::vector<double>& weights() const noexcept { return weights_; }
   const StandardScaler& scaler() const noexcept { return scaler_; }
+  /// The scaler's width, exact; nothing for a constant model.
+  BinaryClassifier::InputWidth input_width() const noexcept {
+    if (constant_) return {};
+    return {scaler_.mean().size(), true};
+  }
 
   void save(io::BinaryWriter& writer) const;
   void load(io::BinaryReader& reader);
@@ -76,6 +81,7 @@ class LinearRegressionClassifier final : public BinaryClassifier {
                           .seed = 13});
   void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
+  InputWidth input_width() const override { return core_.input_width(); }
   bool input_map_is_identity() const override { return false; }
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;
@@ -97,6 +103,7 @@ class LogisticRegressionClassifier final : public BinaryClassifier {
   explicit LogisticRegressionClassifier(SgdConfig config = {});
   void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
+  InputWidth input_width() const override { return core_.input_width(); }
   bool input_map_is_identity() const override { return false; }
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;

@@ -56,9 +56,9 @@ class MultiLabelModel {
   /// input-map protocol), the map is computed once per row and the rows
   /// advance through the per-label heads a tile at a time
   /// (kPredictTileRows rows per tile), so tree-backed heads run their
-  /// compiled SoA traversal kernel with node loads amortized across the
-  /// tile — bit-identical to per-row predict_proba, since sharing and
-  /// tiling only elide recomputation of bitwise-equal subexpressions.
+  /// compiled traversal kernel — bit-identical to per-row predict_proba,
+  /// since sharing and tiling only elide recomputation of bitwise-equal
+  /// subexpressions.
   /// Otherwise falls back to a label-major sweep (per-label model state
   /// stays cache-hot across the whole batch). Reentrant: safe to call
   /// concurrently on a fitted model.

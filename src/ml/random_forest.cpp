@@ -98,6 +98,13 @@ void RandomForestClassifier::fit_impl(const Matrix& x, const Labels& y,
   compiled_.compile(trees_, 1.0);
 }
 
+BinaryClassifier::InputWidth RandomForestClassifier::input_width() const {
+  if (constant_) return {};
+  std::size_t width = 0;
+  for (const auto& tree : trees_) width = std::max(width, tree.input_width());
+  return {width, false};
+}
+
 double RandomForestClassifier::predict_proba(std::span<const double> x) const {
   if (constant_) return constant_probability_;
   AQUA_REQUIRE(!trees_.empty(), "predict on unfitted forest");
@@ -109,7 +116,7 @@ double RandomForestClassifier::predict_proba(std::span<const double> x) const {
 void RandomForestClassifier::predict_proba_mapped_tile(const double* const* rows,
                                                        std::size_t count, std::size_t dim,
                                                        double* out, std::size_t stride) const {
-  if (constant_ || !compiled_.compiled() || !compiled_forest_enabled()) {
+  if (constant_ || !compiled_.compiled()) {
     BinaryClassifier::predict_proba_mapped_tile(rows, count, dim, out, stride);
     return;
   }

@@ -33,9 +33,10 @@ class RandomForestClassifier final : public BinaryClassifier {
 
   void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
-  /// Compiled SoA traversal over the whole tile (bit-identical to the
+  InputWidth input_width() const override;
+  /// Compiled traversal over the whole tile (bit-identical to the
   /// per-row pointer walk); falls back to the base per-row loop when the
-  /// ensemble is degenerate or the kernel is disabled.
+  /// ensemble is degenerate or did not compile.
   void predict_proba_mapped_tile(const double* const* rows, std::size_t count, std::size_t dim,
                                  double* out, std::size_t stride) const override;
   const CompiledForest* compiled_forest() const override {
@@ -56,7 +57,7 @@ class RandomForestClassifier final : public BinaryClassifier {
 
   RandomForestConfig config_;
   std::vector<RegressionTree> trees_;
-  /// SoA flattening of trees_, rebuilt after every fit/load (derived
+  /// Compiled flattening of trees_, rebuilt after every fit/load (derived
   /// state, never serialized). The pointer-walking predict_proba stays
   /// the oracle.
   CompiledForest compiled_;

@@ -103,6 +103,11 @@ class SvmClassifier final : public BinaryClassifier {
   std::vector<double> fit_decisions(const Matrix& x, const Labels& y, const FitStore& store);
 
   double predict_proba(std::span<const double> x) const override;
+  /// The feature map's input width, exact; nothing for a constant model.
+  InputWidth input_width() const override {
+    if (constant_) return {};
+    return {map_->input_dimension(), true};
+  }
   /// Shared-input-map protocol: the map is the whole SvmFeatureMap; only
   /// w, b and the Platt sigmoid are per-label. Hoisting it is the
   /// dominant batched-inference win: the RFF map (D x d multiplies + D

@@ -1,6 +1,7 @@
 #include "serving/daemon.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <string>
 #include <utility>
 
@@ -39,7 +40,7 @@ std::shared_ptr<const ModelBundle> load_bundle(const std::string& path, std::uin
 
 telemetry::StageTimes ServingDaemon::make_district_schema() {
   return telemetry::StageTimes({"queue_wait", "infer"},
-                               {"submitted", "served", "shed", "batches", "swaps"});
+                               {"submitted", "served", "shed", "batches", "swaps", "failed"});
 }
 
 ServingDaemon::ServingDaemon(std::vector<DistrictConfig> districts, ServingDaemonOptions options,
@@ -170,6 +171,10 @@ std::uint64_t ServingDaemon::shed_count(std::size_t district) const {
   return district_at(district).stats.count(kCounterShed);
 }
 
+std::uint64_t ServingDaemon::failed_count(std::size_t district) const {
+  return district_at(district).stats.count(kCounterFailed);
+}
+
 std::vector<std::pair<std::string, double>> ServingDaemon::metrics() const {
   std::vector<std::pair<std::string, double>> all;
   for (const auto& dist : districts_) {
@@ -242,15 +247,23 @@ void ServingDaemon::process_batch(std::size_t index, District& district,
   for (auto& request : batch) inputs.push_back(std::move(request.inputs));
 
   const double infer_start = telemetry::monotonic_seconds();
-  const std::vector<core::InferenceResult> results = bundle->engine().infer_batch(inputs);
+  std::vector<core::InferenceResult> results;
+  std::string batch_error;
+  try {
+    results = bundle->engine().infer_batch(inputs);
+  } catch (const std::exception& error) {
+    batch_error = std::string("inference failed: ") + error.what();
+  } catch (...) {
+    batch_error = "inference failed";
+  }
   const double complete_seconds = telemetry::monotonic_seconds();
   const double infer_share =
       (complete_seconds - infer_start) / static_cast<double>(batch.size());
+  const core::InferenceResult no_result;
 
   telemetry::StageTimes local = make_district_schema();
   local.add_seconds(kStageInfer, complete_seconds - infer_start,
                     static_cast<std::uint64_t>(batch.size()));
-  local.add_count(kCounterServed, batch.size());
   local.add_count(kCounterBatches, 1);
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -267,7 +280,14 @@ void ServingDaemon::process_batch(std::size_t index, District& district,
     event.complete_seconds = complete_seconds;
     event.queue_seconds = queue_seconds;
     event.infer_seconds = infer_share;
-    sink_(event, results[i]);
+    event.error = batch_error;
+    bool delivered = batch_error.empty();
+    try {
+      sink_(event, delivered ? results[i] : no_result);
+    } catch (...) {
+      delivered = false;  // this request only; the rest still go out
+    }
+    local.add_count(delivered ? kCounterServed : kCounterFailed, 1);
   }
   district.stats.merge(local);
 }

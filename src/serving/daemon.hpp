@@ -57,7 +57,7 @@ class ModelBundle {
   std::uint64_t version() const noexcept { return version_; }
 
   /// Compiled-forest statistics captured at construction. Tree ensembles
-  /// compile to SoA planes inside classifier fit/load_state, i.e. on the
+  /// compile to node records inside classifier fit/load_state, i.e. on the
   /// publisher path of a hot swap — by the time a bundle is published the
   /// compile cost is already paid, and this report (exported per district
   /// as forest.compile_seconds / forest.compiled_trees) is the proof.
@@ -104,12 +104,17 @@ struct ResultEvent {
   double complete_seconds = 0.0;    // monotonic clock when the batch finished
   double queue_seconds = 0.0;       // time spent waiting in the ingest queue
   double infer_seconds = 0.0;       // this request's share of batch inference
+  /// Empty when the request was served. Otherwise its batch failed (say,
+  /// an exception from inference): this is the message, and the result
+  /// passed alongside is empty.
+  std::string error;
 };
 
-/// Called once per served request, in per-district submission order, from
-/// a worker thread. Must be thread-safe when num_workers > 1 (two
-/// districts' batches can complete concurrently). Re-entrant submit() from
-/// inside a sink is allowed.
+/// Called once per dequeued request, served or failed, in per-district
+/// submission order, from a worker thread. Must be thread-safe when
+/// num_workers > 1 (two districts' batches can complete concurrently).
+/// Re-entrant submit() from inside a sink is allowed. A sink that throws
+/// fails that request only: the daemon counts it and keeps serving.
 using ResultSink = std::function<void(const ResultEvent&, const core::InferenceResult&)>;
 
 /// Called when admission control sheds a request (from inside submit(), on
@@ -145,6 +150,7 @@ class ServingDaemon {
     kCounterShed,
     kCounterBatches,
     kCounterSwaps,
+    kCounterFailed,  // dequeued but not delivered: inference or the sink threw
     kNumCounters,
   };
   static telemetry::StageTimes make_district_schema();
@@ -199,6 +205,7 @@ class ServingDaemon {
   std::uint64_t submitted_count(std::size_t district) const;
   std::uint64_t served_count(std::size_t district) const;
   std::uint64_t shed_count(std::size_t district) const;
+  std::uint64_t failed_count(std::size_t district) const;
 
   /// Flat metric pairs for every district, prefixed
   /// "district.<name>.<metric>", ready for bench_util::json_report.
@@ -238,6 +245,9 @@ class ServingDaemon {
   /// flight. Caller holds the mutex. Returns false when none is ready.
   bool next_ready_district(std::size_t* out);
   void worker_loop();
+  /// Runs one batch and delivers every request to the sink. Never
+  /// throws: a failing inference or sink counts the requests it hit as
+  /// failed, so the worker goes on serving every district.
   void process_batch(std::size_t index, District& district, std::vector<PendingRequest> batch,
                      double dequeue_seconds);
 

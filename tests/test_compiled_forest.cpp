@@ -1,19 +1,24 @@
-// Compiled SoA forest-kernel contract tests (DESIGN.md §14). The flattened
+// Compiled forest-kernel contract tests (DESIGN.md §14). The lockstep
 // tile kernel must be bitwise identical to the pointer-walking oracle it
-// was compiled from — on fresh fits, after artifact round-trips through
-// both the buffered and the mmap readers, through the shared-input-map
-// batch path, and under concurrent tile calls on one shared model. The
-// concurrency test spawns raw std::threads on purpose and is meaningful
-// under TSan (label "kernel;concurrency").
+// was compiled from — on every lockstep remainder, single-leaf and deep
+// trees, non-finite and on-threshold inputs, fresh fits, after artifact
+// round-trips through both the buffered and the mmap readers, through the
+// shared-input-map batch path, and under concurrent tile calls on one
+// shared model. The concurrency test spawns raw std::threads on purpose
+// and is meaningful under TSan (label "kernel;concurrency").
 #include "ml/compiled_forest.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,11 +36,6 @@ namespace {
 
 using core::ModelKind;
 using core::ProfileModel;
-
-/// Restores the process-wide kernel switch no matter how a test exits.
-struct KernelSwitchGuard {
-  ~KernelSwitchGuard() { set_compiled_forest_enabled(true); }
-};
 
 std::pair<Matrix, Labels> blobs(std::size_t n, Rng& rng) {
   Matrix x(n, 6);
@@ -149,11 +149,185 @@ TEST(CompiledForest, ReportCountsCompiledStateAndClearsWithIt) {
   EXPECT_EQ(cleared.seconds, 0.0);
 }
 
+// --- Lockstep kernel edge cases, bitwise against the pointer walk ------
+
+/// The pointer walk the kernel must reproduce: init plus every tree's
+/// scaled leaf, added in ensemble order.
+double pointer_walk_sum(std::span<const RegressionTree> trees, double scale,
+                        std::span<const double> x, double init) {
+  double sum = init;
+  for (const auto& tree : trees) sum += scale * tree.predict(x);
+  return sum;
+}
+
+/// Checks every row of `probe` through single-row calls and full tiles.
+void expect_kernel_matches_pointer_walk(std::span<const RegressionTree> trees, double scale,
+                                        const Matrix& probe, const std::string& what) {
+  CompiledForest forest;
+  forest.compile(trees, scale);
+  ASSERT_TRUE(forest.compiled()) << what;
+  ASSERT_EQ(forest.num_trees(), trees.size()) << what;
+  const double init = -0.125;
+  for (std::size_t begin = 0; begin < probe.rows(); begin += CompiledForest::kTileRows) {
+    const std::size_t n = std::min(CompiledForest::kTileRows, probe.rows() - begin);
+    std::array<const double*, CompiledForest::kTileRows> rows{};
+    std::array<double, CompiledForest::kTileRows> acc{};
+    for (std::size_t i = 0; i < n; ++i) {
+      rows[i] = probe.row(begin + i).data();
+      acc[i] = init;
+    }
+    forest.accumulate_tile(rows.data(), n, acc.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto x = probe.row(begin + i);
+      const double want = pointer_walk_sum(trees, scale, x, init);
+      const std::string where = what + " row " + std::to_string(begin + i);
+      expect_same_bits(acc[i], want, where + " (tile)");
+      expect_same_bits(forest.accumulate(x, init), want, where + " (single row)");
+    }
+  }
+}
+
+/// `n` trees of assorted depths (1..12) on flipped blob targets; every
+/// tree in `single_leaf` trains on a constant target and stays one leaf.
+std::vector<RegressionTree> assorted_trees(std::size_t n, std::span<const std::size_t> single_leaf,
+                                           std::uint64_t seed) {
+  Rng rng(seed);
+  const auto [x, yb] = blobs(240, rng);
+  std::vector<RegressionTree> trees;
+  trees.reserve(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    TreeConfig config;
+    config.max_depth = 1 + t % 12;
+    config.min_samples_split = 2;
+    config.min_samples_leaf = 1;
+    std::vector<double> y(yb.begin(), yb.end());
+    if (std::find(single_leaf.begin(), single_leaf.end(), t) != single_leaf.end()) {
+      y.assign(y.size(), 0.75);
+    } else {
+      for (std::size_t i = t % 5; i < y.size(); i += 3 + t % 4) y[i] = 1.0 - y[i];
+    }
+    RegressionTree tree(config);
+    tree.fit(x, y);
+    trees.push_back(std::move(tree));
+  }
+  return trees;
+}
+
+TEST(CompiledForest, EveryLockstepRemainderMatchesPointerWalk) {
+  // 1 and 7 trees never fill a group, 8 is exactly one, 9 leaves one
+  // tree over, and 41 runs five groups plus a remainder.
+  Rng probe_rng(131);
+  const Matrix probe = blobs(37, probe_rng).first;
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 41u}) {
+    const auto trees = assorted_trees(n, {}, 130 + n);
+    expect_kernel_matches_pointer_walk(trees, 0.3, probe, std::to_string(n) + " trees");
+  }
+}
+
+TEST(CompiledForest, SingleLeafTreesInsideGroupsMatchPointerWalk) {
+  // Single-leaf trees at a group's first and last lane, two side by side,
+  // a whole group of them, and the ensemble's last tree, whose lane reads
+  // node 0 while the rest of its group walks.
+  const std::vector<std::size_t> single_leaf{0, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 19};
+  const auto trees = assorted_trees(20, single_leaf, 132);
+  for (const std::size_t t : single_leaf) ASSERT_EQ(trees[t].node_count(), 1u) << "tree " << t;
+  Rng probe_rng(133);
+  const Matrix probe = blobs(24, probe_rng).first;
+  expect_kernel_matches_pointer_walk(trees, 1.0, probe, "mixed single-leaf");
+
+  const auto leaves_only = assorted_trees(9, std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8},
+                                          134);
+  CompiledForest forest;
+  forest.compile(leaves_only, 1.0);
+  ASSERT_TRUE(forest.compiled());
+  EXPECT_EQ(forest.num_internal_nodes(), 0u);
+  expect_kernel_matches_pointer_walk(leaves_only, 1.0, probe, "all single-leaf");
+}
+
+TEST(CompiledForest, DeepTreeMatchesPointerWalk) {
+  Rng rng(135);
+  const auto [x, yb] = blobs(1500, rng);
+  std::vector<double> y(yb.begin(), yb.end());
+  for (std::size_t i = 0; i < y.size(); i += 3) y[i] = 1.0 - y[i];  // noise to fit
+  TreeConfig config;
+  config.max_depth = 16;
+  config.min_samples_split = 2;
+  config.min_samples_leaf = 1;
+  std::vector<RegressionTree> trees;
+  for (std::size_t t = 0; t < 9; ++t) {
+    config.seed = 17 + t;
+    config.max_features = t % 2 == 0 ? 0 : 3;
+    RegressionTree tree(config);
+    tree.fit(x, y);
+    trees.push_back(std::move(tree));
+  }
+  // depth() counts the root as level 1: 13 levels means 12 splits deep.
+  ASSERT_GE(trees[0].depth(), 13u);
+  Rng probe_rng(136);
+  const Matrix probe = blobs(64, probe_rng).first;
+  expect_kernel_matches_pointer_walk(trees, 0.5, probe, "deep");
+  expect_kernel_matches_pointer_walk(std::span<const RegressionTree>(trees).first(1), 0.5, probe,
+                                     "one deep tree");
+}
+
+/// Follows one fixed side from the root to a leaf.
+double edge_leaf(const RegressionTree& tree, bool right) {
+  std::size_t i = 0;
+  while (tree.node_view(i).feature >= 0) {
+    const RegressionTree::NodeView node = tree.node_view(i);
+    i = static_cast<std::size_t>(right ? node.right : node.left);
+  }
+  return tree.node_view(i).value;
+}
+
+TEST(CompiledForest, NonFiniteAndOnThresholdInputsMatchPointerWalk) {
+  const auto trees = assorted_trees(19, std::vector<std::size_t>{5}, 137);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t width = 6;
+
+  // Rows whose features sit exactly on the split thresholds (x <= t is
+  // true there, so they go left), then all-NaN, all-+Inf, all--Inf, and
+  // rows mixing NaN and ±Inf with finite values.
+  std::vector<std::vector<double>> rows;
+  for (const auto& tree : trees) {
+    for (std::size_t i = 0; i < tree.node_count(); ++i) {
+      const RegressionTree::NodeView node = tree.node_view(i);
+      if (node.feature < 0) continue;
+      std::vector<double> row(width, 0.0);
+      for (std::size_t c = 0; c < width; ++c) row[c] = node.threshold;
+      rows.push_back(std::move(row));
+    }
+  }
+  rows.emplace_back(width, kNan);
+  rows.emplace_back(width, kInf);
+  rows.emplace_back(width, -kInf);
+  rows.push_back({kNan, 0.5, -kInf, 0.0, kInf, -0.25});
+  rows.push_back({kInf, kNan, 0.1, -kInf, 0.0, kNan});
+  Matrix probe(rows.size(), width);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t c = 0; c < width; ++c) probe(i, c) = rows[i][c];
+  }
+  expect_kernel_matches_pointer_walk(trees, 0.7, probe, "edge inputs");
+
+  // `x <= t` is false for NaN and +Inf, so those rows take the right
+  // child at every node; -Inf takes the left one.
+  CompiledForest forest;
+  forest.compile(trees, 1.0);
+  ASSERT_TRUE(forest.compiled());
+  const std::array<std::pair<double, bool>, 3> sides{{{kNan, true}, {kInf, true}, {-kInf, false}}};
+  for (const auto& [value, right] : sides) {
+    const std::vector<double> x(width, value);
+    double want = 0.0;
+    for (const auto& tree : trees) want += edge_leaf(tree, right);
+    expect_same_bits(forest.accumulate(x, 0.0), want, "all " + std::to_string(value));
+  }
+}
+
 // --- Fresh-fit bit-identity per ensemble kind --------------------------
 
 template <typename Classifier>
 void expect_tile_matches_pointer_walk(Classifier& classifier, std::uint64_t seed) {
-  const KernelSwitchGuard guard;
   Rng rng(seed);
   const auto [x, y] = blobs(260, rng);
   classifier.fit(x, y);
@@ -172,17 +346,12 @@ void expect_tile_matches_pointer_walk(Classifier& classifier, std::uint64_t seed
   }
   const std::size_t dim = ws[0].mapped.size();
 
-  std::vector<double> compiled_out(tx.rows()), pointer_out(tx.rows());
-  set_compiled_forest_enabled(true);
+  std::vector<double> compiled_out(tx.rows());
   classifier.predict_proba_mapped_tile(rows.data(), rows.size(), dim, compiled_out.data(), 1);
-  set_compiled_forest_enabled(false);
-  classifier.predict_proba_mapped_tile(rows.data(), rows.size(), dim, pointer_out.data(), 1);
 
+  // predict_proba is the per-row pointer walk: the oracle.
   for (std::size_t i = 0; i < tx.rows(); ++i) {
-    expect_same_bits(compiled_out[i], pointer_out[i],
-                     "kernel on/off row " + std::to_string(i));
-    // And both must be the plain per-row oracle.
-    expect_same_bits(pointer_out[i], classifier.predict_proba(tx.row(i)),
+    expect_same_bits(compiled_out[i], classifier.predict_proba(tx.row(i)),
                      "oracle row " + std::to_string(i));
   }
 }
@@ -209,6 +378,8 @@ TEST(CompiledForest, ArtifactRoundTripRecompilesBitIdentically) {
   original.kind = ModelKind::kHybridRsl;
   original.model = MultiLabelModel(core::make_classifier_factory(original.kind));
   original.model.fit(synthetic_dataset(0x77));
+  // Five sensors plus the time feature: the six columns the model reads.
+  original.sensors.sensors.resize(5);
   ASSERT_GT(original.model.forest_compile_report().trees, 0u);
 
   const std::string path = ::testing::TempDir() + "aqua_compiled_forest.aquamodl";

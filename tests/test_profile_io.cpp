@@ -136,6 +136,36 @@ TEST(ProfileIo, MappedLoadBitIdenticalToBufferedOnAllKinds) {
   std::remove(path.c_str());
 }
 
+TEST(ProfileIo, SensorsNarrowerThanTheModelReadsThrow) {
+  // InferenceEngine checks requests against the sensors section alone, so
+  // a section cut below the width the classifiers read would let every
+  // request be read past its end. The writer stamps valid CRCs over the
+  // cut section; only the width check can catch it.
+  const auto s = make_setup(false);
+  const std::string path = ::testing::TempDir() + "aqua_profile_cut_sensors.aquamodl";
+  for (ModelKind kind : all_model_kinds()) {
+    SCOPED_TRACE(model_kind_name(kind));
+    ProfileModel profile = train_kind(*s, kind);
+    ASSERT_GT(profile.sensors.size(), 3u);
+
+    profile.save_file(path);
+    {
+      std::ifstream in(path, std::ios::binary);
+      EXPECT_NO_THROW(ProfileModel::load(in));
+      const io::MappedArtifactReader mapped(path);
+      EXPECT_NO_THROW(ProfileModel::load(mapped));
+    }
+
+    profile.sensors.sensors.resize(3);
+    profile.save_file(path);
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_THROW(ProfileModel::load(in), io::SerializationError);
+    const io::MappedArtifactReader mapped(path);
+    EXPECT_THROW(ProfileModel::load(mapped), io::SerializationError);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ProfileIo, LoadFileFallsBackWhenMmapIsImpossible) {
   // open_artifact on a path that exists but cannot be mapped (here:
   // /proc-style zero-length files are hard to fabricate portably, so we

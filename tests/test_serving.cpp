@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -149,6 +151,126 @@ TEST(ServingDaemon, MixedDistrictResultsMatchPerDistrictSequential) {
     EXPECT_EQ(daemon.served_count(d), inputs[d].size());
     EXPECT_EQ(daemon.shed_count(d), 0u);
   }
+}
+
+TEST(ServingDaemon, ThrowingSinkFailsOnlyItsRequestAndEveryDistrictKeepsServing) {
+  // The sink throws on one request of district 1. The daemon must count
+  // that request as failed and go on delivering every other request of
+  // every district, in order and bit-identical to sequential inference.
+  const std::vector<std::uint64_t> seeds = {0xD1, 0xE2, 0xF3};
+  std::vector<DistrictConfig> configs;
+  std::vector<std::vector<InferenceInputs>> inputs;
+  for (std::size_t d = 0; d < seeds.size(); ++d) {
+    auto profile = make_profile(seeds[d]);
+    DistrictConfig config;
+    config.name = "d" + std::to_string(d);
+    config.model = std::make_shared<ModelBundle>(profile, d + 1);
+    config.max_batch = 4;
+    configs.push_back(std::move(config));
+    inputs.push_back(make_inputs(21, 6, profile->model.num_labels(), 0x6000 + d));
+  }
+
+  constexpr std::size_t kBadDistrict = 1;
+  constexpr std::uint64_t kBadSequence = 5;
+  Collector collector;
+  ResultSink collect = collector.sink();
+  ServingDaemonOptions options;
+  options.num_workers = 2;
+  ServingDaemon daemon(configs, options,
+                       [&](const ResultEvent& event, const InferenceResult& result) {
+                         EXPECT_TRUE(event.error.empty()) << event.error;
+                         if (event.district == kBadDistrict && event.sequence == kBadSequence) {
+                           throw std::runtime_error("sink rejects this request");
+                         }
+                         collect(event, result);
+                       });
+  for (std::size_t i = 0; i < inputs[0].size(); ++i) {
+    for (std::size_t d = 0; d < configs.size(); ++d) daemon.submit(d, inputs[d][i]);
+  }
+  daemon.drain();
+
+  for (std::size_t d = 0; d < configs.size(); ++d) {
+    SCOPED_TRACE("district " + std::to_string(d));
+    const auto& entries = collector.by_district[d];
+    const bool bad = d == kBadDistrict;
+    ASSERT_EQ(entries.size(), inputs[d].size() - (bad ? 1 : 0));
+    const core::InferenceEngine reference(configs[d].model->profile());
+    std::size_t i = 0;
+    for (const auto& entry : entries) {
+      if (bad && i == kBadSequence) ++i;
+      EXPECT_EQ(entry.sequence, i);
+      expect_identical(entry.result, reference.infer(inputs[d][i]),
+                       "request " + std::to_string(i));
+      ++i;
+    }
+    EXPECT_EQ(daemon.failed_count(d), bad ? 1u : 0u);
+    EXPECT_EQ(daemon.served_count(d), entries.size());
+  }
+  std::map<std::string, double> exported;
+  for (const auto& [key, value] : daemon.metrics()) exported[key] = value;
+  EXPECT_EQ(exported.at("district.d1.counter.failed"), 1.0);
+  EXPECT_EQ(exported.at("district.d0.counter.failed"), 0.0);
+}
+
+TEST(ServingDaemon, ThrowingBatchFailsItsRequestsAndOtherDistrictsKeepServing) {
+  // An in-memory profile whose sensors section is wider than its LogisticR
+  // heads were fitted on passes the daemon's width check, but every batch
+  // then throws inside inference. The sink hears of each of those
+  // requests, in order, as an error with an empty result; the healthy
+  // district on the same workers is served in full.
+  auto healthy = make_profile(0x71, ModelKind::kLogisticR);
+  auto broken = std::make_shared<ProfileModel>();
+  broken->kind = ModelKind::kLogisticR;
+  broken->model = ml::MultiLabelModel(core::make_classifier_factory(broken->kind));
+  broken->model.fit(synthetic_dataset(0x72));
+  broken->sensors.sensors.resize(7);  // the heads standardize 6 features
+  broken->include_time_feature = false;
+  std::vector<DistrictConfig> configs(2);
+  configs[0].name = "healthy";
+  configs[0].model = std::make_shared<ModelBundle>(healthy, 1);
+  configs[0].max_batch = 3;
+  configs[1].name = "broken";
+  configs[1].model = std::make_shared<ModelBundle>(broken, 1);
+  configs[1].max_batch = 3;
+
+  std::mutex mutex;
+  std::vector<std::uint64_t> errors;
+  Collector collector;
+  ResultSink collect = collector.sink();
+  ServingDaemonOptions options;
+  options.num_workers = 2;
+  ServingDaemon daemon(configs, options,
+                       [&](const ResultEvent& event, const InferenceResult& result) {
+                         if (event.error.empty()) {
+                           collect(event, result);
+                           return;
+                         }
+                         EXPECT_EQ(event.district, 1u);
+                         EXPECT_TRUE(result.beliefs.p_leak.empty());
+                         const std::lock_guard<std::mutex> lock(mutex);
+                         errors.push_back(event.sequence);
+                       });
+  const auto good = make_inputs(10, 6, healthy->model.num_labels(), 0x73);
+  const auto wide = make_inputs(10, 7, broken->model.num_labels(), 0x74);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    daemon.submit(0, good[i]);
+    daemon.submit(1, wide[i]);
+  }
+  daemon.drain();
+
+  ASSERT_EQ(errors.size(), wide.size());
+  for (std::size_t i = 0; i < errors.size(); ++i) EXPECT_EQ(errors[i], i);
+  EXPECT_EQ(daemon.failed_count(1), wide.size());
+  EXPECT_EQ(daemon.served_count(1), 0u);
+
+  const auto& entries = collector.by_district[0];
+  ASSERT_EQ(entries.size(), good.size());
+  const core::InferenceEngine reference(*healthy);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].sequence, i);
+    expect_identical(entries[i].result, reference.infer(good[i]), "request " + std::to_string(i));
+  }
+  EXPECT_EQ(daemon.failed_count(0), 0u);
 }
 
 TEST(ServingDaemon, ShedsOldestDeterministicallyUnderSeededOverload) {
