@@ -1,11 +1,12 @@
 // Shared helpers for the figure-reproduction benches: an environment-
 // driven scale factor (AQUA_SCALE, default 1.0) so the suite can be run at
-// paper scale on bigger machines, consistent banner printing, and a
+// paper scale on bigger machines, consistent banner printing, a
 // machine-readable JSON report so the perf trajectory is tracked across
-// PRs.
+// changes, and the correctness gates that decide a bench's exit status.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -33,6 +34,28 @@ inline void banner(const std::string& figure, const std::string& description) {
               scale_factor());
   std::printf("==============================================================\n");
 }
+
+/// A bench's correctness gates (bit-identity, replay ≡ full run, ...).
+/// Every check() that fails is named on stderr and counted, and main
+/// returns exit_status(), so scripts/run_benches.sh fails on a broken
+/// gate instead of only recording it in the JSON.
+class Gates {
+ public:
+  /// Records one gate; returns `passed`.
+  bool check(bool passed, const std::string& what) {
+    if (!passed) {
+      std::fprintf(stderr, "GATE FAILED: %s\n", what.c_str());
+      ++failures_;
+    }
+    return passed;
+  }
+
+  std::size_t failures() const noexcept { return failures_; }
+  int exit_status() const noexcept { return failures_ == 0 ? 0 : 1; }
+
+ private:
+  std::size_t failures_ = 0;
+};
 
 /// Ordered (metric, value) pairs for json_report.
 using Metrics = std::vector<std::pair<std::string, double>>;

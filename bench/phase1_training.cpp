@@ -4,7 +4,8 @@
 // full-run path (every scenario simulated from t = 0) against the
 // checkpointed replay path (shared no-leak baseline + per-scenario resume
 // at the leak slot) on both builtin networks, verifying the two produce
-// bit-identical snapshots before timing anything.
+// bit-identical snapshots before timing anything. A divergence fails the
+// bench's gate and makes it exit nonzero.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -39,7 +40,7 @@ bool snapshots_identical(const SnapshotBatch& a, const SnapshotBatch& b) {
 }
 
 void run_network(const hydraulics::Network& net, std::size_t base_count, const std::string& key,
-                 bench::Metrics& metrics) {
+                 bench::Metrics& metrics, bench::Gates& gates) {
   ScenarioConfig config;
   config.max_events = 3;
   config.seed = 4242;
@@ -55,10 +56,8 @@ void run_network(const hydraulics::Network& net, std::size_t base_count, const s
   const SnapshotBatch replay(net, scenarios, elapsed, {}, true, true);
   const double replay_s = seconds_since(t_replay);
 
-  const bool identical = snapshots_identical(full, replay);
-  if (!identical) {
-    std::fprintf(stderr, "%s: REPLAY SNAPSHOTS DIVERGE FROM FULL RUNS\n", key.c_str());
-  }
+  const bool identical = gates.check(snapshots_identical(full, replay),
+                                     key + ": replay snapshots diverge from full runs");
 
   const double n = static_cast<double>(scenarios.size());
   const double full_rate = full_s > 0.0 ? n / full_s : 0.0;
@@ -102,7 +101,7 @@ void run_network(const hydraulics::Network& net, std::size_t base_count, const s
 /// replay-compatible scenarios replay, the rest fall back, and both
 /// batches must agree snapshot for snapshot.
 void run_variant_mix(const hydraulics::Network& net, std::size_t base_count,
-                     const std::string& key, bench::Metrics& metrics) {
+                     const std::string& key, bench::Metrics& metrics, bench::Gates& gates) {
   ScenarioConfig config;
   config.max_events = 3;
   config.seed = 4242;
@@ -125,11 +124,8 @@ void run_variant_mix(const hydraulics::Network& net, std::size_t base_count,
   const SnapshotBatch mixed(net, scenarios, elapsed, {}, true, true);
   const double mixed_s = seconds_since(t_mixed);
 
-  const bool identical = snapshots_identical(full, mixed);
-  if (!identical) {
-    std::fprintf(stderr, "%s: VARIANT-MIX REPLAY SNAPSHOTS DIVERGE FROM FULL RUNS\n",
-                 key.c_str());
-  }
+  const bool identical = gates.check(snapshots_identical(full, mixed),
+                                     key + ": variant-mix replay snapshots diverge from full runs");
 
   const double speedup = mixed_s > 0.0 ? full_s / mixed_s : 0.0;
   std::printf(
@@ -155,10 +151,11 @@ int main() {
   bench::banner("Phase I training throughput",
                 "full-run vs checkpointed-replay scenario snapshot batches");
   bench::Metrics metrics;
-  run_network(networks::make_epa_net(), 512, "epa_net", metrics);
-  run_network(networks::make_wssc_subnet(), 128, "wssc_subnet", metrics);
-  run_variant_mix(networks::make_epa_net(), 256, "epa_net", metrics);
-  run_variant_mix(networks::make_wssc_subnet(), 96, "wssc_subnet", metrics);
+  bench::Gates gates;
+  run_network(networks::make_epa_net(), 512, "epa_net", metrics, gates);
+  run_network(networks::make_wssc_subnet(), 128, "wssc_subnet", metrics, gates);
+  run_variant_mix(networks::make_epa_net(), 256, "epa_net", metrics, gates);
+  run_variant_mix(networks::make_wssc_subnet(), 96, "wssc_subnet", metrics, gates);
   bench::json_report("phase1_training", metrics);
-  return 0;
+  return gates.exit_status();
 }

@@ -4,7 +4,8 @@
 // hoists that shared input map to once per snapshot and runs fusion with
 // per-stage telemetry. This bench builds a realistic test batch (weather +
 // human sources enabled) on both builtin networks, verifies the engine is
-// bit-identical to the naive sequential loop, then times both and reports
+// bit-identical to the naive sequential loop (a divergence fails the
+// bench's gate and makes it exit nonzero), then times both and reports
 // throughput, p50/p95 per-snapshot latency, and the engine's per-stage
 // telemetry.
 #include <chrono>
@@ -89,7 +90,8 @@ std::vector<InferenceInputs> build_batch(ExperimentContext& context, const Profi
 }
 
 void run_network(const hydraulics::Network& net, std::size_t train_samples,
-                 std::size_t test_samples, const std::string& key, bench::Metrics& metrics) {
+                 std::size_t test_samples, const std::string& key, bench::Metrics& metrics,
+                 bench::Gates& gates) {
   ExperimentConfig config;
   config.train_samples = bench::scaled(train_samples);
   config.test_samples = bench::scaled(test_samples);
@@ -113,9 +115,7 @@ void run_network(const hydraulics::Network& net, std::size_t train_samples,
       break;
     }
   }
-  if (!bit_identical) {
-    std::fprintf(stderr, "%s: ENGINE DIVERGES FROM SEQUENTIAL infer_leaks PATH\n", key.c_str());
-  }
+  gates.check(bit_identical, key + ": engine diverges from the sequential infer_leaks path");
 
   // Naive sequential loop (per-snapshot, per-label transform recompute).
   std::vector<double> naive_latency(batch.size());
@@ -184,8 +184,9 @@ int main() {
   bench::banner("Phase II inference serving",
                 "sequential per-snapshot loop vs batched InferenceEngine");
   bench::Metrics metrics;
-  run_network(networks::make_epa_net(), 256, 128, "epa_net", metrics);
-  run_network(networks::make_wssc_subnet(), 96, 48, "wssc_subnet", metrics);
+  bench::Gates gates;
+  run_network(networks::make_epa_net(), 256, 128, "epa_net", metrics, gates);
+  run_network(networks::make_wssc_subnet(), 96, 48, "wssc_subnet", metrics, gates);
   bench::json_report("phase2_inference", metrics);
-  return 0;
+  return gates.exit_status();
 }

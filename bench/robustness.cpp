@@ -77,7 +77,7 @@ bool variant_applicable(const hydraulics::Network& net, FaultKind kind) {
 }
 
 void run_network(const hydraulics::Network& net, std::size_t train_base, std::size_t test_base,
-                 const std::string& key, bench::Metrics& metrics, bool& gate_failed) {
+                 const std::string& key, bench::Metrics& metrics, bench::Gates& gates) {
   ScenarioConfig clean;
   clean.max_events = 2;
   clean.seed = 7777;
@@ -124,14 +124,10 @@ void run_network(const hydraulics::Network& net, std::size_t train_base, std::si
     const SnapshotBatch full(net, scenarios, elapsed, {}, true, false);
     VariantResult row;
     row.name = name;
-    row.identical = snapshots_identical(batch, full);
+    row.identical = gates.check(snapshots_identical(batch, full),
+                                key + "." + name + ": replay snapshots diverge from full runs");
     row.replayed = batch.stats().replayed;
     row.full_run = batch.stats().full_run;
-    if (!row.identical) {
-      gate_failed = true;
-      std::fprintf(stderr, "%s.%s: REPLAY SNAPSHOTS DIVERGE FROM FULL RUNS\n", key.c_str(),
-                   name.c_str());
-    }
 
     std::vector<InferenceInputs> inputs(scenarios.size());
     Rng root(variant.seed ^ 0x9999ULL);
@@ -178,14 +174,10 @@ int main() {
   bench::banner("Robustness under scenario variants",
                 "per-variant Phase I/II accuracy with the replay identity gate");
   bench::Metrics metrics;
-  bool gate_failed = false;
-  run_network(networks::make_epa_net(), 96, 32, "epa_net", metrics, gate_failed);
-  run_network(networks::make_wssc_subnet(), 64, 24, "wssc_subnet", metrics, gate_failed);
-  metrics.emplace_back("identity_gate_failures", gate_failed ? 1.0 : 0.0);
+  bench::Gates gates;
+  run_network(networks::make_epa_net(), 96, 32, "epa_net", metrics, gates);
+  run_network(networks::make_wssc_subnet(), 64, 24, "wssc_subnet", metrics, gates);
+  metrics.emplace_back("identity_gate_failures", static_cast<double>(gates.failures()));
   bench::json_report("robustness", metrics);
-  if (gate_failed) {
-    std::fprintf(stderr, "robustness: replay identity gate FAILED\n");
-    return 1;
-  }
-  return 0;
+  return gates.exit_status();
 }

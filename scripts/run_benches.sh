@@ -7,13 +7,12 @@
 #        e.g. scripts/run_benches.sh profile_fit phase1_training
 #        With no arguments, every bench_* binary in the build tree runs.
 #        AQUA_SCALE scales scenario counts (see bench/bench_util.hpp).
-#        AQUA_DISTRICTS sets the shard count for bench_phase2_serving
-#        (default 4 districts of alternating EPA-NET/WSSC traffic).
 #
 # Benches that gate correctness (bench_robustness's replay-vs-full-run
 # identity gate, the bit-identity gates in bench_phase1_training /
-# bench_phase2_inference) exit nonzero on a gate failure, which the
-# failure loop below turns into this script's nonzero exit.
+# bench_phase2_inference) record each gate in a bench::Gates and return
+# its exit status, so a failed gate exits nonzero, which the failure loop
+# below turns into this script's nonzero exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

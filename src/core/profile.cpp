@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "io/artifact.hpp"
-#include "io/mapped_artifact.hpp"
 #include "ml/gradient_boosting.hpp"
 #include "ml/hybrid_rsl.hpp"
 #include "ml/linear_models.hpp"
@@ -82,10 +81,6 @@ void ProfileModel::save(std::ostream& out) const {
 
 ProfileModel ProfileModel::load(std::istream& in) {
   const io::ArtifactReader artifact(in);
-  return load(artifact);
-}
-
-ProfileModel ProfileModel::load(const io::ArtifactSource& artifact) {
   ProfileModel profile;
 
   auto meta = artifact.section("profile");
@@ -135,7 +130,9 @@ void ProfileModel::save_file(const std::string& path) const {
 }
 
 ProfileModel ProfileModel::load_file(const std::string& path) {
-  return load(*io::open_artifact(path));
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw io::SerializationError("cannot open '" + path + "' for reading");
+  return load(in);
 }
 
 ProfileModel train_profile(const SnapshotBatch& batch, std::span<const LeakScenario> scenarios,

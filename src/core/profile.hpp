@@ -1,6 +1,9 @@
 // Phase I (Sec. IV-A, Algorithm 1): train the offline profile model
 // f = {f_v} on a large corpus of simulated scenarios. The model kind is
-// plug-and-play; `make_classifier_factory` exposes the paper's lineup.
+// plug-and-play; `make_classifier_factory` exposes the paper's lineup. A
+// trained ProfileModel is saved as one AQUAMODL artifact (io/artifact.hpp):
+// the handoff from offline Phase I to online Phase II, read back by
+// ProfileModel::load, load_file and serving::load_bundle.
 #pragma once
 
 #include <cstdint>
@@ -11,10 +14,6 @@
 #include "core/snapshots.hpp"
 #include "ml/multilabel.hpp"
 #include "sensing/placement.hpp"
-
-namespace aqua::io {
-class ArtifactSource;
-}
 
 namespace aqua::core {
 
@@ -60,19 +59,14 @@ struct ProfileModel {
   /// Phase II services can skip Phase I entirely on a warm artifact.
   void save(std::ostream& out) const;
 
-  /// Restores a profile written by save(); throws io::SerializationError on
-  /// truncated, corrupted, or wrong-version artifacts.
+  /// Restores a profile written by save(), reading the stream to its end;
+  /// throws io::SerializationError on truncated, corrupted, wrong-version
+  /// or over-long artifacts.
   static ProfileModel load(std::istream& in);
 
-  /// Decodes a profile from an already opened artifact (buffered or
-  /// mmapped — any io::ArtifactSource). This is the path the serving
-  /// daemon's publisher uses: open_artifact() + load() keeps the model
-  /// bytes on the page cache until each section is decoded.
-  static ProfileModel load(const io::ArtifactSource& artifact);
-
-  /// Convenience: save to / load from a filesystem path. load_file prefers
-  /// the zero-copy mmap reader and falls back to buffered I/O when the
-  /// file cannot be mapped (io::open_artifact).
+  /// Convenience: save to / load from a filesystem path. load_file opens
+  /// the file and calls load(); a missing or empty file throws
+  /// io::SerializationError like any other bad artifact.
   void save_file(const std::string& path) const;
   static ProfileModel load_file(const std::string& path);
 };

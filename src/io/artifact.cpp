@@ -12,11 +12,12 @@ constexpr std::array<char, 8> kMagic = {'A', 'Q', 'U', 'A', 'M', 'O', 'D', 'L'};
 constexpr std::uint32_t kMaxSections = 1024;
 constexpr std::uint32_t kMaxSectionName = 256;
 
-std::string read_exact(std::istream& in, std::size_t count, const char* what) {
-  std::string bytes(count, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(count));
-  if (static_cast<std::size_t>(in.gcount()) != count) {
-    throw SerializationError(std::string("truncated artifact while reading ") + what);
+std::string read_all(std::istream& in) {
+  std::string bytes;
+  std::array<char, 1 << 16> chunk;
+  while (in) {
+    in.read(chunk.data(), chunk.size());
+    bytes.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
   }
   return bytes;
 }
@@ -48,16 +49,18 @@ void ArtifactWriter::write_to(std::ostream& out) const {
   if (!out) throw SerializationError("stream write failed while saving artifact");
 }
 
-ArtifactReader::ArtifactReader(std::istream& in) {
-  const std::string magic = read_exact(in, kMagic.size(), "magic");
-  if (!std::equal(magic.begin(), magic.end(), kMagic.begin())) {
-    throw SerializationError("not an AquaSCALE model artifact (bad magic)");
+ArtifactReader::ArtifactReader(std::istream& in) : bytes_(read_all(in)) {
+  BinaryReader header(bytes_);
+  if (bytes_.size() < kMagic.size() + 8) {
+    throw SerializationError("truncated artifact: shorter than the fixed header");
   }
-
-  const std::string fixed = read_exact(in, 8, "header");
-  BinaryReader fixed_reader(fixed);
-  version_ = fixed_reader.read_u32();
-  const std::uint32_t count = fixed_reader.read_u32();
+  for (char expected : kMagic) {
+    if (static_cast<char>(header.read_u8()) != expected) {
+      throw SerializationError("not an AquaSCALE model artifact (bad magic)");
+    }
+  }
+  version_ = header.read_u32();
+  const std::uint32_t count = header.read_u32();
   if (version_ != kFormatVersion) {
     throw SerializationError("unsupported artifact format version " + std::to_string(version_) +
                              " (this build reads version " + std::to_string(kFormatVersion) + ")");
@@ -72,43 +75,54 @@ ArtifactReader::ArtifactReader(std::istream& in) {
   std::vector<Entry> entries;
   entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    // Table entries have a string (variable length), so read piecewise.
-    const std::string len_bytes = read_exact(in, 4, "section table");
-    const std::uint32_t name_len = BinaryReader(len_bytes).read_u32();
-    if (name_len == 0 || name_len > kMaxSectionName) {
+    Entry entry;
+    try {
+      entry.name = header.read_string();
+      entry.size = header.read_u64();
+      entry.crc = header.read_u32();
+    } catch (const SerializationError&) {
+      throw SerializationError("truncated artifact: section table ends mid-entry");
+    }
+    if (entry.name.empty() || entry.name.size() > kMaxSectionName) {
       throw SerializationError("malformed artifact: section name length");
     }
-    Entry entry;
-    entry.name = read_exact(in, name_len, "section name");
-    const std::string rest = read_exact(in, 12, "section table");
-    BinaryReader rest_reader(rest);
-    entry.size = rest_reader.read_u64();
-    entry.crc = rest_reader.read_u32();
     entries.push_back(std::move(entry));
   }
 
+  // Payloads follow the table in order and must fill the rest of the
+  // buffer exactly: a table pointing past the end is a truncated artifact,
+  // and bytes after the last payload are not part of any artifact.
+  std::size_t offset = bytes_.size() - header.remaining();
   for (const auto& entry : entries) {
-    std::string payload = read_exact(in, entry.size, ("section '" + entry.name + "'").c_str());
-    if (crc32(payload) != entry.crc) {
+    if (entry.size > bytes_.size() - offset) {
+      throw SerializationError("truncated artifact: section '" + entry.name +
+                               "' extends past the end of the data");
+    }
+    const Span span{offset, static_cast<std::size_t>(entry.size)};
+    if (crc32(payload(span)) != entry.crc) {
       throw SerializationError("checksum mismatch in artifact section '" + entry.name +
                                "' (corrupted artifact)");
     }
-    if (!payloads_.emplace(entry.name, std::move(payload)).second) {
+    if (!sections_.emplace(entry.name, span).second) {
       throw SerializationError("duplicate artifact section: " + entry.name);
     }
+    offset += span.size;
+  }
+  if (offset != bytes_.size()) {
+    throw SerializationError("malformed artifact: trailing bytes after the last section");
   }
 }
 
 bool ArtifactReader::has_section(const std::string& name) const {
-  return payloads_.count(name) != 0;
+  return sections_.count(name) != 0;
 }
 
 BinaryReader ArtifactReader::section(const std::string& name) const {
-  const auto it = payloads_.find(name);
-  if (it == payloads_.end()) {
+  const auto it = sections_.find(name);
+  if (it == sections_.end()) {
     throw SerializationError("artifact is missing required section '" + name + "'");
   }
-  return BinaryReader(it->second);
+  return BinaryReader(payload(it->second));
 }
 
 }  // namespace aqua::io

@@ -8,9 +8,10 @@
 //                CRC-32 of the payload (u32)
 //   payloads     section payloads concatenated in table order
 //
-// Readers are strict: unknown magic, unsupported version, truncation, and
-// checksum mismatches all raise io::SerializationError. See DESIGN.md
-// ("Model artifact format") for the compatibility policy.
+// The reader is strict: unknown magic, unsupported version, truncation,
+// bytes after the last payload, and checksum mismatches all raise
+// io::SerializationError. See DESIGN.md §8 ("Profile-model artifacts")
+// for the compatibility policy.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/binary.hpp"
@@ -54,45 +56,36 @@ class ArtifactWriter {
   std::vector<std::unique_ptr<Section>> sections_;
 };
 
-/// Read-side abstraction over an opened AQUAMODL container. Two
-/// implementations exist: ArtifactReader (buffered: the whole file is
-/// copied into memory and every checksum is validated up front) and
-/// MappedArtifactReader (mapped_artifact.hpp: the file is mmapped and
-/// checksums are validated lazily on first section access). Decoders such
-/// as ProfileModel::load work against this interface so they are agnostic
-/// to how the bytes arrived.
-class ArtifactSource {
+/// Reads a whole container into one buffer and validates it up front:
+/// magic, version, section table, that every payload lies inside the
+/// buffer, that no bytes follow the last payload, and every section's
+/// CRC-32. Sections are then decoded on demand.
+class ArtifactReader {
  public:
-  virtual ~ArtifactSource() = default;
-
-  virtual std::uint32_t version() const noexcept = 0;
-  virtual bool has_section(const std::string& name) const = 0;
-
-  /// Reader over a section's payload; throws SerializationError if the
-  /// section is absent (or, for lazy implementations, fails validation).
-  /// The returned reader views memory owned by this source, which must
-  /// outlive it.
-  virtual BinaryReader section(const std::string& name) const = 0;
-};
-
-/// Parses a container fully into memory, validating structure and
-/// checksums up front; sections are then decoded on demand.
-class ArtifactReader final : public ArtifactSource {
- public:
-  /// Reads and validates the whole artifact; throws SerializationError on
-  /// any structural problem.
+  /// Reads the stream to its end and validates it; throws
+  /// SerializationError on any structural problem or checksum mismatch.
   explicit ArtifactReader(std::istream& in);
 
-  std::uint32_t version() const noexcept override { return version_; }
-  bool has_section(const std::string& name) const override;
+  std::uint32_t version() const noexcept { return version_; }
+  bool has_section(const std::string& name) const;
 
   /// Reader over a section's payload; throws if the section is absent. The
   /// returned reader views memory owned by this ArtifactReader.
-  BinaryReader section(const std::string& name) const override;
+  BinaryReader section(const std::string& name) const;
 
  private:
+  struct Span {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+
+  std::string_view payload(const Span& span) const noexcept {
+    return std::string_view(bytes_).substr(span.offset, span.size);
+  }
+
+  std::string bytes_;
   std::uint32_t version_ = 0;
-  std::map<std::string, std::string> payloads_;
+  std::map<std::string, Span> sections_;  // payload positions in bytes_
 };
 
 }  // namespace aqua::io

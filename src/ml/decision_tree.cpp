@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "common/cpu_dispatch.hpp"
 #include "common/error.hpp"
@@ -903,12 +904,19 @@ void RegressionTree::load(io::BinaryReader& reader) {
   nodes_.reserve(count);
   // Both fitters emit pre-order: a split's left child is the next node
   // and its right child follows the left subtree. Requiring children
-  // strictly after their parent, each claimed by one parent only, makes
-  // every loaded tree a tree: predict() cannot cycle, and no shared
-  // subtree can multiply the compiled kernel's breadth-first flattening.
+  // strictly after their parent, and every node but the root claimed by
+  // exactly one parent, makes every loaded tree a tree: predict() cannot
+  // cycle, no shared subtree can multiply the compiled kernel's
+  // flattening, and no orphan node (one no walk reaches) can become a
+  // dead compiled record or widen input_width(). A node's parents all
+  // precede it, so its claim is final by the time it is read.
   std::vector<std::uint8_t> claimed(count, 0);
   const auto n = static_cast<std::int64_t>(count);
   for (std::uint64_t i = 0; i < count; ++i) {
+    if (i > 0 && claimed[i] == 0) {
+      throw io::SerializationError("malformed tree: node " + std::to_string(i) +
+                                   " has no parent");
+    }
     Node node;
     node.feature = reader.read_i32();
     node.threshold = reader.read_f64();

@@ -92,31 +92,6 @@ Labels MultiLabelModel::predict(std::span<const double> x) const {
   return labels;
 }
 
-std::vector<std::vector<double>> MultiLabelModel::predict_proba_batch(const Matrix& x,
-                                                                      bool parallel) const {
-  AQUA_REQUIRE(fitted(), "predict on unfitted model");
-  std::vector<std::vector<double>> out(x.rows());
-  auto run = [&](std::size_t r) { out[r] = predict_proba(x.row(r)); };
-  if (parallel) {
-    ThreadPool::global().parallel_for(x.rows(), run);
-  } else {
-    for (std::size_t r = 0; r < x.rows(); ++r) run(r);
-  }
-  return out;
-}
-
-std::vector<Labels> MultiLabelModel::predict_batch(const Matrix& x, bool parallel) const {
-  AQUA_REQUIRE(fitted(), "predict on unfitted model");
-  std::vector<Labels> out(x.rows());
-  auto run = [&](std::size_t r) { out[r] = predict(x.row(r)); };
-  if (parallel) {
-    ThreadPool::global().parallel_for(x.rows(), run);
-  } else {
-    for (std::size_t r = 0; r < x.rows(); ++r) run(r);
-  }
-  return out;
-}
-
 void MultiLabelModel::predict_proba_batch_into(const Matrix& x, Matrix& out,
                                                bool parallel) const {
   AQUA_REQUIRE(fitted(), "predict on unfitted model");

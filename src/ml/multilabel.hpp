@@ -45,11 +45,6 @@ class MultiLabelModel {
   /// predict: the leak set S = {v : p_v(1) > p_v(0)} as a 0/1 vector.
   Labels predict(std::span<const double> x) const;
 
-  /// Batch helpers over a dataset's rows.
-  std::vector<std::vector<double>> predict_proba_batch(const Matrix& x,
-                                                       bool parallel = true) const;
-  std::vector<Labels> predict_batch(const Matrix& x, bool parallel = true) const;
-
   /// Batched predict_proba over stacked feature rows: `out` becomes
   /// rows x num_labels. When every label accepts one classifier's input
   /// map (detected once after fit/load; see BinaryClassifier's shared-

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
-#include "io/mapped_artifact.hpp"
 
 namespace aqua::serving {
 
@@ -33,8 +32,8 @@ ModelBundle::ModelBundle(std::shared_ptr<const core::ProfileModel> profile, std:
 std::shared_ptr<const ModelBundle> load_bundle(const std::string& path, std::uint64_t version,
                                                core::InferenceEngineOptions engine_options,
                                                bool* used_mmap) {
-  const auto source = io::open_artifact(path, used_mmap);
-  auto profile = std::make_shared<const core::ProfileModel>(core::ProfileModel::load(*source));
+  if (used_mmap != nullptr) *used_mmap = false;
+  auto profile = std::make_shared<const core::ProfileModel>(core::ProfileModel::load_file(path));
   return std::make_shared<const ModelBundle>(std::move(profile), version, engine_options);
 }
 

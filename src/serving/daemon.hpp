@@ -1,7 +1,7 @@
 // Multi-district serving daemon: one process hosting N district shards,
 // each with its own model, ingest queue, and telemetry, sharing the
-// process-global ThreadPool for batched inference (ROADMAP item 3, the
-// "millions of users" tier).
+// process-global ThreadPool for batched inference. `aquascale_cli serve`
+// drives it end to end; aquabench's serve_mixed workload measures it.
 //
 // Architecture (DESIGN.md §13):
 //
@@ -13,11 +13,11 @@
 //                        ModelBundle and runs InferenceEngine::infer_batch
 //                        (which fans out over ThreadPool::global())
 //   publisher thread ──► loads a new artifact off the hot path
-//                        (io::open_artifact → mmap) and swap_model()s it
-//                        in; RCU-style: readers pin the old bundle via
-//                        shared_ptr, so in-flight batches finish on the
-//                        old model bit-identically and no inference ever
-//                        blocks on a load
+//                        (load_bundle → ProfileModel::load_file) and
+//                        swap_model()s it in; RCU-style: readers pin the
+//                        old bundle via shared_ptr, so in-flight batches
+//                        finish on the old model bit-identically and no
+//                        inference ever blocks on a load
 //   export thread    ──► district_telemetry()/metrics() take consistent
 //                        snapshots at any time
 //
@@ -70,11 +70,13 @@ class ModelBundle {
   ml::ForestCompileReport forest_report_;
 };
 
-/// Loads an AQUAMODL artifact into a publishable bundle, preferring the
-/// zero-copy mmap reader (io::open_artifact falls back to buffered I/O).
-/// This is the off-hot-path half of a hot swap; hand the result to
-/// ServingDaemon::swap_model. `used_mmap`, when non-null, reports whether
-/// the mapped reader served the load.
+/// Loads an AQUAMODL artifact (ProfileModel::load_file) into a publishable
+/// bundle. This is the off-hot-path half of a hot swap; hand the result to
+/// ServingDaemon::swap_model. `used_mmap`, when non-null, is always set to
+/// false: artifacts are read by the one buffered reader since the
+/// memory-mapped one was retired (format v3 artifacts are 2–3 MB and
+/// decoding dominates a load). The parameter stays so existing callers
+/// keep building; aquabench's serve_mixed reports it as io.mmap_frac.
 std::shared_ptr<const ModelBundle> load_bundle(const std::string& path, std::uint64_t version,
                                                core::InferenceEngineOptions engine_options = {},
                                                bool* used_mmap = nullptr);

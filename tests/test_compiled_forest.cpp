@@ -1,8 +1,8 @@
 // Compiled forest-kernel contract tests (DESIGN.md §14). The lockstep
 // tile kernel must be bitwise identical to the pointer-walking oracle it
 // was compiled from — on every lockstep remainder, single-leaf and deep
-// trees, non-finite and on-threshold inputs, fresh fits, after artifact
-// round-trips through both the buffered and the mmap readers, through the
+// trees, non-finite and on-threshold inputs, fresh fits, after an
+// artifact round-trip through load_file(save_file(p)), through the
 // shared-input-map batch path, and under concurrent tile calls on one
 // shared model. The concurrency test spawns raw std::threads on purpose
 // and is meaningful under TSan (label "kernel;concurrency").
@@ -15,7 +15,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <span>
 #include <string>
@@ -25,7 +24,6 @@
 
 #include "common/rng.hpp"
 #include "core/aquascale.hpp"
-#include "io/mapped_artifact.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gradient_boosting.hpp"
 #include "ml/hybrid_rsl.hpp"
@@ -371,7 +369,7 @@ TEST(CompiledForest, HybridRslTileBitIdenticalToPointerWalk) {
   expect_tile_matches_pointer_walk(hybrid, 115);
 }
 
-// --- Artifact round-trip through both readers --------------------------
+// --- Artifact round-trip ----------------------------------------------
 
 TEST(CompiledForest, ArtifactRoundTripRecompilesBitIdentically) {
   ProfileModel original;
@@ -384,37 +382,26 @@ TEST(CompiledForest, ArtifactRoundTripRecompilesBitIdentically) {
 
   const std::string path = ::testing::TempDir() + "aqua_compiled_forest.aquamodl";
   original.save_file(path);
-
-  // Buffered reader.
-  std::ifstream in(path, std::ios::binary);
-  const ProfileModel buffered = ProfileModel::load(in);
-  // Zero-copy mmap reader over the identical bytes.
-  const io::MappedArtifactReader reader(path);
-  const ProfileModel mapped = ProfileModel::load(reader);
+  const ProfileModel loaded = ProfileModel::load_file(path);
   std::remove(path.c_str());
 
-  // Both loads must recompile the same kernels the fit produced...
+  // The load must recompile the same kernels the fit produced...
   const ForestCompileReport want = original.model.forest_compile_report();
-  for (const ProfileModel* loaded : {&buffered, &mapped}) {
-    const ForestCompileReport got = loaded->model.forest_compile_report();
-    EXPECT_EQ(got.trees, want.trees);
-    EXPECT_EQ(got.internal_nodes, want.internal_nodes);
-    EXPECT_EQ(got.leaves, want.leaves);
-    EXPECT_EQ(got.classifiers, want.classifiers);
-  }
+  const ForestCompileReport got = loaded.model.forest_compile_report();
+  EXPECT_EQ(got.trees, want.trees);
+  EXPECT_EQ(got.internal_nodes, want.internal_nodes);
+  EXPECT_EQ(got.leaves, want.leaves);
+  EXPECT_EQ(got.classifiers, want.classifiers);
 
   // ...and the compiled batch path must reproduce the original's bits.
   const Matrix probe = synthetic_dataset(0x78).features;
-  Matrix out_original, out_buffered, out_mapped;
+  Matrix out_original, out_loaded;
   original.model.predict_proba_batch_into(probe, out_original, /*parallel=*/false);
-  buffered.model.predict_proba_batch_into(probe, out_buffered, /*parallel=*/false);
-  mapped.model.predict_proba_batch_into(probe, out_mapped, /*parallel=*/false);
+  loaded.model.predict_proba_batch_into(probe, out_loaded, /*parallel=*/false);
   for (std::size_t i = 0; i < probe.rows(); ++i) {
     for (std::size_t v = 0; v < original.model.num_labels(); ++v) {
-      const std::string where =
-          "row " + std::to_string(i) + " label " + std::to_string(v);
-      expect_same_bits(out_buffered(i, v), out_original(i, v), "buffered " + where);
-      expect_same_bits(out_mapped(i, v), out_original(i, v), "mapped " + where);
+      expect_same_bits(out_loaded(i, v), out_original(i, v),
+                       "row " + std::to_string(i) + " label " + std::to_string(v));
     }
   }
 }

@@ -1,10 +1,13 @@
 // Tests for the experiment harness itself (core/experiment.*): the
 // machinery every bench relies on. Built on one shared small context.
+// The benches' correctness-gate helper (bench/bench_util.hpp) is
+// checked here too.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 
+#include "bench_util.hpp"
 #include "common/error.hpp"
 #include "core/aquascale.hpp"
 
@@ -131,6 +134,20 @@ TEST_F(HarnessTest, FactoriesProduceMatchingNames) {
     const auto classifier = make_classifier_factory(kind)();
     EXPECT_EQ(classifier->name(), model_kind_name(kind));
   }
+}
+
+TEST(BenchGates, ExitStatusIsNonzeroOnceAnyGateFails) {
+  bench::Gates gates;
+  EXPECT_EQ(gates.exit_status(), 0);  // no gate checked yet
+  EXPECT_TRUE(gates.check(true, "passing gate"));
+  EXPECT_EQ(gates.failures(), 0u);
+  EXPECT_EQ(gates.exit_status(), 0);
+
+  EXPECT_FALSE(gates.check(false, "failing gate"));
+  EXPECT_TRUE(gates.check(true, "later passing gate"));  // does not clear the failure
+  EXPECT_FALSE(gates.check(false, "second failing gate"));
+  EXPECT_EQ(gates.failures(), 2u);
+  EXPECT_NE(gates.exit_status(), 0);
 }
 
 }  // namespace

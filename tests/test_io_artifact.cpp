@@ -2,16 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <bit>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include "io/binary.hpp"
-#include "io/mapped_artifact.hpp"
 
 namespace aqua::io {
 namespace {
@@ -169,123 +165,11 @@ TEST(Artifact, EmptyStreamThrows) {
   EXPECT_THROW(ArtifactReader reader(in), SerializationError);
 }
 
-// ---- MappedArtifactReader: the zero-copy mmap path ---------------------
-
-class MappedArtifact : public ::testing::Test {
- protected:
-  std::string write_file(const std::string& bytes) {
-    path_ = ::testing::TempDir() + "aqua_mapped_artifact_test.aquamodl";
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    return path_;
-  }
-  void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
-  std::string path_;
-};
-
-TEST_F(MappedArtifact, SectionsRoundTripThroughTheMapping) {
-  const MappedArtifactReader reader(write_file(write_sample_artifact()));
-  EXPECT_EQ(reader.version(), kFormatVersion);
-  EXPECT_TRUE(reader.has_section("alpha"));
-  EXPECT_TRUE(reader.has_section("beta"));
-  EXPECT_FALSE(reader.has_section("gamma"));
-
-  auto alpha = reader.section("alpha");
-  EXPECT_EQ(alpha.read_string(), "payload-a");
-  EXPECT_EQ(alpha.read_f64(), 2.5);
-  alpha.expect_end();
-  auto beta = reader.section("beta");
-  EXPECT_EQ(beta.read_u64(), 99u);
-  beta.expect_end();
-  EXPECT_THROW(reader.section("gamma"), SerializationError);
-}
-
-TEST_F(MappedArtifact, TruncationThrowsTypedErrorAtEveryPrefix) {
-  // Unlike payload corruption (lazy), truncation is structural: the table
-  // promises bytes the mapping does not have, so every strict prefix must
-  // fail at construction, never defer to section access.
-  const std::string bytes = write_sample_artifact();
-  for (std::size_t cut = 1; cut < bytes.size(); cut += 3) {
-    EXPECT_THROW(MappedArtifactReader reader(write_file(bytes.substr(0, cut))),
-                 SerializationError)
-        << "prefix length " << cut;
-  }
-}
-
-TEST_F(MappedArtifact, PayloadCorruptionThrowsLazilyOnFirstAccess) {
-  // Flip a bit inside the *last* section's payload: construction (header
-  // + table validation only) must succeed, the clean section must stay
-  // readable, and only the corrupted section's access throws.
-  std::string bytes = write_sample_artifact();
-  bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0x40);
-  const MappedArtifactReader reader(write_file(bytes));
-
-  auto alpha = reader.section("alpha");  // untouched section validates fine
-  EXPECT_EQ(alpha.read_string(), "payload-a");
-  EXPECT_THROW(reader.section("beta"), SerializationError);
-  // A failed CRC is not cached as success: every access re-throws.
-  EXPECT_THROW(reader.section("beta"), SerializationError);
-}
-
-TEST_F(MappedArtifact, RepeatedAccessValidatesChecksumOnce) {
-  const MappedArtifactReader reader(write_file(write_sample_artifact()));
-  // First access validates and caches; the second returns a fresh reader
-  // over the same mapped bytes (both must decode identically).
-  auto first = reader.section("beta");
-  auto second = reader.section("beta");
-  EXPECT_EQ(first.read_u64(), second.read_u64());
-}
-
-TEST_F(MappedArtifact, BadMagicAndWrongVersionThrow) {
-  std::string bad_magic = write_sample_artifact();
-  bad_magic[0] = 'X';
-  EXPECT_THROW(MappedArtifactReader reader(write_file(bad_magic)), SerializationError);
-
-  EXPECT_THROW(
-      MappedArtifactReader reader(write_file(write_sample_artifact(kFormatVersion + 7))),
-      SerializationError);
-}
-
-TEST_F(MappedArtifact, TrailingBytesAfterLastSectionThrow) {
-  EXPECT_THROW(MappedArtifactReader reader(write_file(write_sample_artifact() + "junk")),
-               SerializationError);
-}
-
-TEST_F(MappedArtifact, MissingFileThrowsTypedError) {
-  EXPECT_THROW(MappedArtifactReader reader("/nonexistent/definitely/missing.aquamodl"),
-               SerializationError);
-  EXPECT_THROW(open_artifact("/nonexistent/definitely/missing.aquamodl"), SerializationError);
-}
-
-TEST_F(MappedArtifact, OpenArtifactPrefersTheMappedReader) {
-  bool used_mmap = false;
-  const auto source = open_artifact(write_file(write_sample_artifact()), &used_mmap);
-  EXPECT_TRUE(used_mmap);
-  auto alpha = source->section("alpha");
-  EXPECT_EQ(alpha.read_string(), "payload-a");
-}
-
-TEST_F(MappedArtifact, ConcurrentSectionAccessIsSafe) {
-  // The lazy CRC cache is shared mutable state; hammer it from several
-  // threads (meaningful under TSan).
-  const MappedArtifactReader reader(write_file(write_sample_artifact()));
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        auto alpha = reader.section("alpha");
-        if (alpha.read_string() != "payload-a") failures.fetch_add(1);
-        auto beta = reader.section("beta");
-        if (beta.read_u64() != 99u) failures.fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
+TEST(Artifact, TrailingBytesAfterLastSectionThrow) {
+  // Every byte of the stream belongs to the artifact: bytes after the
+  // last payload mean a spliced or mis-framed file, not a valid one.
+  std::istringstream in(write_sample_artifact() + "junk");
+  EXPECT_THROW(ArtifactReader reader(in), SerializationError);
 }
 
 }  // namespace

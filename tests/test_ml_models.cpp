@@ -276,9 +276,13 @@ TEST(MultiLabel, BatchMatchesSingle) {
   }
   MultiLabelModel model([] { return std::make_unique<LinearRegressionClassifier>(); });
   model.fit(data);
-  const auto batch = model.predict_batch(data.features, false);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(batch[i], model.predict(data.features.row(i)));
+  // The batched path thresholded at 0.5 is predict(), row by row.
+  Matrix proba;
+  model.predict_proba_batch_into(data.features, proba, false);
+  for (std::size_t i = 0; i < data.features.rows(); ++i) {
+    Labels batch(proba.cols());
+    for (std::size_t v = 0; v < proba.cols(); ++v) batch[v] = proba(i, v) > 0.5 ? 1 : 0;
+    EXPECT_EQ(batch, model.predict(data.features.row(i))) << "row " << i;
   }
 }
 

@@ -435,6 +435,14 @@ TEST(RegressionTreeLoad, RejectsSharedChild) {
   expect_load_rejected(tree_bytes({{0, 1, 2}, {0, 2, 3}, {-1, -1, -1}, {-1, -1, -1}}));
 }
 
+TEST(RegressionTreeLoad, RejectsOrphanNode) {
+  // A leaf root followed by a stray leaf that no split claims.
+  expect_load_rejected(tree_bytes({{-1, -1, -1}, {-1, -1, -1}}));
+  // A split whose right child skips node 2, which no walk then reaches.
+  expect_load_rejected(
+      tree_bytes({{0, 1, 3}, {-1, -1, -1}, {-1, -1, -1}, {-1, -1, -1}}));
+}
+
 TEST(RegressionTreeLoad, RejectsNodeCountBeyondPayload) {
   expect_load_rejected(tree_bytes({{-1, -1, -1}}, std::uint64_t{1} << 32));
 }

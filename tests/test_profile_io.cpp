@@ -11,7 +11,6 @@
 
 #include "io/artifact.hpp"
 #include "io/binary.hpp"
-#include "io/mapped_artifact.hpp"
 #include "ml/hybrid_rsl.hpp"
 #include "ml/model_io.hpp"
 #include "ml/svm.hpp"
@@ -113,26 +112,33 @@ TEST(ProfileIo, RoundTripAllKindsEpaNet) { round_trip_all_kinds(false); }
 
 TEST(ProfileIo, RoundTripAllKindsWsscSubnet) { round_trip_all_kinds(true); }
 
-TEST(ProfileIo, MappedLoadBitIdenticalToBufferedOnAllKinds) {
-  // The zero-copy mmap reader must decode the same function as the
-  // buffered ArtifactReader for every classifier kind: same bytes in,
-  // bit-identical predictions out, on both paths.
+TEST(ProfileIo, LoadFileBitIdenticalToInMemoryOnAllKinds) {
+  // The file path every serving load takes: load_file(save_file(p))
+  // decodes the same function as the in-memory model for every
+  // classifier kind.
   const auto s = make_setup(false);
-  const std::string path = ::testing::TempDir() + "aqua_profile_mapped.aquamodl";
+  const std::string path = ::testing::TempDir() + "aqua_profile_file.aquamodl";
   for (ModelKind kind : all_model_kinds()) {
     SCOPED_TRACE(model_kind_name(kind));
     const ProfileModel original = train_kind(*s, kind);
     original.save_file(path);
-
-    const io::MappedArtifactReader mapped(path);
-    const ProfileModel via_mapped = ProfileModel::load(mapped);
-    expect_bit_identical(original, via_mapped, s->eval.features);
-
-    // And against the buffered reader over the identical file bytes.
-    std::ifstream in(path, std::ios::binary);
-    const ProfileModel via_buffered = ProfileModel::load(in);
-    expect_bit_identical(via_buffered, via_mapped, s->eval.features);
+    expect_bit_identical(original, ProfileModel::load_file(path), s->eval.features);
   }
+  std::remove(path.c_str());
+}
+
+TEST(ProfileIo, LoadFileRejectsTrailingBytes) {
+  // An artifact is the whole file: bytes appended after the last section
+  // make load_file throw rather than decode the sections and ignore them.
+  const auto s = make_setup(false);
+  const std::string path = ::testing::TempDir() + "aqua_profile_trailing.aquamodl";
+  train_kind(*s, ModelKind::kLinearR).save_file(path);
+  EXPECT_NO_THROW(ProfileModel::load_file(path));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << "junk";
+  }
+  EXPECT_THROW(ProfileModel::load_file(path), io::SerializationError);
   std::remove(path.c_str());
 }
 
@@ -149,38 +155,21 @@ TEST(ProfileIo, SensorsNarrowerThanTheModelReadsThrow) {
     ASSERT_GT(profile.sensors.size(), 3u);
 
     profile.save_file(path);
-    {
-      std::ifstream in(path, std::ios::binary);
-      EXPECT_NO_THROW(ProfileModel::load(in));
-      const io::MappedArtifactReader mapped(path);
-      EXPECT_NO_THROW(ProfileModel::load(mapped));
-    }
+    EXPECT_NO_THROW(ProfileModel::load_file(path));
 
     profile.sensors.sensors.resize(3);
     profile.save_file(path);
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_THROW(ProfileModel::load(in), io::SerializationError);
-    const io::MappedArtifactReader mapped(path);
-    EXPECT_THROW(ProfileModel::load(mapped), io::SerializationError);
+    EXPECT_THROW(ProfileModel::load_file(path), io::SerializationError);
   }
   std::remove(path.c_str());
 }
 
-TEST(ProfileIo, LoadFileFallsBackWhenMmapIsImpossible) {
-  // open_artifact on a path that exists but cannot be mapped (here:
-  // /proc-style zero-length files are hard to fabricate portably, so we
-  // exercise the documented fallback trigger — an empty file — which the
-  // mapped reader refuses and the buffered reader then rejects as a typed
-  // error rather than a crash).
+TEST(ProfileIo, LoadFileOfMissingOrEmptyFileThrows) {
+  EXPECT_THROW(ProfileModel::load_file("/nonexistent/definitely/missing.aquamodl"),
+               io::SerializationError);
   const std::string path = ::testing::TempDir() + "aqua_profile_empty.aquamodl";
   { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
-  bool used_mmap = true;
-  EXPECT_THROW(
-      {
-        const auto source = io::open_artifact(path, &used_mmap);
-        (void)source;
-      },
-      io::SerializationError);
+  EXPECT_THROW(ProfileModel::load_file(path), io::SerializationError);
   std::remove(path.c_str());
 }
 
@@ -236,28 +225,25 @@ std::vector<const ml::SvmFeatureMap*> svm_maps(const ProfileModel& profile) {
   return maps;
 }
 
-TEST(ProfileIo, SvmKindsHoldOneFeatureMapAfterFitAndBothLoads) {
+TEST(ProfileIo, SvmKindsHoldOneFeatureMapAfterFitAndLoad) {
   // MultiLabelModel fits one SVM feature map and every label keeps it;
-  // the artifact writes it once and both readers hand every label the
-  // one loaded object, so the batched path shares it by pointer.
+  // the artifact writes it once and the reader hands every label the one
+  // loaded object, so the batched path shares it by pointer.
   const auto s = make_setup(false);
   const std::string path = ::testing::TempDir() + "aqua_profile_shared_map.aquamodl";
   for (ModelKind kind : {ModelKind::kSvm, ModelKind::kHybridRsl}) {
     SCOPED_TRACE(model_kind_name(kind));
     const ProfileModel original = train_kind(*s, kind);
     original.save_file(path);
-    std::ifstream in(path, std::ios::binary);
-    const ProfileModel buffered = ProfileModel::load(in);
-    const io::MappedArtifactReader mapped(path);
-    const ProfileModel via_mapped = ProfileModel::load(mapped);
-    for (const ProfileModel* profile : {&original, &buffered, &via_mapped}) {
+    const ProfileModel loaded = ProfileModel::load_file(path);
+    for (const ProfileModel* profile : {&original, &loaded}) {
       const auto maps = svm_maps(*profile);
       ASSERT_GE(maps.size(), 2u);
       for (const ml::SvmFeatureMap* map : maps) EXPECT_EQ(map, maps.front());
       EXPECT_TRUE(profile->model.has_shared_input_map());
     }
-    EXPECT_NE(svm_maps(buffered).front(), svm_maps(original).front());
-    expect_bit_identical(original, via_mapped, s->eval.features);
+    EXPECT_NE(svm_maps(loaded).front(), svm_maps(original).front());
+    expect_bit_identical(original, loaded, s->eval.features);
   }
   std::remove(path.c_str());
 }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/aquascale.hpp"
-#include "io/mapped_artifact.hpp"
 
 namespace aqua::serving {
 namespace {
@@ -451,18 +450,18 @@ TEST(ServingDaemon, HotSwapUnderConcurrentLoadNeverTearsOrDrops) {
   EXPECT_EQ(daemon.district_telemetry(0).count(ServingDaemon::kCounterSwaps), 40u);
 }
 
-TEST(ServingDaemon, BundleLoadedViaMmapServesIdenticallyToInMemoryModel) {
+TEST(ServingDaemon, BundleLoadedFromArtifactServesIdenticallyToInMemoryModel) {
   auto profile = make_profile(0x77);
   const std::string path = ::testing::TempDir() + "aqua_serving_bundle.aquamodl";
   profile->save_file(path);
 
-  bool used_mmap = false;
+  bool used_mmap = true;
   const auto bundle = load_bundle(path, /*version=*/9, {}, &used_mmap);
-  EXPECT_TRUE(used_mmap);
+  EXPECT_FALSE(used_mmap);  // one buffered reader; the flag is always false
   EXPECT_EQ(bundle->version(), 9u);
 
   DistrictConfig config;
-  config.name = "mapped";
+  config.name = "loaded";
   config.model = bundle;
   Collector collector;
   ServingDaemon daemon({config}, {}, collector.sink());
@@ -476,7 +475,7 @@ TEST(ServingDaemon, BundleLoadedViaMmapServesIdenticallyToInMemoryModel) {
   ASSERT_EQ(entries.size(), inputs.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
     expect_identical(entries[i].result, reference.infer(inputs[i]),
-                     "mapped request " + std::to_string(i));
+                     "loaded request " + std::to_string(i));
   }
   std::remove(path.c_str());
 }
