@@ -63,13 +63,16 @@ using Metrics = std::vector<std::pair<std::string, double>>;
 /// Writes BENCH_<name>.json in the working directory: one flat object
 /// with the bench name, AQUA_SCALE, and every metric. Flat keys (e.g.
 /// "wssc_subnet.cholesky_solves_per_s") keep the file trivially
-/// diffable/greppable across PRs.
-inline void json_report(const std::string& name, const Metrics& metrics) {
+/// diffable/greppable across PRs. Returns whether the file was written
+/// and closed without error; every bench folds that into its exit status,
+/// so a report that could not be written fails the bench instead of
+/// leaving an older report in place.
+[[nodiscard]] inline bool json_report(const std::string& name, const Metrics& metrics) {
   const std::string path = "BENCH_" + name + ".json";
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
-    std::fprintf(stderr, "json_report: cannot write %s\n", path.c_str());
-    return;
+    std::fprintf(stderr, "json_report: cannot open %s\n", path.c_str());
+    return false;
   }
   std::fprintf(file, "{\n  \"bench\": \"%s\",\n  \"aqua_scale\": %g", name.c_str(),
                scale_factor());
@@ -77,8 +80,13 @@ inline void json_report(const std::string& name, const Metrics& metrics) {
     std::fprintf(file, ",\n  \"%s\": %.9g", key.c_str(), value);
   }
   std::fprintf(file, "\n}\n");
-  std::fclose(file);
+  const bool written = std::ferror(file) == 0;
+  if (std::fclose(file) != 0 || !written) {
+    std::fprintf(stderr, "json_report: cannot write %s\n", path.c_str());
+    return false;
+  }
   std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics.size());
+  return true;
 }
 
 }  // namespace aqua::bench

@@ -91,6 +91,5 @@ int main() {
   bench::Metrics metrics;
   run_network(networks::make_epa_net(), 10, "epa_net", metrics);
   run_network(networks::make_wssc_subnet(), 5, "wssc_subnet", metrics);
-  bench::json_report("detection_time", metrics);
-  return 0;
+  return bench::json_report("detection_time", metrics) ? 0 : 1;
 }

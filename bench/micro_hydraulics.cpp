@@ -188,6 +188,5 @@ int main(int argc, char** argv) {
 
   aqua::bench::Metrics metrics;
   node_count_sweep(metrics);
-  aqua::bench::json_report("micro_hydraulics", metrics);
-  return 0;
+  return aqua::bench::json_report("micro_hydraulics", metrics) ? 0 : 1;
 }

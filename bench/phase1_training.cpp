@@ -156,6 +156,7 @@ int main() {
   run_network(networks::make_wssc_subnet(), 128, "wssc_subnet", metrics, gates);
   run_variant_mix(networks::make_epa_net(), 256, "epa_net", metrics, gates);
   run_variant_mix(networks::make_wssc_subnet(), 96, "wssc_subnet", metrics, gates);
-  bench::json_report("phase1_training", metrics);
+  gates.check(bench::json_report("phase1_training", metrics),
+              "write BENCH_phase1_training.json");
   return gates.exit_status();
 }

@@ -115,7 +115,7 @@ void run_network(const hydraulics::Network& net, std::size_t train_samples,
       break;
     }
   }
-  gates.check(bit_identical, key + ": engine diverges from the sequential infer_leaks path");
+  gates.check(bit_identical, key + ": engine diverges from the sequential loop");
 
   // Naive sequential loop (per-snapshot, per-label transform recompute).
   std::vector<double> naive_latency(batch.size());
@@ -187,6 +187,7 @@ int main() {
   bench::Gates gates;
   run_network(networks::make_epa_net(), 256, 128, "epa_net", metrics, gates);
   run_network(networks::make_wssc_subnet(), 96, 48, "wssc_subnet", metrics, gates);
-  bench::json_report("phase2_inference", metrics);
+  gates.check(bench::json_report("phase2_inference", metrics),
+              "write BENCH_phase2_inference.json");
   return gates.exit_status();
 }

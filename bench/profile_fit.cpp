@@ -128,6 +128,5 @@ int main() {
   sweep_network(networks::make_epa_net(), "epa_net", metrics);
   sweep_network(networks::make_wssc_subnet(), "wssc_subnet", metrics);
   paper_scale_epa(metrics);
-  bench::json_report("profile_fit", metrics);
-  return 0;
+  return bench::json_report("profile_fit", metrics) ? 0 : 1;
 }

@@ -178,6 +178,7 @@ int main() {
   run_network(networks::make_epa_net(), 96, 32, "epa_net", metrics, gates);
   run_network(networks::make_wssc_subnet(), 64, 24, "wssc_subnet", metrics, gates);
   metrics.emplace_back("identity_gate_failures", static_cast<double>(gates.failures()));
-  bench::json_report("robustness", metrics);
+  gates.check(bench::json_report("robustness", metrics),
+              "write BENCH_robustness.json");
   return gates.exit_status();
 }

@@ -67,7 +67,8 @@ int main() {
   inputs.cliques = to_label_cliques(cliques, context.labels());
   std::printf("observed %zu tweets forming %zu cliques\n", stream.size(), inputs.cliques.size());
 
-  const InferenceResult result = infer_leaks(profile, inputs);
+  const InferenceEngine engine(profile);
+  const InferenceResult result = engine.infer(inputs);
 
   auto report = [&](const char* label, const ml::Labels& predicted) {
     std::printf("%-28s hamming %.3f, predicted {", label,

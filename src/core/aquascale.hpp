@@ -11,6 +11,7 @@
 
 #include "core/enumeration.hpp"
 #include "core/experiment.hpp"
+#include "core/inference_engine.hpp"
 #include "core/label_space.hpp"
 #include "core/pipeline.hpp"
 #include "core/placement_opt.hpp"

@@ -34,7 +34,7 @@ InferenceResult InferenceEngine::infer(const InferenceInputs& inputs) const {
 
 void InferenceEngine::fuse_snapshot(const InferenceInputs& inputs, InferenceResult& result,
                                     telemetry::StageTimes& times) const {
-  result.beliefs.predicted_set_into(result.predicted_iot_only);
+  result.predicted_iot_only = result.beliefs.predicted_set();
 
   // Weather expert (Algorithm 2 lines 6-13).
   if (!inputs.frozen.empty()) {
@@ -42,8 +42,6 @@ void InferenceEngine::fuse_snapshot(const InferenceInputs& inputs, InferenceResu
     result.weather_updates =
         fusion::apply_weather_update(result.beliefs, inputs.frozen, inputs.p_leak_given_freeze);
     times.add_count(kCounterWeatherUpdates, result.weather_updates);
-  } else {
-    result.weather_updates = 0;
   }
 
   // Human event tuning (lines 14-26), bracketed by the energy bookkeeping.
@@ -54,11 +52,9 @@ void InferenceEngine::fuse_snapshot(const InferenceInputs& inputs, InferenceResu
   }
   if (!inputs.cliques.empty()) {
     const telemetry::ScopedStageTimer timer(times, kStageHumanTuning);
-    fusion::apply_human_tuning_into(result.beliefs, inputs.cliques, inputs.entropy_threshold,
-                                    /*min_confidence=*/0.0, result.tuning);
+    result.tuning =
+        fusion::apply_human_tuning(result.beliefs, inputs.cliques, inputs.entropy_threshold);
     times.add_count(kCounterLabelsAdded, result.tuning.added_labels.size());
-  } else {
-    result.tuning = fusion::HumanTuningResult{};
   }
   {
     const telemetry::ScopedStageTimer timer(times, kStageEnergy);
@@ -66,7 +62,7 @@ void InferenceEngine::fuse_snapshot(const InferenceInputs& inputs, InferenceResu
         fusion::total_energy(result.beliefs, inputs.cliques, inputs.entropy_threshold);
   }
 
-  result.beliefs.predicted_set_into(result.predicted);
+  result.predicted = result.beliefs.predicted_set();
 }
 
 std::vector<InferenceResult> InferenceEngine::infer_batch(

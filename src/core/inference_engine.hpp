@@ -3,10 +3,11 @@
 // in one batched call (hoisting the per-label classifiers' shared input map
 // — see MultiLabelModel::predict_proba_batch_into), then the fusion pass
 // (weather Bayes update, human-input event tuning, energy bookkeeping) runs
-// per snapshot across the global thread pool with per-worker telemetry and
-// reusable scratch. Results are bit-identical to calling infer_leaks per
-// snapshot — batching only amortizes and hoists, it never reorders the
-// arithmetic inside one snapshot — and come back in input order.
+// per snapshot across the global thread pool with per-worker telemetry.
+// Results are bit-identical to running Algorithm 2 one snapshot at a time
+// (per-row predict_proba, then the fusion stages) — batching only
+// amortizes and hoists, it never reorders the arithmetic inside one
+// snapshot — and come back in input order.
 #pragma once
 
 #include <span>
@@ -49,8 +50,8 @@ class InferenceEngine {
   InferenceResult infer(const InferenceInputs& inputs) const;
 
   /// Runs Algorithm 2 over every snapshot in the batch. result[i] always
-  /// corresponds to batch[i] and is bit-identical to infer_leaks(profile,
-  /// batch[i]). Each result's infer_seconds is its own fusion time plus an
+  /// corresponds to batch[i] and is bit-identical to infer(batch[i]).
+  /// Each result's infer_seconds is its own fusion time plus an
   /// equal share of the batched profile-evaluation time. Reentrant: safe
   /// to call concurrently from multiple threads on one engine.
   std::vector<InferenceResult> infer_batch(std::span<const InferenceInputs> batch) const;

@@ -1,16 +1,6 @@
 #include "core/pipeline.hpp"
 
-#include "common/error.hpp"
-#include "core/inference_engine.hpp"
-
 namespace aqua::core {
-
-InferenceResult infer_leaks(const ProfileModel& profile, const InferenceInputs& inputs) {
-  // Thin wrapper over the batched serving layer (batch of one), so the
-  // single-shot and batched paths are one implementation and stay
-  // bit-identical by construction.
-  return InferenceEngine(profile).infer(inputs);
-}
 
 std::vector<fusion::LabelClique> to_label_cliques(const std::vector<fusion::Clique>& cliques,
                                                   const LabelSpace& labels) {

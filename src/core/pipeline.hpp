@@ -3,6 +3,8 @@
 // the Bayes weather update; human-input cliques apply higher-order-
 // potential event tuning. The result is the final leak set S plus the
 // diagnostics the paper reasons about (energy before/after, entropy).
+// core::InferenceEngine (core/inference_engine.hpp) runs it, one snapshot
+// or a batch at a time; this header holds its inputs and outputs.
 #pragma once
 
 #include "core/profile.hpp"
@@ -29,9 +31,6 @@ struct InferenceResult {
   double energy_after = 0.0;
   double infer_seconds = 0.0;
 };
-
-/// Runs Algorithm 2 end to end.
-InferenceResult infer_leaks(const ProfileModel& profile, const InferenceInputs& inputs);
 
 /// Maps geographic cliques (node ids) into label space, dropping non-
 /// junction members; empty cliques are discarded.

@@ -25,15 +25,15 @@ GreedyPlacementResult place_sensors_greedy(const SnapshotBatch& batch, std::size
   for (std::size_t s = 0; s < scenarios; ++s) {
     const auto& snap = batch.snapshots(s);
     for (std::size_t v = 0; v < num_nodes; ++v) {
-      const double delta = snap.after_pressure[elapsed_index][v] - snap.before_pressure[v];
-      detects[v][s] =
-          std::abs(delta) > options.snr_threshold * options.noise.pressure_sigma_m;
+      const double before = snap.before_pressure[v];
+      const double delta = snap.after_pressure[elapsed_index][v] - before;
+      const double sigma = options.noise.sigma(sensing::SensorKind::kPressure, before);
+      detects[v][s] = std::abs(delta) > options.snr_threshold * sigma;
     }
     for (std::size_t l = 0; l < num_links; ++l) {
       const double before = snap.before_flow[l];
       const double delta = snap.after_flow[elapsed_index][l] - before;
-      const double sigma = std::max(options.noise.flow_sigma_frac * std::abs(before),
-                                    options.noise.flow_sigma_floor_m3s);
+      const double sigma = options.noise.sigma(sensing::SensorKind::kFlow, before);
       detects[num_nodes + l][s] = std::abs(delta) > options.snr_threshold * sigma;
     }
   }

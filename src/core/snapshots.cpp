@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -209,15 +210,8 @@ std::vector<double> SnapshotBatch::features(std::size_t scenario,
                                             const sensing::NoiseModel& noise, Rng& rng,
                                             bool include_time_feature) const {
   std::vector<double> out(sensors.size() + (include_time_feature ? 1 : 0));
-  features_into(scenario, sensors, elapsed_index, noise, rng, include_time_feature, out);
-  return out;
-}
-
-void SnapshotBatch::features_into(std::size_t scenario, const sensing::SensorSet& sensors,
-                                  std::size_t elapsed_index, const sensing::NoiseModel& noise,
-                                  Rng& rng, bool include_time_feature,
-                                  std::span<double> out) const {
   features_into(scenario, sensors, elapsed_index, noise, rng, include_time_feature, {}, out);
+  return out;
 }
 
 void SnapshotBatch::features_into(std::size_t scenario, const sensing::SensorSet& sensors,
@@ -236,21 +230,21 @@ void SnapshotBatch::features_into(std::size_t scenario, const sensing::SensorSet
 
   std::size_t k = 0;
   for (const auto& sensor : sensors.sensors) {
-    double before = 0.0, after = 0.0;
-    if (sensor.kind == sensing::SensorKind::kPressure) {
-      before = snap.before_pressure[sensor.index] + rng.normal(0.0, noise.pressure_sigma_m);
-      after = snap.after_pressure[elapsed_index][sensor.index] +
-              rng.normal(0.0, noise.pressure_sigma_m);
-    } else {
-      const double b = snap.before_flow[sensor.index];
-      const double a = snap.after_flow[elapsed_index][sensor.index];
-      const double sigma_b =
-          std::max(noise.flow_sigma_frac * std::abs(b), noise.flow_sigma_floor_m3s);
-      const double sigma_a =
-          std::max(noise.flow_sigma_frac * std::abs(a), noise.flow_sigma_floor_m3s);
-      before = b + rng.normal(0.0, sigma_b);
-      after = a + rng.normal(0.0, sigma_a);
+    const bool pressure = sensor.kind == sensing::SensorKind::kPressure;
+    const std::vector<double>& before_row = pressure ? snap.before_pressure : snap.before_flow;
+    const std::vector<double>& after_row =
+        pressure ? snap.after_pressure[elapsed_index] : snap.after_flow[elapsed_index];
+    // A sensor set placed on another network indexes past these rows.
+    if (sensor.index >= before_row.size()) {
+      throw InvalidArgument("sensor '" + sensor.name + "' indexes " +
+                            (pressure ? "node " : "link ") + std::to_string(sensor.index) +
+                            " of a network with " + std::to_string(before_row.size()) +
+                            (pressure ? " nodes" : " links"));
     }
+    const double b = before_row[sensor.index];
+    const double a = after_row[sensor.index];
+    double before = b + rng.normal(0.0, noise.sigma(sensor.kind, b));
+    double after = a + rng.normal(0.0, noise.sigma(sensor.kind, a));
     // Sensor-fault layer: post-noise, pre-Δ (sensing/sensors.hpp). The
     // fault list is tiny (a handful of draws), so a linear scan per
     // sensor beats materializing full reading vectors.

@@ -73,24 +73,23 @@ class SnapshotBatch {
 
   /// Δ-feature vector of one scenario for a sensor set at elapsed count
   /// `elapsed_slots()[elapsed_index]`, with fresh measurement noise from
-  /// `rng`. Layout: one Δ per sensor, then (when enabled) the time-of-day
-  /// context feature.
+  /// `rng` and no sensor faults (features_into with an empty fault span).
   std::vector<double> features(std::size_t scenario, const sensing::SensorSet& sensors,
                                std::size_t elapsed_index, const sensing::NoiseModel& noise,
                                Rng& rng, bool include_time_feature = true) const;
 
-  /// Allocation-free variant: writes the feature vector into `out`, whose
-  /// size must be sensors.size() + (include_time_feature ? 1 : 0). Dataset
-  /// assembly points this directly at the ml::Matrix row.
-  void features_into(std::size_t scenario, const sensing::SensorSet& sensors,
-                     std::size_t elapsed_index, const sensing::NoiseModel& noise, Rng& rng,
-                     bool include_time_feature, std::span<double> out) const;
-
-  /// Sensor-fault-aware variant: after noise, each faulted sensor's
-  /// "before" reading (slot e.t - 1) and "after" reading (slot e.t + n)
-  /// pass through its fault transform (sensing::apply_sensor_fault) before
-  /// the Δ is taken. An empty fault span draws the exact same RNG stream
-  /// as the fault-free overload and is bit-identical to it.
+  /// The featurizer. Writes one Δ per sensor, then (when enabled) the
+  /// time-of-day context feature, into `out`, whose size must be
+  /// sensors.size() + (include_time_feature ? 1 : 0); dataset assembly
+  /// points this directly at the ml::Matrix row. Each sensor's clean
+  /// reading at slot e.t − 1 ("before") and at slot e.t + n ("after") gets
+  /// Gaussian noise of NoiseModel::sigma(kind, reading), drawn from `rng`
+  /// before then after, so the Δ noise has standard deviation
+  /// √(σ_before² + σ_after²). Each faulted sensor's two noisy readings
+  /// then pass through its fault transform (sensing::apply_sensor_fault)
+  /// before the Δ is taken; faults draw nothing from `rng`. Throws
+  /// InvalidArgument for a sensor whose index is outside this network's
+  /// nodes (pressure) or links (flow).
   void features_into(std::size_t scenario, const sensing::SensorSet& sensors,
                      std::size_t elapsed_index, const sensing::NoiseModel& noise, Rng& rng,
                      bool include_time_feature, std::span<const sensing::SensorFault> faults,

@@ -18,14 +18,9 @@ double binary_entropy(double p) {
 }
 
 std::vector<std::uint8_t> Beliefs::predicted_set() const {
-  std::vector<std::uint8_t> mask;
-  predicted_set_into(mask);
+  std::vector<std::uint8_t> mask(p_leak.size());
+  for (std::size_t v = 0; v < p_leak.size(); ++v) mask[v] = p_leak[v] > 0.5 ? 1 : 0;
   return mask;
-}
-
-void Beliefs::predicted_set_into(std::vector<std::uint8_t>& out) const {
-  out.resize(p_leak.size());
-  for (std::size_t v = 0; v < p_leak.size(); ++v) out[v] = p_leak[v] > 0.5 ? 1 : 0;
 }
 
 double Beliefs::entropy(std::size_t v) const {
@@ -85,16 +80,6 @@ double total_energy(const Beliefs& beliefs, const std::vector<LabelClique>& cliq
 HumanTuningResult apply_human_tuning(Beliefs& beliefs, const std::vector<LabelClique>& cliques,
                                      double entropy_threshold, double min_confidence) {
   HumanTuningResult result;
-  apply_human_tuning_into(beliefs, cliques, entropy_threshold, min_confidence, result);
-  return result;
-}
-
-void apply_human_tuning_into(Beliefs& beliefs, const std::vector<LabelClique>& cliques,
-                             double entropy_threshold, double min_confidence,
-                             HumanTuningResult& result) {
-  result.cliques_consistent = 0;
-  result.cliques_determinate = 0;
-  result.added_labels.clear();
   for (const auto& clique : cliques) {
     AQUA_REQUIRE(!clique.labels.empty(), "clique must contain labels");
     if (clique.confidence < min_confidence) {
@@ -130,6 +115,7 @@ void apply_human_tuning_into(Beliefs& beliefs, const std::vector<LabelClique>& c
       ++result.cliques_determinate;  // Φ_c = 0 via the Γ branch of Eq. 10
     }
   }
+  return result;
 }
 
 }  // namespace aqua::fusion

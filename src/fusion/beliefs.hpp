@@ -24,11 +24,6 @@ struct Beliefs {
   /// S = {v : p_v(1) > p_v(0)} ⇔ p_v(1) > 0.5, as a 0/1 mask.
   std::vector<std::uint8_t> predicted_set() const;
 
-  /// Allocation-free variant: `out` is resized and overwritten. The
-  /// batched inference engine calls this once per snapshot on a reused
-  /// buffer.
-  void predicted_set_into(std::vector<std::uint8_t>& out) const;
-
   /// Entropy H(y_v) of one node's belief (Eq. 7), in nats.
   double entropy(std::size_t v) const;
 
@@ -81,13 +76,5 @@ struct HumanTuningResult {
 /// min_confidence = 0 (every clique acts).
 HumanTuningResult apply_human_tuning(Beliefs& beliefs, const std::vector<LabelClique>& cliques,
                                      double entropy_threshold, double min_confidence = 0.0);
-
-/// Allocation-free variant: counters are reset and `result.added_labels`
-/// is cleared but keeps its capacity, so a reused result object makes the
-/// tuning pass allocation-free at steady state. Behavior is otherwise
-/// identical to apply_human_tuning.
-void apply_human_tuning_into(Beliefs& beliefs, const std::vector<LabelClique>& cliques,
-                             double entropy_threshold, double min_confidence,
-                             HumanTuningResult& result);
 
 }  // namespace aqua::fusion

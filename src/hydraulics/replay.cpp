@@ -1,8 +1,6 @@
 #include "hydraulics/replay.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -70,11 +68,6 @@ ReplayEngine::ReplayEngine(const BaselineTrajectory& baseline)
       solver_(network_, baseline.solver()),
       stepper_(network_, solver_, baseline_.options(), {}) {}
 
-SimulationResults ReplayEngine::replay(std::span<const LeakEvent> events,
-                                       std::size_t resume_step, std::size_t num_steps) {
-  return replay(ScenarioDynamics{events, {}, {}}, resume_step, num_steps);
-}
-
 SimulationResults ReplayEngine::replay(const ScenarioDynamics& dynamics,
                                        std::size_t resume_step, std::size_t num_steps) {
   AQUA_REQUIRE(num_steps > 0, "replay needs at least one step");
@@ -92,39 +85,6 @@ SimulationResults ReplayEngine::replay(const ScenarioDynamics& dynamics,
   for (std::size_t step = 0; step < num_steps; ++step) {
     const double t = stepper_.next_time();
     results.record(step, t, stepper_.advance());
-  }
-  return results;
-}
-
-SimulationResults Simulation::run_from(const BaselineTrajectory& baseline,
-                                       std::size_t resume_step) {
-  const std::size_t steps = num_steps();
-  AQUA_REQUIRE(resume_step >= 1 && resume_step < steps,
-               "resume step must lie inside the simulation horizon");
-  AQUA_REQUIRE(baseline.covers_resume_at(resume_step),
-               "resume step not covered by the baseline trajectory");
-  AQUA_REQUIRE(baseline.options().hydraulic_step_s == options_.hydraulic_step_s &&
-                   baseline.options().pattern_step_s == options_.pattern_step_s,
-               "baseline step sizes disagree with this simulation");
-  AQUA_REQUIRE(baseline.network().num_nodes() == network_.num_nodes() &&
-                   baseline.network().num_links() == network_.num_links(),
-               "baseline network does not match this simulation's network");
-
-  network_.clear_emitters();
-  GgaSolver solver(network_, options_.solver);
-  SimulationResults results(steps - resume_step, network_.num_nodes(), network_.num_links(),
-                            resume_step);
-  results.step_s_ = options_.hydraulic_step_s;
-
-  EpsStepper stepper(network_, solver, options_, events_);
-  stepper.set_operations(operations_);
-  stepper.set_demand_events(demand_events_);
-  stepper.set_tank_init_scale(tank_init_scale_);
-  stepper.resume(resume_step, baseline.tank_levels_entering(resume_step),
-                 baseline.state_at(resume_step - 1));
-  for (std::size_t step = 0; step + resume_step < steps; ++step) {
-    const double t = stepper.next_time();
-    results.record(step, t, stepper.advance());
   }
   return results;
 }

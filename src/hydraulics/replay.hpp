@@ -91,14 +91,11 @@ class ReplayEngine {
 
   const BaselineTrajectory& baseline() const noexcept { return baseline_; }
 
-  /// Resumes the baseline at `resume_step` with `events` scheduled and
-  /// simulates `num_steps` steps, returning results whose start_step() is
-  /// `resume_step`. Every event must start at or after the resume time.
-  SimulationResults replay(std::span<const LeakEvent> events, std::size_t resume_step,
-                           std::size_t num_steps);
-
-  /// Variant-aware replay: leaks plus operational and demand events, all
-  /// starting at or after the resume time (earlier events would have
+  /// Resumes the baseline at `resume_step` with the scenario's leaks,
+  /// operational and demand events scheduled and simulates `num_steps`
+  /// steps, returning results whose start_step() is `resume_step` and
+  /// bit-identical to the same rows of Simulation::run. Every event must
+  /// start at or after the resume time (earlier events would have
   /// perturbed the checkpoint — use a full run for those scenarios).
   SimulationResults replay(const ScenarioDynamics& dynamics, std::size_t resume_step,
                            std::size_t num_steps);

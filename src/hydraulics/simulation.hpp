@@ -24,8 +24,6 @@
 
 namespace aqua::hydraulics {
 
-class BaselineTrajectory;  // hydraulics/replay.hpp
-
 struct SimulationOptions {
   double duration_s = 24.0 * 3600.0;
   double hydraulic_step_s = 900.0;  // 15 minutes, the paper's IoT slot
@@ -103,10 +101,6 @@ class SimulationResults {
   double emitter_outflow(std::size_t step, NodeId node) const {
     return emitter_[step * num_nodes_ + node];
   }
-  /// Sum of emitter outflows over all nodes at one step [m^3/s] (cached at
-  /// record() time).
-  double emitter_total(std::size_t step) const { return emitter_total_.at(step); }
-
   std::span<const double> heads_at(std::size_t step) const {
     return {heads_.data() + step * num_nodes_, num_nodes_};
   }
@@ -193,8 +187,6 @@ class EpsStepper {
   /// The returned reference is valid until the next advance().
   const HydraulicState& advance();
 
-  /// Absolute index of the next step advance() will solve.
-  std::size_t next_step() const noexcept { return next_step_; }
   /// Current time of the next step [s].
   double next_time() const noexcept {
     return static_cast<double>(next_step_) * options_.hydraulic_step_s;
@@ -249,7 +241,9 @@ class Simulation {
   void schedule_demand_events(const std::vector<DemandEvent>& events);
 
   /// Tank-drawdown start: scales every tank's initial level (see
-  /// EpsStepper::set_tank_init_scale). run_from() rejects scales != 1.0.
+  /// EpsStepper::set_tank_init_scale). No baseline checkpoint is valid for
+  /// a scaled start, so such a scenario runs full (EpsStepper::resume
+  /// rejects scales != 1.0).
   void set_tank_init_scale(double scale);
 
   const Network& network() const noexcept { return network_; }
@@ -261,16 +255,9 @@ class Simulation {
   std::size_t num_steps() const noexcept;
 
   /// Runs the EPS and returns recorded time series. Repeatable: each call
-  /// restarts from initial tank levels.
+  /// restarts from initial tank levels. ReplayEngine::replay resumes the
+  /// same stepping mid-run, bit-identical to the tail of this.
   SimulationResults run();
-
-  /// Resumes from the baseline's checkpoint at `resume_step` and simulates
-  /// only steps [resume_step, num_steps()), bit-identical to the same tail
-  /// of run(). The baseline must share this simulation's step sizes and
-  /// network structure, cover at least step resume_step - 1, and every
-  /// scheduled leak must start at or after the resume time (earlier events
-  /// would have perturbed the checkpoint itself). Defined in replay.cpp.
-  SimulationResults run_from(const BaselineTrajectory& baseline, std::size_t resume_step);
 
  private:
   Network network_;

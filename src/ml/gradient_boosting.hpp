@@ -45,8 +45,6 @@ class GradientBoostingClassifier final : public BinaryClassifier {
   std::size_t fit_store_bins() const override { return config_.max_bins; }
   void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
 
-  std::size_t num_rounds_fitted() const noexcept { return trees_.size(); }
-
  private:
   void fit_impl(const Matrix& x, const Labels& y, const BinnedDataset* store);
 

@@ -14,7 +14,7 @@ MultiLabelModel::MultiLabelModel(ClassifierFactory factory) : factory_(std::move
   AQUA_REQUIRE(static_cast<bool>(factory_), "classifier factory must be callable");
 }
 
-void MultiLabelModel::fit(const MultiLabelDataset& data, bool parallel, bool shared_store) {
+void MultiLabelModel::fit(const MultiLabelDataset& data, bool parallel) {
   AQUA_REQUIRE(static_cast<bool>(factory_), "fit() requires a classifier factory");
   data.check();
   AQUA_REQUIRE(data.num_samples() > 0, "empty training set");
@@ -30,19 +30,17 @@ void MultiLabelModel::fit(const MultiLabelDataset& data, bool parallel, bool sha
   // bin budget / map. Both are immutable after fit, so concurrent
   // per-label fits read them freely.
   FitStore store;
-  if (shared_store) {
-    const std::size_t bins = classifiers_.front()->fit_store_bins();
-    const SvmConfig* svm = classifiers_.front()->fit_store_svm_map();
-    bool bins_agree = bins > 0;
-    bool svm_agree = svm != nullptr;
-    for (const auto& c : classifiers_) {
-      bins_agree = bins_agree && c->fit_store_bins() == bins;
-      const SvmConfig* other = c->fit_store_svm_map();
-      svm_agree = svm_agree && other != nullptr && SvmFeatureMap::same_map(*svm, *other);
-    }
-    if (bins_agree) store.bins.fit(data.features, bins);
-    if (svm_agree) store.svm_map = SvmFeatureMap::fit(data.features, *svm, store.svm_features);
+  const std::size_t bins = classifiers_.front()->fit_store_bins();
+  const SvmConfig* svm = classifiers_.front()->fit_store_svm_map();
+  bool bins_agree = bins > 0;
+  bool svm_agree = svm != nullptr;
+  for (const auto& c : classifiers_) {
+    bins_agree = bins_agree && c->fit_store_bins() == bins;
+    const SvmConfig* other = c->fit_store_svm_map();
+    svm_agree = svm_agree && other != nullptr && SvmFeatureMap::same_map(*svm, *other);
   }
+  if (bins_agree) store.bins.fit(data.features, bins);
+  if (svm_agree) store.svm_map = SvmFeatureMap::fit(data.features, *svm, store.svm_features);
 
   // Every consumer computes what the store lacks itself, so an empty
   // store is a plain fit.

@@ -25,16 +25,15 @@ class MultiLabelModel {
 
   /// Algorithm 1: for v in V do f_v.fit(T, X, Y_v).
   ///
-  /// All labels train on the same feature matrix, so when `shared_store`
-  /// is true the matrix-only fit state is computed once here and shared
-  /// read-only across labels (see BinaryClassifier's shared-store
-  /// protocol): the quantile binning when every label agrees on one bin
-  /// budget (fit_store_bins()), and the SVM feature map when every label
-  /// agrees on one map (fit_store_svm_map()), which every label then
-  /// keeps, so the fitted model holds one map. Bit-identical to the
-  /// per-label path (`shared_store` false: one binning and one map per
-  /// label), which stays as the test reference.
-  void fit(const MultiLabelDataset& data, bool parallel = true, bool shared_store = true);
+  /// All labels train on the same feature matrix, so the matrix-only fit
+  /// state is computed once here and shared read-only across labels (see
+  /// BinaryClassifier's shared-store protocol): the quantile binning when
+  /// every label agrees on one bin budget (fit_store_bins()), and the SVM
+  /// feature map when every label agrees on one map (fit_store_svm_map()),
+  /// which every label then keeps, so the fitted model holds one map.
+  /// Bit-identical to fitting each label's classifier on its own with
+  /// BinaryClassifier::fit.
+  void fit(const MultiLabelDataset& data, bool parallel = true);
 
   std::size_t num_labels() const noexcept { return classifiers_.size(); }
   bool fitted() const noexcept { return !classifiers_.empty(); }

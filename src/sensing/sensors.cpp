@@ -1,7 +1,6 @@
 #include "sensing/sensors.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "io/binary.hpp"
@@ -106,14 +105,6 @@ double apply_sensor_fault(const SensorFault& fault, double reading, std::size_t 
   return reading;
 }
 
-void apply_sensor_faults(std::span<const SensorFault> faults, std::span<double> readings,
-                         std::size_t slot) {
-  for (const SensorFault& fault : faults) {
-    AQUA_REQUIRE(fault.sensor < readings.size(), "sensor-fault index out of range");
-    readings[fault.sensor] = apply_sensor_fault(fault, readings[fault.sensor], slot);
-  }
-}
-
 SensorSet full_observation(const hydraulics::Network& network) {
   SensorSet set;
   set.sensors.reserve(network.num_nodes() + network.num_links());
@@ -124,68 +115,6 @@ SensorSet full_observation(const hydraulics::Network& network) {
     set.sensors.push_back({SensorKind::kFlow, l, "q:" + network.link(l).name});
   }
   return set;
-}
-
-namespace {
-
-double clean_reading(const Sensor& sensor, const hydraulics::SimulationResults& results,
-                     std::size_t step) {
-  return sensor.kind == SensorKind::kPressure ? results.pressure(step, sensor.index)
-                                              : results.flow(step, sensor.index);
-}
-
-double noisy_reading(const Sensor& sensor, const hydraulics::SimulationResults& results,
-                     std::size_t step, const NoiseModel& noise, Rng& rng) {
-  const double value = clean_reading(sensor, results, step);
-  if (sensor.kind == SensorKind::kPressure) {
-    return value + rng.normal(0.0, noise.pressure_sigma_m);
-  }
-  const double sigma =
-      std::max(noise.flow_sigma_frac * std::abs(value), noise.flow_sigma_floor_m3s);
-  return value + rng.normal(0.0, sigma);
-}
-
-}  // namespace
-
-std::vector<double> read_sensors(const SensorSet& sensors,
-                                 const hydraulics::SimulationResults& results, std::size_t step,
-                                 const NoiseModel& noise, Rng& rng) {
-  AQUA_REQUIRE(step < results.num_steps(), "step out of range");
-  std::vector<double> readings(sensors.size());
-  for (std::size_t i = 0; i < sensors.size(); ++i) {
-    readings[i] = noisy_reading(sensors.sensors[i], results, step, noise, rng);
-  }
-  return readings;
-}
-
-std::vector<double> delta_features(const SensorSet& sensors,
-                                   const hydraulics::SimulationResults& results,
-                                   std::size_t leak_slot, std::size_t elapsed_slots,
-                                   const NoiseModel& noise, Rng& rng) {
-  AQUA_REQUIRE(leak_slot >= 1, "leak slot must have a predecessor sample");
-  const std::size_t after = leak_slot + elapsed_slots;
-  AQUA_REQUIRE(after < results.num_steps(), "elapsed window exceeds the simulation");
-  std::vector<double> features(sensors.size());
-  for (std::size_t i = 0; i < sensors.size(); ++i) {
-    const double before = noisy_reading(sensors.sensors[i], results, leak_slot - 1, noise, rng);
-    const double now = noisy_reading(sensors.sensors[i], results, after, noise, rng);
-    features[i] = now - before;
-  }
-  return features;
-}
-
-std::vector<double> delta_features_clean(const SensorSet& sensors,
-                                         const hydraulics::SimulationResults& results,
-                                         std::size_t leak_slot, std::size_t elapsed_slots) {
-  AQUA_REQUIRE(leak_slot >= 1, "leak slot must have a predecessor sample");
-  const std::size_t after = leak_slot + elapsed_slots;
-  AQUA_REQUIRE(after < results.num_steps(), "elapsed window exceeds the simulation");
-  std::vector<double> features(sensors.size());
-  for (std::size_t i = 0; i < sensors.size(); ++i) {
-    features[i] = clean_reading(sensors.sensors[i], results, after) -
-                  clean_reading(sensors.sensors[i], results, leak_slot - 1);
-  }
-  return features;
 }
 
 }  // namespace aqua::sensing

@@ -4,18 +4,20 @@
 // the ML features are *differences between consecutive readings*: "we use
 // the difference between two sets of consecutive readings from IoT devices
 // as the features of X ... the change on pressure head or flow rate of
-// sensor a" (Sec. IV-A), taken between slots e.t-1 and e.t+n.
+// sensor a" (Sec. IV-A), taken between slots e.t-1 and e.t+n. The one
+// featurizer is core::SnapshotBatch::features_into; NoiseModel::sigma is
+// the one noise rule it and the greedy placement share.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "hydraulics/network.hpp"
-#include "hydraulics/simulation.hpp"
 
 namespace aqua::io {
 class BinaryWriter;
@@ -49,6 +51,14 @@ struct NoiseModel {
   double pressure_sigma_m = 0.005;
   double flow_sigma_frac = 0.005;
   double flow_sigma_floor_m3s = 5e-5;
+
+  /// Standard deviation of the Gaussian noise on one clean `reading` of a
+  /// sensor of `kind`: pressure_sigma_m for pressure, and
+  /// max(flow_sigma_frac · |reading|, flow_sigma_floor_m3s) for flow.
+  double sigma(SensorKind kind, double reading) const noexcept {
+    if (kind == SensorKind::kPressure) return pressure_sigma_m;
+    return std::max(flow_sigma_frac * std::abs(reading), flow_sigma_floor_m3s);
+  }
 
   void save(io::BinaryWriter& writer) const;
   static NoiseModel load(io::BinaryReader& reader);
@@ -108,30 +118,9 @@ std::vector<SensorFault> resolve_sensor_faults(std::span<const SensorFaultDraw> 
 ///   bias:     r -> r + value
 double apply_sensor_fault(const SensorFault& fault, double reading, std::size_t slot);
 
-/// Applies every fault to its sensor's reading, in list order.
-void apply_sensor_faults(std::span<const SensorFault> faults, std::span<double> readings,
-                         std::size_t slot);
-
 /// Full observation A = V ∪ E: a pressure sensor at every node and a flow
 /// meter on every link ("|A| = |V| + |E| refers to the full (100%) IoT
 /// observations", Sec. V-B).
 SensorSet full_observation(const hydraulics::Network& network);
-
-/// Noisy readings of every sensor at one recorded slot.
-std::vector<double> read_sensors(const SensorSet& sensors,
-                                 const hydraulics::SimulationResults& results, std::size_t step,
-                                 const NoiseModel& noise, Rng& rng);
-
-/// Δ-features: reading(leak_slot + elapsed) − reading(leak_slot − 1),
-/// noise drawn independently per reading. `leak_slot` must be >= 1.
-std::vector<double> delta_features(const SensorSet& sensors,
-                                   const hydraulics::SimulationResults& results,
-                                   std::size_t leak_slot, std::size_t elapsed_slots,
-                                   const NoiseModel& noise, Rng& rng);
-
-/// Noise-free variant used by analytical harnesses (e.g. Fig. 2).
-std::vector<double> delta_features_clean(const SensorSet& sensors,
-                                         const hydraulics::SimulationResults& results,
-                                         std::size_t leak_slot, std::size_t elapsed_slots);
 
 }  // namespace aqua::sensing

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "core/experiment.hpp"
+#include "core/inference_engine.hpp"
 #include "networks/builtin.hpp"
 
 namespace aqua::core {
@@ -27,11 +28,14 @@ class PipelineTest : public ::testing::Test {
     options.kind = ModelKind::kLogisticR;  // fast and strong at full IoT
     options.iot_percent = 100.0;
     profile_ = new ProfileModel(context_->train(options));
+    engine_ = new InferenceEngine(*profile_);
   }
   static void TearDownTestSuite() {
+    delete engine_;
     delete profile_;
     delete context_;
     delete net_;
+    engine_ = nullptr;
     profile_ = nullptr;
     context_ = nullptr;
     net_ = nullptr;
@@ -40,11 +44,13 @@ class PipelineTest : public ::testing::Test {
   static hydraulics::Network* net_;
   static ExperimentContext* context_;
   static ProfileModel* profile_;
+  static InferenceEngine* engine_;
 };
 
 hydraulics::Network* PipelineTest::net_ = nullptr;
 ExperimentContext* PipelineTest::context_ = nullptr;
 ProfileModel* PipelineTest::profile_ = nullptr;
+InferenceEngine* PipelineTest::engine_ = nullptr;
 
 std::vector<double> test_features(const ExperimentContext& context, const ProfileModel& profile,
                                   std::size_t scenario_index) {
@@ -56,7 +62,7 @@ std::vector<double> test_features(const ExperimentContext& context, const Profil
 TEST_F(PipelineTest, IotOnlyInferenceProducesSaneBeliefs) {
   InferenceInputs inputs;
   inputs.features = test_features(*context_, *profile_, 0);
-  const auto result = infer_leaks(*profile_, inputs);
+  const auto result = engine_->infer(inputs);
   EXPECT_EQ(result.beliefs.size(), context_->labels().num_labels());
   for (double p : result.beliefs.p_leak) {
     EXPECT_GE(p, 0.0);
@@ -73,7 +79,7 @@ TEST_F(PipelineTest, ProfileActuallyLocalizesAtFullIot) {
   for (std::size_t i = 0; i < context_->test_scenarios().size(); ++i) {
     InferenceInputs inputs;
     inputs.features = test_features(*context_, *profile_, i);
-    predictions.push_back(infer_leaks(*profile_, inputs).predicted);
+    predictions.push_back(engine_->infer(inputs).predicted);
     truth.push_back(context_->test_scenarios()[i].truth);
   }
   EXPECT_GT(ml::mean_hamming_score(predictions, truth), 0.5);
@@ -82,11 +88,11 @@ TEST_F(PipelineTest, ProfileActuallyLocalizesAtFullIot) {
 TEST_F(PipelineTest, WeatherUpdateOnlyTouchesFrozenLabels) {
   InferenceInputs inputs;
   inputs.features = test_features(*context_, *profile_, 1);
-  const auto base = infer_leaks(*profile_, inputs);
+  const auto base = engine_->infer(inputs);
   inputs.frozen.assign(context_->labels().num_labels(), 0);
   inputs.frozen[3] = 1;
   inputs.frozen[7] = 1;
-  const auto fused = infer_leaks(*profile_, inputs);
+  const auto fused = engine_->infer(inputs);
   EXPECT_EQ(fused.weather_updates, 2u);
   for (std::size_t v = 0; v < base.beliefs.size(); ++v) {
     if (v == 3 || v == 7) {
@@ -102,7 +108,7 @@ TEST_F(PipelineTest, HumanCliqueForcesDetection) {
   inputs.features = test_features(*context_, *profile_, 2);
   // Construct a clique around a label that is uncertain (nonzero entropy)
   // but currently not predicted.
-  const auto base = infer_leaks(*profile_, inputs);
+  const auto base = engine_->infer(inputs);
   std::size_t quiet = 0;
   bool found = false;
   for (std::size_t v = 0; v < base.beliefs.size() && !found; ++v) {
@@ -113,7 +119,7 @@ TEST_F(PipelineTest, HumanCliqueForcesDetection) {
   }
   if (!found) GTEST_SKIP() << "no uncertain unpredicted label in this sample";
   inputs.cliques.push_back({{quiet}, 0.9});
-  const auto tuned = infer_leaks(*profile_, inputs);
+  const auto tuned = engine_->infer(inputs);
   EXPECT_EQ(tuned.predicted[quiet], 1);
   EXPECT_EQ(tuned.tuning.added_labels.size(), 1u);
   EXPECT_LT(tuned.energy_after, tuned.energy_before);
@@ -122,7 +128,7 @@ TEST_F(PipelineTest, HumanCliqueForcesDetection) {
 TEST_F(PipelineTest, ConsistentCliqueChangesNothing) {
   InferenceInputs inputs;
   inputs.features = test_features(*context_, *profile_, 3);
-  const auto base = infer_leaks(*profile_, inputs);
+  const auto base = engine_->infer(inputs);
   // Find a predicted label, then a clique containing it is consistent.
   std::size_t hot = 0;
   bool found = false;
@@ -134,7 +140,7 @@ TEST_F(PipelineTest, ConsistentCliqueChangesNothing) {
   }
   if (!found) GTEST_SKIP() << "no predicted label in this sample";
   inputs.cliques.push_back({{hot}, 0.9});
-  const auto tuned = infer_leaks(*profile_, inputs);
+  const auto tuned = engine_->infer(inputs);
   EXPECT_EQ(tuned.predicted, base.predicted);
   EXPECT_EQ(tuned.tuning.cliques_consistent, 1u);
 }
@@ -163,10 +169,8 @@ TEST_F(PipelineTest, EmptyCliquesDropped) {
 }
 
 TEST_F(PipelineTest, UntrainedProfileRejected) {
-  ProfileModel empty;
-  InferenceInputs inputs;
-  inputs.features = {0.0};
-  EXPECT_THROW(infer_leaks(empty, inputs), InvalidArgument);
+  const ProfileModel empty;
+  EXPECT_THROW(InferenceEngine engine(empty), InvalidArgument);
 }
 
 TEST_F(PipelineTest, EvaluateProfileReportsConsistentScores) {

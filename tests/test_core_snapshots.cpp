@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "networks/builtin.hpp"
@@ -88,6 +89,93 @@ TEST_F(SnapshotTest, CleanFeaturesMatchSnapshots) {
   EXPECT_NEAR(features[0], snap.after_pressure[0][leak_node] - snap.before_pressure[leak_node],
               1e-12);
   EXPECT_LT(features[0], 0.0);
+}
+
+/// Standard deviation of (noisy Δ − clean Δ) over `draws` featurizations
+/// of one sensor of scenario 0; also returns the mean through `mean`.
+double delta_noise_spread(const SnapshotBatch& batch, const sensing::Sensor& sensor,
+                          const sensing::NoiseModel& noise, int draws, double& mean) {
+  const sensing::SensorSet one{{sensor}};
+  const auto& snap = batch.snapshots(0);
+  const bool pressure = sensor.kind == sensing::SensorKind::kPressure;
+  const double clean = pressure ? snap.after_pressure[0][sensor.index] -
+                                      snap.before_pressure[sensor.index]
+                                : snap.after_flow[0][sensor.index] - snap.before_flow[sensor.index];
+  Rng rng(5);
+  std::vector<double> out(1);
+  double sum = 0.0, ss = 0.0;
+  for (int i = 0; i < draws; ++i) {
+    batch.features_into(0, one, 0, noise, rng, false, {}, out);
+    const double error = out[0] - clean;
+    sum += error;
+    ss += error * error;
+  }
+  mean = sum / draws;
+  return std::sqrt(ss / draws);
+}
+
+TEST_F(SnapshotTest, PressureDeltaNoiseIsSigmaTimesSqrt2) {
+  // Each of the two readings draws N(0, σ²), so the Δ carries σ√2.
+  const SnapshotBatch batch(net_, scenarios_, {1});
+  sensing::NoiseModel noise;
+  noise.pressure_sigma_m = 0.05;
+  const sensing::Sensor sensor{sensing::SensorKind::kPressure, net_.junction_ids()[0], "p"};
+  double mean = 0.0;
+  const double spread = delta_noise_spread(batch, sensor, noise, 20000, mean);
+  EXPECT_NEAR(mean, 0.0, 0.003);
+  EXPECT_NEAR(spread, 0.05 * std::sqrt(2.0), 0.003);
+}
+
+TEST_F(SnapshotTest, FlowDeltaNoiseCombinesBothReadingsRelativeSigmas) {
+  // Flow noise is relative to each reading: the Δ carries
+  // √(σ_before² + σ_after²) with σ = flow_sigma_frac · |reading|.
+  const SnapshotBatch batch(net_, scenarios_, {1});
+  const auto& snap = batch.snapshots(0);
+  std::size_t link = 0;
+  for (std::size_t l = 0; l < net_.num_links(); ++l) {
+    if (std::abs(snap.before_flow[l]) > std::abs(snap.before_flow[link])) link = l;
+  }
+  sensing::NoiseModel noise;
+  noise.flow_sigma_frac = 0.02;
+  const double sigma_before = noise.flow_sigma_frac * std::abs(snap.before_flow[link]);
+  const double sigma_after = noise.flow_sigma_frac * std::abs(snap.after_flow[0][link]);
+  // Both readings sit above the floor, so the relative rule is what is measured.
+  ASSERT_GT(sigma_before, noise.flow_sigma_floor_m3s);
+  ASSERT_GT(sigma_after, noise.flow_sigma_floor_m3s);
+  const double expected = std::hypot(sigma_before, sigma_after);
+  const sensing::Sensor sensor{sensing::SensorKind::kFlow, link, "q"};
+  double mean = 0.0;
+  const double spread = delta_noise_spread(batch, sensor, noise, 20000, mean);
+  EXPECT_NEAR(mean, 0.0, 0.03 * expected);
+  EXPECT_NEAR(spread, expected, 0.03 * expected);
+}
+
+TEST_F(SnapshotTest, SensorOutsideTheNetworkThrowsNamingIt) {
+  // A profile placed on another network must not index past the
+  // snapshots: WSSC-SUBNET's full observation has more nodes and links
+  // than EPA-NET, directly and through build_dataset.
+  const SnapshotBatch batch(net_, scenarios_, {1});
+  const auto foreign = sensing::full_observation(networks::make_wssc_subnet());
+  Rng rng(12);
+  EXPECT_THROW(batch.features(0, foreign, 0, {}, rng), InvalidArgument);
+  EXPECT_THROW(batch.build_dataset(scenarios_, foreign, 0, {}, 42), InvalidArgument);
+
+  auto expect_rejected = [&](const sensing::Sensor& sensor) {
+    const sensing::SensorSet one{{sensor}};
+    try {
+      (void)batch.features(0, one, 0, {}, rng);
+      ADD_FAILURE() << "accepted " << sensor.name;
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find(sensor.name), std::string::npos) << error.what();
+    }
+  };
+  expect_rejected({sensing::SensorKind::kPressure, net_.num_nodes(), "p:past-last-node"});
+  expect_rejected({sensing::SensorKind::kFlow, net_.num_links(), "q:past-last-link"});
+
+  // The last node and the last link are in range.
+  const sensing::SensorSet last{{{sensing::SensorKind::kPressure, net_.num_nodes() - 1, "p"},
+                                 {sensing::SensorKind::kFlow, net_.num_links() - 1, "q"}}};
+  EXPECT_NO_THROW((void)batch.features(0, last, 0, {}, rng));
 }
 
 TEST_F(SnapshotTest, DatasetShapeAndLabels) {

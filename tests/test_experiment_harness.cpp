@@ -4,6 +4,9 @@
 // checked here too.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -148,6 +151,20 @@ TEST(BenchGates, ExitStatusIsNonzeroOnceAnyGateFails) {
   EXPECT_FALSE(gates.check(false, "second failing gate"));
   EXPECT_EQ(gates.failures(), 2u);
   EXPECT_NE(gates.exit_status(), 0);
+}
+
+TEST(BenchGates, JsonReportReturnsFalseWhenTheFileCannotBeWritten) {
+  const bench::Metrics metrics = {{"rows", 3.0}};
+  // The report path BENCH_<name>.json lies inside a directory that does
+  // not exist, so it cannot be opened.
+  EXPECT_FALSE(bench::json_report("no_such_dir/report", metrics));
+  // A writable report returns true and holds the metric.
+  ASSERT_TRUE(bench::json_report("json_report_probe", metrics));
+  std::ifstream written("BENCH_json_report_probe.json");
+  const std::string text((std::istreambuf_iterator<char>(written)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"rows\": 3"), std::string::npos) << text;
+  std::remove("BENCH_json_report_probe.json");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -371,11 +372,22 @@ TEST(MultiLabel, ParallelFitBitIdenticalToSerial) {
   }
 }
 
+/// Per-row predict_proba of `model` over every row of `x`, stacked like
+/// predict_proba_batch_into's output.
+Matrix per_row_proba(const MultiLabelModel& model, const Matrix& x) {
+  Matrix out(x.rows(), model.num_labels());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto row = model.predict_proba(x.row(i));
+    std::copy(row.begin(), row.end(), out.row(i).begin());
+  }
+  return out;
+}
+
 TEST(MultiLabel, SharedStoreBitIdenticalToPerLabelBinning) {
   // The shared store (one binning, one SVM feature map) against the
-  // per-label reference (one of each per label): bitwise equal
-  // predictions, per row and through the batched path that hoists the
-  // shared map.
+  // per-label reference (each label's classifier fitted on its own, so
+  // with its own binning and map): bitwise equal predictions, per row and
+  // through the batched path that hoists the shared map.
   Rng rng(69);
   const auto data = tree_multilabel_data(250, 4, rng);
   const std::vector<ModelCase> cases = {
@@ -386,18 +398,42 @@ TEST(MultiLabel, SharedStoreBitIdenticalToPerLabelBinning) {
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     MultiLabelModel shared(c.factory);
-    MultiLabelModel per_label(c.factory);
-    shared.fit(data, /*parallel=*/true, /*shared_store=*/true);
-    per_label.fit(data, /*parallel=*/true, /*shared_store=*/false);
-    for (std::size_t i = 0; i < 50; ++i) {
-      const auto a = shared.predict_proba(data.features.row(i));
-      const auto b = per_label.predict_proba(data.features.row(i));
-      EXPECT_EQ(a, b);
+    shared.fit(data, /*parallel=*/true);
+    Matrix reference(data.num_samples(), data.num_labels());
+    for (std::size_t v = 0; v < data.num_labels(); ++v) {
+      const auto per_label = c.factory();
+      per_label->fit(data.features, data.label_column(v));
+      for (std::size_t i = 0; i < data.num_samples(); ++i) {
+        reference(i, v) = per_label->predict_proba(data.features.row(i));
+      }
     }
-    Matrix batch_shared, batch_per_label;
-    shared.predict_proba_batch_into(data.features, batch_shared, /*parallel=*/false);
-    per_label.predict_proba_batch_into(data.features, batch_per_label, /*parallel=*/false);
-    EXPECT_EQ(batch_shared.data(), batch_per_label.data());
+    EXPECT_EQ(per_row_proba(shared, data.features).data(), reference.data());
+    Matrix batch;
+    shared.predict_proba_batch_into(data.features, batch, /*parallel=*/false);
+    EXPECT_EQ(batch.data(), reference.data());
+  }
+}
+
+TEST(MultiLabel, LabelMajorBatchBitIdenticalToPerRow) {
+  // Alternating LogisticR and RF labels: neither kind accepts the other's
+  // input map, so no map is shared and the batch runs the label-major
+  // sweep, which must still equal per-row predict_proba bit for bit.
+  Rng rng(70);
+  const auto data = tree_multilabel_data(250, 4, rng);
+  auto made = std::make_shared<std::size_t>(0);
+  MultiLabelModel model([made]() -> std::unique_ptr<BinaryClassifier> {
+    if ((*made)++ % 2 == 0) return std::make_unique<LogisticRegressionClassifier>();
+    return std::make_unique<RandomForestClassifier>();
+  });
+  model.fit(data, /*parallel=*/true);
+  ASSERT_EQ(model.classifier(0).name(), "LogisticR");
+  ASSERT_EQ(model.classifier(1).name(), "RF");
+  EXPECT_FALSE(model.has_shared_input_map());
+  const Matrix reference = per_row_proba(model, data.features);
+  for (const bool parallel : {false, true}) {
+    Matrix batch;
+    model.predict_proba_batch_into(data.features, batch, parallel);
+    EXPECT_EQ(batch.data(), reference.data()) << "parallel " << parallel;
   }
 }
 

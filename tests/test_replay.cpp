@@ -66,28 +66,39 @@ void expect_tail_equal(const SimulationResults& full, const SimulationResults& t
   }
 }
 
-TEST(Replay, RunFromMatchesFullRunOnEpaNet) {
+/// Leak-only dynamics, the scenario shape of the paper's corpus. The span
+/// refers to `events`, which must outlive the replay call.
+ScenarioDynamics leaks_only(const std::vector<LeakEvent>& events) { return {events, {}, {}}; }
+
+/// Replays `sim`'s leaks from a baseline checkpoint at `slot` through the
+/// rest of the horizon and checks the tail equals the full run bit for bit.
+void expect_replay_equals_run(const Network& net, Simulation& sim, std::size_t slot) {
+  const auto full = sim.run();
+  const BaselineTrajectory baseline(net, sim.options(), slot - 1);
+  ReplayEngine engine(baseline);
+  const auto tail = engine.replay(leaks_only(sim.events()), slot, full.num_steps() - slot);
+  EXPECT_EQ(tail.start_step(), slot);
+  EXPECT_EQ(tail.num_steps(), full.num_steps() - slot);
+  expect_tail_equal(full, tail);
+}
+
+TEST(Replay, ReplayMatchesFullRunOnEpaNet) {
   // EPA-NET exercises everything the checkpoint must capture: tanks
   // (levels), pumps, a valve, diurnal patterns — across several leak
   // depths including a slot deep enough for tank drift to accumulate.
   const Network net = networks::make_epa_net();
   const NodeId leak = net.junction_ids()[7];
   for (const std::size_t slot : {std::size_t{1}, std::size_t{5}, std::size_t{12}}) {
+    SCOPED_TRACE(slot);
     SimulationOptions options;
     options.duration_s = static_cast<double>(slot + 4) * options.hydraulic_step_s;
     Simulation sim(net, options);
     sim.schedule_leak({leak, 0.004, 0.5, static_cast<double>(slot) * options.hydraulic_step_s});
-    const auto full = sim.run();
-
-    const BaselineTrajectory baseline(net, options, slot - 1);
-    const auto tail = sim.run_from(baseline, slot);
-    EXPECT_EQ(tail.start_step(), slot);
-    EXPECT_EQ(tail.num_steps(), full.num_steps() - slot);
-    expect_tail_equal(full, tail);
+    expect_replay_equals_run(net, sim, slot);
   }
 }
 
-TEST(Replay, RunFromMatchesFullRunOnWsscSubnet) {
+TEST(Replay, ReplayMatchesFullRunOnWsscSubnet) {
   const Network net = networks::make_wssc_subnet();
   const std::size_t slot = 6;
   SimulationOptions options;
@@ -95,9 +106,7 @@ TEST(Replay, RunFromMatchesFullRunOnWsscSubnet) {
   Simulation sim(net, options);
   sim.schedule_leak({net.junction_ids()[42], 0.006, 0.5,
                      static_cast<double>(slot) * options.hydraulic_step_s});
-  const auto full = sim.run();
-  const BaselineTrajectory baseline(net, options, slot - 1);
-  expect_tail_equal(full, sim.run_from(baseline, slot));
+  expect_replay_equals_run(net, sim, slot);
 }
 
 TEST(Replay, BaselineMatchesHealthyRunPrefix) {
@@ -122,13 +131,13 @@ TEST(Replay, EngineIsCleanAcrossScenarios) {
   const double t0 = 4 * options.hydraulic_step_s;
   const std::vector<LeakEvent> a{{net.junction_ids()[3], 0.005, 0.5, t0}};
   const std::vector<LeakEvent> b{{net.junction_ids()[50], 0.002, 0.5, t0}};
-  const auto first = engine.replay(a, 4, 3);
-  (void)engine.replay(b, 4, 3);
-  const auto again = engine.replay(a, 4, 3);
+  const auto first = engine.replay(leaks_only(a), 4, 3);
+  (void)engine.replay(leaks_only(b), 4, 3);
+  const auto again = engine.replay(leaks_only(a), 4, 3);
   expect_results_equal(first, again);
 
   ReplayEngine fresh(baseline);
-  expect_results_equal(first, fresh.replay(a, 4, 3));
+  expect_results_equal(first, fresh.replay(leaks_only(a), 4, 3));
 }
 
 TEST(Replay, SolverCloneSolvesIdentically) {
@@ -182,25 +191,28 @@ TEST(Replay, Validation) {
   SimulationOptions options;
   options.duration_s = 8 * options.hydraulic_step_s;
   const BaselineTrajectory baseline(net, options, 7);
-
-  Simulation sim(net, options);
-  const double t3 = 3 * options.hydraulic_step_s;
-  sim.schedule_leak({net.junction_ids()[0], 0.003, 0.5, t3});
-  EXPECT_THROW(sim.run_from(baseline, 0), InvalidArgument);   // no predecessor
-  EXPECT_THROW(sim.run_from(baseline, 99), InvalidArgument);  // beyond horizon
-  EXPECT_THROW(sim.run_from(baseline, 5), InvalidArgument);   // leak already active at resume
-  EXPECT_NO_THROW(sim.run_from(baseline, 3));
-
-  SimulationOptions coarse = options;
-  coarse.hydraulic_step_s = 1800.0;
-  Simulation mismatched(net, coarse);
-  EXPECT_THROW(mismatched.run_from(baseline, 2), InvalidArgument);
-
   ReplayEngine engine(baseline);
-  const std::span<const LeakEvent> no_events;
-  EXPECT_THROW(engine.replay(no_events, 0, 2), InvalidArgument);
-  EXPECT_THROW(engine.replay(no_events, 10, 2), InvalidArgument);  // covers only <= 8
-  EXPECT_THROW(engine.replay(no_events, 2, 0), InvalidArgument);
+
+  const ScenarioDynamics none{};
+  EXPECT_THROW(engine.replay(none, 0, 2), InvalidArgument);   // no predecessor
+  EXPECT_THROW(engine.replay(none, 10, 2), InvalidArgument);  // covers only <= 8
+  EXPECT_THROW(engine.replay(none, 2, 0), InvalidArgument);   // no steps
+
+  // Every event must start at or after the resume time: an earlier one
+  // would have perturbed the checkpoint itself.
+  const double t3 = 3 * options.hydraulic_step_s;
+  const std::vector<LeakEvent> leak{{net.junction_ids()[0], 0.003, 0.5, t3}};
+  EXPECT_THROW(engine.replay(leaks_only(leak), 5, 2), InvalidArgument);
+  EXPECT_NO_THROW(engine.replay(leaks_only(leak), 3, 2));
+  const double t6 = 6 * options.hydraulic_step_s;
+  LinkId pump = 0;
+  while (net.link(pump).type != LinkType::kPump) ++pump;
+  const std::vector<OperationalEvent> outage{{pump, t3, t6}};
+  EXPECT_THROW(engine.replay({{}, outage, {}}, 5, 2), InvalidArgument);
+  EXPECT_NO_THROW(engine.replay({{}, outage, {}}, 3, 2));
+  const std::vector<DemandEvent> surge{{net.junction_ids()[0], 2.0, t3, t6}};
+  EXPECT_THROW(engine.replay({{}, {}, surge}, 5, 2), InvalidArgument);
+  EXPECT_NO_THROW(engine.replay({{}, {}, surge}, 3, 2));
 }
 
 }  // namespace
@@ -309,11 +321,12 @@ TEST(ReplayBatch, FeaturesIntoMatchesAllocatingFeatures) {
   Rng rng_a(123), rng_b(123);
   const auto allocated = batch.features(2, sensors, 0, noise, rng_a, true);
   std::vector<double> into(sensors.size() + 1);
-  batch.features_into(2, sensors, 0, noise, rng_b, true, into);
+  batch.features_into(2, sensors, 0, noise, rng_b, true, {}, into);
   EXPECT_EQ(allocated, into);
 
   std::vector<double> wrong(sensors.size() + 2);
-  EXPECT_THROW(batch.features_into(2, sensors, 0, noise, rng_b, true, wrong), InvalidArgument);
+  EXPECT_THROW(batch.features_into(2, sensors, 0, noise, rng_b, true, {}, wrong),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -226,11 +226,16 @@ TEST(TankDrawdown, ScalesInitialLevelsAndRefusesReplay) {
   // start must sit strictly below the baseline at t = 0.
   EXPECT_LT(drawn.head(0, tank), full_levels.head(0, tank));
 
-  // The scaled start invalidates every baseline checkpoint: replay refuses.
-  const hydraulics::BaselineTrajectory baseline(net, {}, 20);
-  hydraulics::Simulation replay_sim(net, {});
-  replay_sim.set_tank_init_scale(0.5);
-  EXPECT_THROW(replay_sim.run_from(baseline, 10), InvalidArgument);
+  // The scaled start invalidates every baseline checkpoint: a stepper
+  // with a scaled start refuses to resume from one.
+  const hydraulics::SimulationOptions options;
+  const hydraulics::BaselineTrajectory baseline(net, options, 20);
+  hydraulics::Network copy = net;
+  const hydraulics::GgaSolver solver(copy, options.solver);
+  hydraulics::EpsStepper stepper(copy, solver, options, {});
+  stepper.set_tank_init_scale(0.5);
+  EXPECT_THROW(stepper.resume(10, baseline.tank_levels_entering(10), baseline.state_at(9)),
+               InvalidArgument);
   EXPECT_THROW(drawn_sim.set_tank_init_scale(0.0), InvalidArgument);
 }
 
@@ -265,16 +270,30 @@ TEST(SensorFaults, ResolvePositionsAndApplyInListOrder) {
   EXPECT_EQ(faults[0].sensor, 9u);  // floor(0.99 * 10)
   EXPECT_EQ(faults[1].sensor, 0u);
 
-  // Two faults landing on one sensor compose in list order: bias then
-  // stuck-at means stuck-at wins.
-  std::vector<sensing::SensorFault> stacked = {
+  // Two faults landing on one sensor compose in list order. A bias from
+  // slot 0 and then a stuck-at from the leak slot: the stuck "after"
+  // reading overrides the bias, while the "before" reading keeps it, so
+  // the Δ is the stuck-at-only Δ minus the bias. In the other order the
+  // bias would shift both readings and cancel.
+  const auto net = networks::make_epa_net();
+  ScenarioConfig config;
+  config.max_events = 1;
+  config.seed = 556;
+  const auto scenarios = ScenarioGenerator(net, config).generate(1);
+  const SnapshotBatch batch(net, scenarios, {1}, {});
+  const auto sensors = sensing::full_observation(net);
+  const std::size_t leak_slot = scenarios[0].leak_slot;
+  const std::vector<sensing::SensorFault> stuck = {
+      {sensing::SensorFaultKind::kStuckAt, 0, 7.0, leak_slot}};
+  const std::vector<sensing::SensorFault> stacked = {
       {sensing::SensorFaultKind::kBias, 0, 1.0, 0},
-      {sensing::SensorFaultKind::kStuckAt, 0, 7.0, 0},
-  };
-  std::vector<double> readings = {2.0, 3.0};
-  sensing::apply_sensor_faults(stacked, readings, 0);
-  EXPECT_EQ(readings[0], 7.0);
-  EXPECT_EQ(readings[1], 3.0);
+      {sensing::SensorFaultKind::kStuckAt, 0, 7.0, leak_slot}};
+  std::vector<double> stuck_only(sensors.size()), both(sensors.size());
+  Rng rng_a(43), rng_b(43);
+  batch.features_into(0, sensors, 0, {}, rng_a, false, stuck, stuck_only);
+  batch.features_into(0, sensors, 0, {}, rng_b, false, stacked, both);
+  EXPECT_DOUBLE_EQ(both[0], stuck_only[0] - 1.0);
+  for (std::size_t k = 1; k < sensors.size(); ++k) EXPECT_EQ(both[k], stuck_only[k]) << k;
 
   EXPECT_THROW(sensing::resolve_sensor_faults(
                    std::vector<sensing::SensorFaultDraw>{
@@ -302,7 +321,7 @@ TEST(SensorFaults, FeatureDeltasShiftExactlyAsDocumented) {
   const std::vector<sensing::SensorFault> bias = {
       {sensing::SensorFaultKind::kBias, 3, 0.5, leak_slot}};
   Rng rng_a(42), rng_b(42);
-  batch.features_into(0, sensors, 0, noise, rng_a, true, clean);
+  batch.features_into(0, sensors, 0, noise, rng_a, true, {}, clean);
   batch.features_into(0, sensors, 0, noise, rng_b, true, bias, faulted);
   for (std::size_t k = 0; k < clean.size(); ++k) {
     if (k == 3) {

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 #include "common/error.hpp"
@@ -77,81 +76,19 @@ TEST(Placement, RandomPlacementDistinct) {
   EXPECT_EQ(names.size(), 30u);
 }
 
-TEST(Readings, CleanDeltaMatchesSimulation) {
-  const auto net = networks::make_epa_net();
-  hydraulics::SimulationOptions options;
-  options.duration_s = 3 * 3600.0;
-  hydraulics::Simulation sim(net, options);
-  const auto junctions = net.junction_ids();
-  sim.schedule_leak({junctions[10], 0.004, 0.5, 3600.0});
-  const auto results = sim.run();
-
-  SensorSet sensors;
-  sensors.sensors.push_back({SensorKind::kPressure, junctions[10], "p"});
-  const std::size_t leak_slot = results.step_at(3600.0);
-  const auto deltas = delta_features_clean(sensors, results, leak_slot, 1);
-  const double expected = results.pressure(leak_slot + 1, junctions[10]) -
-                          results.pressure(leak_slot - 1, junctions[10]);
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_DOUBLE_EQ(deltas[0], expected);
-  EXPECT_LT(deltas[0], 0.0);  // leak lowers pressure
-}
-
-TEST(Readings, NoiseHasConfiguredSpread) {
-  const auto net = networks::make_epa_net();
-  const auto results = baseline_day(net);
-  SensorSet sensors;
-  sensors.sensors.push_back({SensorKind::kPressure, net.junction_ids()[0], "p"});
+TEST(NoiseModel, SigmaFollowsTheDocumentedRule) {
   NoiseModel noise;
   noise.pressure_sigma_m = 0.05;
-  Rng rng(5);
-  double sum = 0.0, ss = 0.0;
-  const int n = 20000;
-  const double truth = results.pressure(0, net.junction_ids()[0]);
-  for (int i = 0; i < n; ++i) {
-    const double r = read_sensors(sensors, results, 0, noise, rng)[0];
-    sum += r - truth;
-    ss += (r - truth) * (r - truth);
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.002);
-  EXPECT_NEAR(std::sqrt(ss / n), 0.05, 0.003);
-}
-
-TEST(Readings, FlowNoiseHasRelativeScale) {
-  const auto net = networks::make_epa_net();
-  const auto results = baseline_day(net);
-  // Find a link with substantial flow.
-  std::size_t link = 0;
-  double best = 0.0;
-  for (std::size_t l = 0; l < net.num_links(); ++l) {
-    if (std::abs(results.flow(0, l)) > best) {
-      best = std::abs(results.flow(0, l));
-      link = l;
-    }
-  }
-  ASSERT_GT(best, 0.001);
-  SensorSet sensors;
-  sensors.sensors.push_back({SensorKind::kFlow, link, "q"});
-  NoiseModel noise;
   noise.flow_sigma_frac = 0.02;
-  Rng rng(6);
-  double ss = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double r = read_sensors(sensors, results, 0, noise, rng)[0];
-    ss += (r - results.flow(0, link)) * (r - results.flow(0, link));
-  }
-  EXPECT_NEAR(std::sqrt(ss / n), 0.02 * best, 0.002 * best);
-}
-
-TEST(Readings, DeltaValidation) {
-  const auto net = networks::make_epa_net();
-  const auto results = baseline_day(net);
-  const auto sensors = full_observation(net);
-  NoiseModel noise;
-  Rng rng(7);
-  EXPECT_THROW(delta_features(sensors, results, 0, 1, noise, rng), InvalidArgument);
-  EXPECT_THROW(delta_features(sensors, results, 1, 10000, noise, rng), InvalidArgument);
+  noise.flow_sigma_floor_m3s = 1e-4;
+  // Pressure: additive, independent of the reading.
+  EXPECT_EQ(noise.sigma(SensorKind::kPressure, 0.0), 0.05);
+  EXPECT_EQ(noise.sigma(SensorKind::kPressure, -40.0), 0.05);
+  // Flow: relative to |reading|, never below the floor.
+  EXPECT_EQ(noise.sigma(SensorKind::kFlow, 0.5), 0.02 * 0.5);
+  EXPECT_EQ(noise.sigma(SensorKind::kFlow, -0.5), 0.02 * 0.5);
+  EXPECT_EQ(noise.sigma(SensorKind::kFlow, 0.001), 1e-4);
+  EXPECT_EQ(noise.sigma(SensorKind::kFlow, 0.0), 1e-4);
 }
 
 }  // namespace
