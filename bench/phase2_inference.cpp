@@ -152,8 +152,7 @@ void run_network(const hydraulics::Network& net, std::size_t train_samples,
                  Table::num(1e3 * percentile(engine_latency, 50.0), 3),
                  Table::num(1e3 * percentile(engine_latency, 95.0), 3)});
   table.print();
-  std::printf("engine vs sequential: %.1fx | shared input map: %s | bit-identical: %s\n",
-              speedup, profile.model.has_shared_input_map() ? "yes" : "no",
+  std::printf("engine vs sequential: %.1fx | bit-identical: %s\n", speedup,
               bit_identical ? "yes" : "NO");
   std::printf("forest compile: %zu trees / %zu nodes across %zu heads in %.3f ms\n", forest.trees,
               forest.internal_nodes, forest.classifiers, 1e3 * forest.seconds);
@@ -169,7 +168,6 @@ void run_network(const hydraulics::Network& net, std::size_t train_samples,
   metrics.emplace_back(key + ".sequential_p95_ms", 1e3 * percentile(naive_latency, 95.0));
   metrics.emplace_back(key + ".engine_p50_ms", 1e3 * percentile(engine_latency, 50.0));
   metrics.emplace_back(key + ".engine_p95_ms", 1e3 * percentile(engine_latency, 95.0));
-  metrics.emplace_back(key + ".shared_input_map", profile.model.has_shared_input_map() ? 1 : 0);
   metrics.emplace_back(key + ".bit_identical", bit_identical ? 1.0 : 0.0);
   metrics.emplace_back(key + ".forest_compile_seconds", forest.seconds);
   metrics.emplace_back(key + ".forest_compiled_trees", static_cast<double>(forest.trees));

@@ -67,6 +67,7 @@ EvalResult ExperimentContext::evaluate(const EvalOptions& options) {
 EvalResult ExperimentContext::evaluate_profile(const ProfileModel& profile,
                                                const EvalOptions& options) {
   AQUA_REQUIRE(profile.model.fitted(), "profile not trained");
+  sensing::check_sensor_names(test_batch_->network(), profile.sensors);
   EvalResult result;
   result.train_seconds = profile.train_seconds;
   result.test_samples = test_scenarios_.size();

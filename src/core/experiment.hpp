@@ -87,6 +87,8 @@ class ExperimentContext {
   EvalResult evaluate(const EvalOptions& options);
 
   /// Evaluates an already trained profile (reuse across source toggles).
+  /// Throws InvalidArgument when the profile's sensors name other elements
+  /// than they index on this network (sensing::check_sensor_names).
   EvalResult evaluate_profile(const ProfileModel& profile, const EvalOptions& options);
 
   /// Trains a profile with the given options (exposed for detection-time

@@ -65,14 +65,10 @@ GreedyPlacementResult place_sensors_greedy(const SnapshotBatch& batch, std::size
         ++covered_count;
       }
     }
-    if (best < num_nodes) {
-      result.sensors.sensors.push_back(
-          {sensing::SensorKind::kPressure, best, "p:" + network.node(best).name});
-    } else {
-      const std::size_t link = best - num_nodes;
-      result.sensors.sensors.push_back(
-          {sensing::SensorKind::kFlow, link, "q:" + network.link(link).name});
-    }
+    result.sensors.sensors.push_back(
+        best < num_nodes ? sensing::make_sensor(network, sensing::SensorKind::kPressure, best)
+                         : sensing::make_sensor(network, sensing::SensorKind::kFlow,
+                                                best - num_nodes));
     result.coverage_curve.push_back(covered_count);
   }
   return result;

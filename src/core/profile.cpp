@@ -36,40 +36,32 @@ std::vector<ModelKind> all_model_kinds() {
           ModelKind::kRandomForest, ModelKind::kSvm, ModelKind::kHybridRsl};
 }
 
-ml::ClassifierFactory make_classifier_factory(ModelKind kind, std::size_t max_bins) {
+ml::ClassifierFactory make_classifier_factory(ModelKind kind) {
   switch (kind) {
     case ModelKind::kLinearR:
       return [] { return std::make_unique<ml::LinearRegressionClassifier>(); };
     case ModelKind::kLogisticR:
       return [] { return std::make_unique<ml::LogisticRegressionClassifier>(); };
     case ModelKind::kGradientBoosting:
-      return [max_bins] {
-        ml::GradientBoostingConfig config;
-        if (max_bins > 0) config.max_bins = max_bins;
-        return std::make_unique<ml::GradientBoostingClassifier>(config);
-      };
+      return [] { return std::make_unique<ml::GradientBoostingClassifier>(); };
     case ModelKind::kRandomForest:
-      return [max_bins] {
-        ml::RandomForestConfig config;
-        if (max_bins > 0) config.max_bins = max_bins;
-        return std::make_unique<ml::RandomForestClassifier>(config);
-      };
+      return [] { return std::make_unique<ml::RandomForestClassifier>(); };
     case ModelKind::kSvm:
       return [] { return std::make_unique<ml::SvmClassifier>(); };
     case ModelKind::kHybridRsl:
-      return [max_bins] {
-        ml::HybridRslConfig config;
-        if (max_bins > 0) config.forest.max_bins = max_bins;
-        return std::make_unique<ml::HybridRslClassifier>(config);
-      };
+      return [] { return std::make_unique<ml::HybridRslClassifier>(); };
   }
   throw InvalidArgument("unknown model kind");
 }
 
 void ProfileModel::save(std::ostream& out) const {
+  AQUA_REQUIRE(model.fitted(), "save of an untrained profile");
+  if (model.kind() != model_kind_name(kind)) {
+    throw InvalidArgument("profile kind '" + model_kind_name(kind) + "' differs from its model's '" +
+                          model.kind() + "'");
+  }
   io::ArtifactWriter artifact;
   auto& meta = artifact.section("profile");
-  meta.write_u8(static_cast<std::uint8_t>(kind));
   meta.write_u64(elapsed_index);
   meta.write_bool(include_time_feature);
   meta.write_f64(train_seconds);
@@ -84,11 +76,6 @@ ProfileModel ProfileModel::load(std::istream& in) {
   ProfileModel profile;
 
   auto meta = artifact.section("profile");
-  const std::uint8_t kind = meta.read_u8();
-  if (kind > static_cast<std::uint8_t>(ModelKind::kHybridRsl)) {
-    throw io::SerializationError("malformed profile: unknown model kind tag");
-  }
-  profile.kind = static_cast<ModelKind>(kind);
   profile.elapsed_index = meta.read_u64();
   profile.include_time_feature = meta.read_bool();
   profile.train_seconds = meta.read_f64();
@@ -105,12 +92,19 @@ ProfileModel ProfileModel::load(std::istream& in) {
   auto model_reader = artifact.section("model");
   profile.model = ml::MultiLabelModel::load(model_reader);
   model_reader.expect_end();
+  // The model decoder accepts only the six kind tags, model_kind_name's.
+  for (const ModelKind kind : all_model_kinds()) {
+    if (model_kind_name(kind) == profile.model.kind()) profile.kind = kind;
+  }
 
   // Requests are checked against num_features() only, and the compiled
-  // forest reads x[feature] unchecked: every label must read within it.
+  // forest reads x[feature] unchecked: every fitted label must read within
+  // it (a constant label reads nothing).
   const std::size_t dim = profile.num_features();
   for (std::size_t v = 0; v < profile.model.num_labels(); ++v) {
-    const auto need = profile.model.classifier(v).input_width();
+    const ml::BinaryClassifier* classifier = profile.model.classifier(v);
+    if (classifier == nullptr) continue;
+    const auto need = classifier->input_width();
     if (!need.admits(dim)) {
       throw io::SerializationError(
           "malformed profile: label " + std::to_string(v) + " reads " +
@@ -144,13 +138,13 @@ ProfileModel train_profile(const SnapshotBatch& batch, std::span<const LeakScena
   profile.include_time_feature = config.include_time_feature;
   profile.kind = config.kind;
   profile.elapsed_index = elapsed_index;
-  profile.model = ml::MultiLabelModel(make_classifier_factory(config.kind, config.max_bins));
+  profile.model = ml::MultiLabelModel(make_classifier_factory(config.kind));
 
   const auto dataset = batch.build_dataset(scenarios, sensors, elapsed_index, config.noise,
                                            config.noise_seed, config.include_time_feature);
 
   const auto start = std::chrono::steady_clock::now();
-  profile.model.fit(dataset, config.parallel);
+  profile.model.fit(dataset);
   profile.train_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return profile;

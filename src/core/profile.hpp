@@ -32,10 +32,8 @@ std::string model_kind_name(ModelKind kind);
 std::vector<ModelKind> all_model_kinds();
 
 /// Factory producing fresh classifiers of the given kind with sensible
-/// defaults for per-node leak classification. `max_bins` overrides the
-/// tree ensembles' histogram bin budget (0 = keep the kind's default;
-/// ignored by non-tree kinds).
-ml::ClassifierFactory make_classifier_factory(ModelKind kind, std::size_t max_bins = 0);
+/// defaults for per-node leak classification.
+ml::ClassifierFactory make_classifier_factory(ModelKind kind);
 
 /// The trained profile plus everything needed to featurize live data the
 /// same way the training set was featurized.
@@ -44,6 +42,8 @@ struct ProfileModel {
   sensing::SensorSet sensors;
   sensing::NoiseModel noise;
   bool include_time_feature = true;
+  /// The kind of `model`'s classifiers; save() requires that they agree,
+  /// and load() derives it from the model payload's kind tag.
   ModelKind kind = ModelKind::kHybridRsl;
   std::size_t elapsed_index = 0;  // which entry of the batch's elapsed list
   double train_seconds = 0.0;
@@ -57,6 +57,8 @@ struct ProfileModel {
   /// Persists the trained profile as a versioned, checksummed artifact
   /// (io/artifact.hpp). `load(save(p))` predicts bit-identically to `p`, so
   /// Phase II services can skip Phase I entirely on a warm artifact.
+  /// Throws InvalidArgument when `kind` names another kind than `model`
+  /// holds.
   void save(std::ostream& out) const;
 
   /// Restores a profile written by save(), reading the stream to its end;
@@ -76,9 +78,6 @@ struct ProfileTrainingConfig {
   sensing::NoiseModel noise;
   bool include_time_feature = true;
   std::uint64_t noise_seed = 555;
-  bool parallel = true;
-  /// Histogram bin budget for tree-ensemble kinds (0 = kind default).
-  std::size_t max_bins = 0;
 };
 
 /// Trains a profile on the batch's scenarios at the given elapsed index.

@@ -267,6 +267,7 @@ ml::MultiLabelDataset SnapshotBatch::build_dataset(std::span<const LeakScenario>
   AQUA_REQUIRE(scenarios.size() == snapshots_.size(),
                "scenario list must match the simulated batch");
   AQUA_REQUIRE(!scenarios.empty(), "empty scenario batch");
+  sensing::check_sensor_names(network_, sensors);
 
   const std::size_t feature_dim = sensors.size() + (include_time_feature ? 1 : 0);
   ml::MultiLabelDataset data;

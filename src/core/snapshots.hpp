@@ -98,7 +98,9 @@ class SnapshotBatch {
   /// Assembles a multi-label dataset over all scenarios for one sensor set
   /// and elapsed index. Noise is drawn deterministically from `seed`.
   /// Scenarios carrying sensor-fault draws have them resolved against
-  /// `sensors` and applied to their rows.
+  /// `sensors` and applied to their rows. Throws InvalidArgument when a
+  /// sensor's name is not that of the element it indexes on this network
+  /// (sensing::check_sensor_names).
   ml::MultiLabelDataset build_dataset(std::span<const LeakScenario> scenarios,
                                       const sensing::SensorSet& sensors,
                                       std::size_t elapsed_index,

@@ -31,7 +31,12 @@ namespace aqua::io {
 // table ahead of the classifier states, and every SVM state (plain or
 // inside HybridRSL) refers to its map by index; the GB/RF/HybridRSL
 // states lost v2's retired exact_splits byte.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// v4: one kind per profile. The `model` payload writes the kind tag once,
+// then the profile's one SVM feature map (or none), then per label a
+// constant rate or a classifier state; states carry no constant mode, no
+// map index and no second copy of a hyper-parameter. The `profile`
+// section lost its model-kind byte.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Collects named sections in memory, then emits the container.
 class ArtifactWriter {

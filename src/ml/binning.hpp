@@ -32,8 +32,8 @@ std::vector<double> quantile_cuts(std::span<const double> sorted_column, std::si
 
 /// Shared column-block binned feature store. Immutable after fit(); every
 /// accessor is const and reentrant, so one store may be read concurrently
-/// by any number of tree fits without synchronization (the shared-store
-/// fit protocol on BinaryClassifier relies on this).
+/// by any number of tree fits without synchronization (the fit-store
+/// protocol on BinaryClassifier relies on this).
 class BinnedDataset {
  public:
   /// uint8 headroom: codes are bin indices in [0, bins-1], bins <= 255.
@@ -54,6 +54,10 @@ class BinnedDataset {
   std::size_t num_features() const noexcept { return cuts_.size(); }
   /// The bin budget this store was fitted with (fit's max_bins).
   std::size_t max_bins() const noexcept { return max_bins_; }
+  /// True when this store binned a matrix of x's shape at `max_bins`.
+  bool matches(const linalg::Matrix& x, std::size_t max_bins) const noexcept {
+    return fitted() && rows_ == x.rows() && num_features() == x.cols() && max_bins_ == max_bins;
+  }
 
   /// Number of distinct bins for a feature (>= 1).
   std::size_t bins(std::size_t feature) const { return cuts_[feature].size() + 1; }

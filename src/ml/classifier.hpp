@@ -23,24 +23,28 @@ namespace aqua::ml {
 
 class CompiledForest;
 class SvmFeatureMap;
-class SvmMapTable;
 struct SvmConfig;
+class BinaryClassifier;
 
-/// Per-matrix fit state that MultiLabelModel computes once and hands
-/// read-only to every label's fit_with_store() (see the shared-store fit
-/// protocol below). Each member is present only when every label asked
-/// for the same one; a consumer uses what is present and computes the
-/// rest itself.
+/// Per-matrix fit state that MultiLabelModel computes once per profile and
+/// hands read-only to every label's fit (see the fit-store protocol
+/// below). make_fit_store() builds the members a classifier advertises;
+/// the others stay empty.
 struct FitStore {
-  /// Quantile-binned training matrix for the tree ensembles; fitted()
-  /// only when every label agreed on one bin budget.
+  /// Quantile-binned training matrix for the tree ensembles.
   BinnedDataset bins;
   /// The SVM feature map fitted on the training matrix (null when the
-  /// labels take none), and the training rows through it: the matrix
+  /// kind takes none), and the training rows through it: the matrix
   /// every label's SGD trains on.
   std::shared_ptr<const SvmFeatureMap> svm_map;
   Matrix svm_features;
 };
+
+/// The store `classifier` trains through on `x`: bins at its
+/// fit_store_bins() budget, and the feature map of its
+/// fit_store_svm_map(). MultiLabelModel::fit and BinaryClassifier::fit
+/// both build their store here.
+FitStore make_fit_store(const BinaryClassifier& classifier, const Matrix& x);
 
 /// Reusable per-worker scratch for batched prediction. Holding the
 /// buffers outside the classifiers keeps every const prediction path
@@ -53,7 +57,10 @@ struct PredictWorkspace {
 };
 
 /// A probabilistic binary classifier (scikit-learn's fit / predict /
-/// predict_proba contract, which Algorithms 1-2 are written against).
+/// predict_proba contract, which Algorithms 1-2 are written against). A
+/// kind implements one label's fit, its prediction heads and its state;
+/// what a profile shares across labels (single-class labels, the fit
+/// store, the SVM feature map) belongs to MultiLabelModel.
 ///
 /// Thread-safety contract (audited per implementation, enforced by
 /// tests/test_concurrency.cpp under -DAQUA_TSAN): every const member —
@@ -70,10 +77,17 @@ class BinaryClassifier {
  public:
   virtual ~BinaryClassifier() = default;
 
-  /// Trains on (X, y). Implementations must tolerate single-class targets
-  /// (a node that never leaks in the training set) by degenerating to the
-  /// constant predictor.
-  virtual void fit(const Matrix& x, const Labels& y) = 0;
+  /// Trains on (X, y) through make_fit_store(*this, x).
+  void fit(const Matrix& x, const Labels& y);
+
+  /// Trains on (X, y) through `store`, whose members must have been built
+  /// on exactly `x` for this classifier (make_fit_store); each kind
+  /// requires what it advertises through fit_store_bins() and
+  /// fit_store_svm_map(). Requires rows of x and y to agree, a non-empty
+  /// set, and both classes in y (MultiLabelModel keeps single-class
+  /// labels as constants and never fits them); throws InvalidArgument
+  /// otherwise.
+  void fit(const Matrix& x, const Labels& y, const FitStore& store);
 
   /// P(y = 1 | x) in [0, 1]. Must only be called after fit().
   virtual double predict_proba(std::span<const double> x) const = 0;
@@ -85,8 +99,8 @@ class BinaryClassifier {
   /// only their split features, unchecked, so a row needs at least
   /// `width` (the largest split feature + 1) and may be wider; the linear
   /// kinds and the SVM standardize the whole row, so it needs exactly
-  /// `width`. A degenerate constant model reads nothing: {0, false}.
-  /// ProfileModel::load checks it against the profile's feature count.
+  /// `width`. ProfileModel::load checks it against the profile's feature
+  /// count.
   struct InputWidth {
     std::size_t width = 0;
     bool exact = false;
@@ -96,33 +110,27 @@ class BinaryClassifier {
 
   // --- Shared-input-map protocol (batched prediction) -----------------
   //
-  // MultiLabelModel trains one classifier per label, all cloned from one
-  // configuration and fitted on the *same* feature matrix. Deterministic
+  // MultiLabelModel fits one classifier per label, all cloned from one
+  // prototype and fitted on the *same* feature matrix. Deterministic
   // fits therefore produce bitwise-identical input transformations across
-  // labels (feature scalers), and the SVM kinds hold one shared
-  // random-Fourier feature map outright (SvmFeatureMap, handed out by the
-  // shared-store fit protocol). The per-snapshot prediction loop would
-  // recompute that identical map once per label. The protocol below lets
-  // a batch predictor hoist the map: one designated "owner" computes
-  // map_input(x) per snapshot, and every label's head runs
-  // predict_proba_mapped() on the shared buffer. Sharing only activates
-  // when accepts_input_map() verifies that the transform is the same —
-  // bitwise-equal scaler state, or the very same SvmFeatureMap object —
-  // so the fast path is bit-identical to predict_proba by construction:
-  // it merely avoids recomputing equal subexpressions.
-
-  /// True when map_input() is the identity (the head consumes raw x).
-  virtual bool input_map_is_identity() const { return true; }
+  // labels (feature scalers), and the SVM kinds hold the profile's one
+  // random-Fourier feature map outright (SvmFeatureMap, from the fit
+  // store). The per-snapshot prediction loop would recompute that
+  // identical map once per label. The protocol below hoists it: the
+  // first fitted label computes map_input(x) per snapshot, and every
+  // label's head runs predict_proba_mapped() on the shared buffer.
+  // Every fitted label accepts that owner's map — bitwise-equal scaler
+  // state, or the very same SvmFeatureMap object; MultiLabelModel::load
+  // rejects a payload where one does not — so the hoisted path is
+  // bit-identical to predict_proba by construction: it merely avoids
+  // recomputing equal subexpressions.
 
   /// True when this classifier's predict_proba_mapped() is exact on the
-  /// map produced by `owner`'s map_input(). The default accepts identity
-  /// maps only; the linear kinds override with a bitwise scaler
-  /// comparison, the SVM kinds with a pointer comparison of their shared
-  /// SvmFeatureMap, and degenerate constant models accept any owner (they
-  /// ignore the mapped features entirely).
-  virtual bool accepts_input_map(const BinaryClassifier& owner) const {
-    return owner.input_map_is_identity();
-  }
+  /// map produced by `owner`'s map_input(). The default, for kinds whose
+  /// map is the identity, accepts an owner of the same kind; the linear
+  /// kinds override with a bitwise scaler comparison, the SVM kinds with
+  /// a pointer comparison of their shared SvmFeatureMap.
+  virtual bool accepts_input_map(const BinaryClassifier& owner) const;
 
   /// Writes this classifier's input map of x into ws.mapped (identity by
   /// default). Must not allocate once ws buffers are warm.
@@ -163,28 +171,23 @@ class BinaryClassifier {
 
   /// The compiled ensemble backing this classifier's tile path, or
   /// nullptr for classifier kinds without trees (or whose ensemble is
-  /// unfitted / degenerate / uncompilable).
+  /// unfitted or uncompilable).
   virtual const CompiledForest* compiled_forest() const { return nullptr; }
 
-  // --- Shared-store fit protocol (batched training) -------------------
+  // --- Fit-store protocol (batched training) --------------------------
   //
   // The training-side twin of the input-map protocol above. MultiLabelModel
   // fits hundreds of labels on the *same* matrix, so state that depends
   // only on the matrix is computed once into a FitStore and shared
   // read-only across every label (BinnedDataset and SvmFeatureMap are
   // immutable after fit and safe for concurrent readers):
-  //   - Tree ensembles spend their fit start-up quantile-binning the
-  //     matrix; a classifier opts in by reporting a nonzero
-  //     fit_store_bins().
-  //   - SVM kinds draw a label-independent random-Fourier feature map; a
-  //     classifier opts in by reporting its SvmConfig from
+  //   - Tree ensembles train through a quantile-binned matrix; a kind asks
+  //     for one by reporting a nonzero fit_store_bins().
+  //   - SVM kinds train through a label-independent random-Fourier feature
+  //     map; a kind asks for one by reporting its SvmConfig from
   //     fit_store_svm_map(), and every label then trains on, and keeps,
   //     the one map.
-  // A store member is built only when every label agrees on it.
-  // MultiLabelModel trains every label through fit_with_store(), which
-  // must be bit-identical to fit() on the same matrix; a consumer
-  // computes whatever the store lacks itself. Other kinds keep the
-  // defaults and train unchanged.
+  // Other kinds keep the defaults and take an empty store.
 
   /// Bin budget of the BinnedDataset this classifier trains through, or
   /// 0 when it does not consume a binned store.
@@ -194,15 +197,6 @@ class BinaryClassifier {
   /// nullptr when it takes none.
   virtual const SvmConfig* fit_store_svm_map() const { return nullptr; }
 
-  /// fit() through a store whose present members were fitted on exactly
-  /// `x` with this classifier's fit_store_bins() / fit_store_svm_map().
-  /// Bit-identical to fit(x, y). The default ignores the store and trains
-  /// normally.
-  virtual void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) {
-    (void)store;
-    fit(x, y);
-  }
-
   /// A fresh, untrained classifier with the same hyper-parameters (used to
   /// instantiate one copy per node label).
   virtual std::unique_ptr<BinaryClassifier> clone_config() const = 0;
@@ -211,14 +205,19 @@ class BinaryClassifier {
 
   /// Serializes hyper-parameters and all fitted state; a load_state() of
   /// the written bytes must reproduce bit-identical predict_proba output.
-  /// Framing (classifier kind tag) is handled by ml/model_io.hpp. A shared
-  /// SvmFeatureMap is not written inline: the state stores its index in
-  /// `maps`, which the enclosing model payload writes once.
-  virtual void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const = 0;
+  /// The kind tag and the profile's SVM feature map are written once per
+  /// model by MultiLabelModel::save, never inside a state.
+  virtual void save_state(io::BinaryWriter& writer) const = 0;
 
-  /// Restores state written by save_state(), resolving map indices in
-  /// `maps`; throws io::SerializationError on malformed input.
-  virtual void load_state(io::BinaryReader& reader, const SvmMapTable& maps) = 0;
+  /// Restores state written by save_state(); the SVM kinds take `svm_map`
+  /// (the model payload's one map, null when it has none) as their
+  /// feature map. Throws io::SerializationError on malformed input.
+  virtual void load_state(io::BinaryReader& reader,
+                          const std::shared_ptr<const SvmFeatureMap>& svm_map) = 0;
+
+ private:
+  /// One label's fit; fit() has checked its preconditions.
+  virtual void fit_checked(const Matrix& x, const Labels& y, const FitStore& store) = 0;
 };
 
 /// Balanced per-class sample weights: w_pos * n_pos == w_neg * n_neg, mean

@@ -18,37 +18,10 @@ GradientBoostingClassifier::GradientBoostingClassifier(GradientBoostingConfig co
                "max_bins out of range");
 }
 
-void GradientBoostingClassifier::fit(const Matrix& x, const Labels& y) {
-  fit_impl(x, y, nullptr);
-}
-
-void GradientBoostingClassifier::fit_with_store(const Matrix& x, const Labels& y,
-                                                const FitStore& store) {
-  if (!store.bins.fitted()) {
-    fit_impl(x, y, nullptr);
-    return;
-  }
-  AQUA_REQUIRE(store.bins.num_samples() == x.rows() && store.bins.num_features() == x.cols() &&
-                   store.bins.max_bins() == config_.max_bins,
-               "shared store does not match the training matrix");
-  fit_impl(x, y, &store.bins);
-}
-
-void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
-                                          const BinnedDataset* store) {
-  AQUA_REQUIRE(x.rows() == y.size(), "feature/label row mismatch");
-  AQUA_REQUIRE(x.rows() > 0, "empty training set");
-
-  const double pos_rate = positive_rate(y);
-  if (pos_rate == 0.0 || pos_rate == 1.0) {
-    constant_ = true;
-    constant_probability_ = pos_rate;
-    trees_.clear();
-    compiled_.clear();
-    return;
-  }
-  constant_ = false;
-
+void GradientBoostingClassifier::fit_checked(const Matrix& x, const Labels& y,
+                                             const FitStore& store) {
+  AQUA_REQUIRE(store.bins.matches(x, config_.max_bins),
+               "fit store lacks this ensemble's binning of the training matrix");
   const std::size_t n = x.rows();
   const auto [w_neg, w_pos] = balanced_class_weights(y);
   std::vector<double> weights(n);
@@ -56,6 +29,7 @@ void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
 
   // With balanced weights the weighted positive rate is 1/2, so the
   // initial log-odds is 0; keep the general formula for clarity.
+  const double pos_rate = positive_rate(y);
   base_score_ = std::log(pos_rate / (1.0 - pos_rate));
 
   std::vector<double> score(n, base_score_);
@@ -63,14 +37,6 @@ void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
   Rng rng(config_.seed);
   trees_.clear();
   trees_.reserve(config_.num_rounds);
-
-  // Bin once per fit — or not at all when a shared store (already fitted
-  // on exactly this matrix) is handed down by MultiLabelModel.
-  BinnedDataset local_store;
-  if (store == nullptr) {
-    local_store.fit(x, config_.max_bins);
-    store = &local_store;
-  }
 
   const auto subsample_count = std::max<std::size_t>(
       1, static_cast<std::size_t>(config_.subsample * static_cast<double>(n)));
@@ -95,7 +61,7 @@ void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
     // The kernel reports every row's leaf, so the round's score update is
     // a leaf-value lookup instead of n full tree traversals
     // (leaf_value(leaf_of_row[i]) == predict(row i) bitwise).
-    tree.fit_binned(*store, residual, weights, rows, hessian, &leaf_of_row);
+    tree.fit_binned(store.bins, residual, weights, rows, hessian, &leaf_of_row);
     for (std::size_t i = 0; i < n; ++i) {
       score[i] += config_.learning_rate *
                   tree.leaf_value(static_cast<std::size_t>(leaf_of_row[i]));
@@ -106,14 +72,12 @@ void GradientBoostingClassifier::fit_impl(const Matrix& x, const Labels& y,
 }
 
 BinaryClassifier::InputWidth GradientBoostingClassifier::input_width() const {
-  if (constant_) return {};
   std::size_t width = 0;
   for (const auto& tree : trees_) width = std::max(width, tree.input_width());
   return {width, false};
 }
 
 double GradientBoostingClassifier::predict_proba(std::span<const double> x) const {
-  if (constant_) return constant_probability_;
   AQUA_REQUIRE(!trees_.empty(), "predict on unfitted model");
   double score = base_score_;
   for (const auto& tree : trees_) score += config_.learning_rate * tree.predict(x);
@@ -124,7 +88,7 @@ void GradientBoostingClassifier::predict_proba_mapped_tile(const double* const* 
                                                            std::size_t count, std::size_t dim,
                                                            double* out,
                                                            std::size_t stride) const {
-  if (constant_ || !compiled_.compiled()) {
+  if (!compiled_.compiled()) {
     BinaryClassifier::predict_proba_mapped_tile(rows, count, dim, out, stride);
     return;
   }
@@ -141,7 +105,7 @@ std::unique_ptr<BinaryClassifier> GradientBoostingClassifier::clone_config() con
   return std::make_unique<GradientBoostingClassifier>(config_);
 }
 
-void GradientBoostingClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) const {
+void GradientBoostingClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_u64(config_.num_rounds);
   writer.write_f64(config_.learning_rate);
   writer.write_u64(config_.max_depth);
@@ -150,13 +114,12 @@ void GradientBoostingClassifier::save_state(io::BinaryWriter& writer, SvmMapTabl
   writer.write_u64(config_.seed);
   writer.write_u64(config_.max_bins);
   writer.write_f64(base_score_);
-  writer.write_bool(constant_);
-  writer.write_f64(constant_probability_);
   writer.write_u64(trees_.size());
   for (const auto& tree : trees_) tree.save(writer);
 }
 
-void GradientBoostingClassifier::load_state(io::BinaryReader& reader, const SvmMapTable&) {
+void GradientBoostingClassifier::load_state(io::BinaryReader& reader,
+                                            const std::shared_ptr<const SvmFeatureMap>&) {
   config_.num_rounds = reader.read_u64();
   config_.learning_rate = reader.read_f64();
   config_.max_depth = reader.read_u64();
@@ -165,12 +128,10 @@ void GradientBoostingClassifier::load_state(io::BinaryReader& reader, const SvmM
   config_.seed = reader.read_u64();
   config_.max_bins = reader.read_u64();
   base_score_ = reader.read_f64();
-  constant_ = reader.read_bool();
-  constant_probability_ = reader.read_f64();
   const std::uint64_t count = reader.read_u64();
-  // A count the payload cannot hold is rejected before anything is
-  // allocated for it.
-  if (count > (std::uint64_t{1} << 24) ||
+  // A fitted ensemble has a tree; a count the payload cannot hold is
+  // rejected before anything is allocated for it.
+  if (count == 0 || count > (std::uint64_t{1} << 24) ||
       count > reader.remaining() / RegressionTree::kMinSerializedBytes) {
     throw io::SerializationError("malformed ensemble size");
   }

@@ -25,7 +25,6 @@ class GradientBoostingClassifier final : public BinaryClassifier {
  public:
   explicit GradientBoostingClassifier(GradientBoostingConfig config = {});
 
-  void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
   InputWidth input_width() const override;
   /// Compiled traversal over the whole tile (bit-identical to the
@@ -39,14 +38,15 @@ class GradientBoostingClassifier final : public BinaryClassifier {
   }
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "GB"; }
-  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
-  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
+  void save_state(io::BinaryWriter& writer) const override;
+  void load_state(io::BinaryReader& reader,
+                  const std::shared_ptr<const SvmFeatureMap>& svm_map) override;
 
+  /// Trains through the store's binning at max_bins.
   std::size_t fit_store_bins() const override { return config_.max_bins; }
-  void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
 
  private:
-  void fit_impl(const Matrix& x, const Labels& y, const BinnedDataset* store);
+  void fit_checked(const Matrix& x, const Labels& y, const FitStore& store) override;
 
   GradientBoostingConfig config_;
   std::vector<RegressionTree> trees_;
@@ -54,8 +54,6 @@ class GradientBoostingClassifier final : public BinaryClassifier {
   /// rebuilt after every fit/load; derived state, never serialized.
   CompiledForest compiled_;
   double base_score_ = 0.0;  // initial log-odds
-  bool constant_ = false;
-  double constant_probability_ = 0.0;
 };
 
 }  // namespace aqua::ml

@@ -22,7 +22,6 @@ class HybridRslClassifier final : public BinaryClassifier {
  public:
   explicit HybridRslClassifier(HybridRslConfig config = {});
 
-  void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
   /// The SVM branch standardizes the whole row and the forest branch
   /// reads its prefix, so the row must be the SVM's width and cover the
@@ -33,7 +32,6 @@ class HybridRslClassifier final : public BinaryClassifier {
   /// object shared by every label, see SvmClassifier) for the SVM branch.
   /// Heads run the per-label trees, linear SVM weights and meta logistic
   /// on the shared buffer.
-  bool input_map_is_identity() const override { return false; }
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;
   double predict_proba_mapped(std::span<const double> mapped) const override;
@@ -41,30 +39,29 @@ class HybridRslClassifier final : public BinaryClassifier {
   /// over the whole tile; the SVM and meta heads stay per-row.
   void predict_proba_mapped_tile(const double* const* rows, std::size_t count, std::size_t dim,
                                  double* out, std::size_t stride) const override;
-  const CompiledForest* compiled_forest() const override {
-    return constant_ ? nullptr : forest_.compiled_forest();
-  }
-  /// Shared-store fit protocol: the binned store feeds the forest branch
-  /// and the SVM feature map the SVM branch; the meta stage trains on
-  /// their per-label outputs.
+  const CompiledForest* compiled_forest() const override { return forest_.compiled_forest(); }
+  /// Fit-store protocol: the binned store feeds the forest branch and the
+  /// SVM feature map the SVM branch; the meta stage trains on their
+  /// per-label outputs.
   std::size_t fit_store_bins() const override { return forest_.fit_store_bins(); }
   const SvmConfig* fit_store_svm_map() const override { return svm_.fit_store_svm_map(); }
-  void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "HybridRSL"; }
-  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
-  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
+  /// The members' states, each with its own hyper-parameters; the
+  /// hybrid's configuration is theirs, so it is written once.
+  void save_state(io::BinaryWriter& writer) const override;
+  void load_state(io::BinaryReader& reader,
+                  const std::shared_ptr<const SvmFeatureMap>& svm_map) override;
 
   const RandomForestClassifier& forest() const noexcept { return forest_; }
   const SvmClassifier& svm() const noexcept { return svm_; }
 
  private:
-  HybridRslConfig config_;
+  void fit_checked(const Matrix& x, const Labels& y, const FitStore& store) override;
+
   RandomForestClassifier forest_;
   SvmClassifier svm_;
   LogisticRegressionClassifier meta_;
-  bool constant_ = false;
-  double constant_probability_ = 0.0;
 };
 
 }  // namespace aqua::ml

@@ -35,42 +35,15 @@ double sigmoid(double z) noexcept {
   return e / (1.0 + e);
 }
 
-std::pair<double, double> balanced_class_weights(const Labels& y) {
-  std::size_t positives = 0;
-  for (auto v : y) positives += (v != 0);
-  const std::size_t negatives = y.size() - positives;
-  if (positives == 0 || negatives == 0) return {1.0, 1.0};
-  const auto n = static_cast<double>(y.size());
-  return {n / (2.0 * static_cast<double>(negatives)), n / (2.0 * static_cast<double>(positives))};
-}
-
-double positive_rate(const Labels& y) {
-  if (y.empty()) return 0.0;
-  std::size_t positives = 0;
-  for (auto v : y) positives += (v != 0);
-  return static_cast<double>(positives) / static_cast<double>(y.size());
-}
-
 namespace detail {
 
-bool LinearModelCore::fit_constant(const Matrix& x, const Labels& y) {
-  AQUA_REQUIRE(x.rows() == y.size(), "feature/label row mismatch");
-  AQUA_REQUIRE(x.rows() > 0, "empty training set");
-  const double pos_rate = positive_rate(y);
-  constant_ = pos_rate == 0.0 || pos_rate == 1.0;
-  if (constant_) constant_probability_ = pos_rate;
-  return constant_;
-}
-
 void LinearModelCore::fit(const Matrix& x, const Labels& y) {
-  if (fit_constant(x, y)) return;
   scaler_.fit(x);
   train(scaler_.transform(x), y);
 }
 
 void LinearModelCore::fit_standardized(const Matrix& xs, const Labels& y) {
   scaler_ = StandardScaler{};
-  if (fit_constant(xs, y)) return;
   train(xs, y);
 }
 
@@ -146,26 +119,19 @@ void LinearModelCore::save(io::BinaryWriter& writer) const {
   scaler_.save(writer);
   writer.write_f64_vector(weights_);
   writer.write_f64(bias_);
-  writer.write_bool(constant_);
-  writer.write_f64(constant_probability_);
 }
 
 void LinearModelCore::load(io::BinaryReader& reader) {
-  const std::uint8_t loss = reader.read_u8();
-  if (loss > static_cast<std::uint8_t>(LinearLoss::kHinge)) {
+  if (reader.read_u8() != static_cast<std::uint8_t>(loss_)) {
     throw io::SerializationError("malformed linear-model loss tag");
   }
-  loss_ = static_cast<LinearLoss>(loss);
   config_ = read_sgd_config(reader);
   scaler_.load(reader);
   weights_ = reader.read_f64_vector();
   bias_ = reader.read_f64();
-  constant_ = reader.read_bool();
-  constant_probability_ = reader.read_f64();
 }
 
 double LinearModelCore::decision(std::span<const double> x) const {
-  AQUA_REQUIRE(!constant_, "decision() on a degenerate constant model");
   const std::vector<double> xs = scaler_.transform_row(x);
   double z = bias_;
   for (std::size_t c = 0; c < xs.size(); ++c) z += weights_[c] * xs[c];
@@ -173,7 +139,6 @@ double LinearModelCore::decision(std::span<const double> x) const {
 }
 
 double LinearModelCore::decision_pretransformed(std::span<const double> xs) const {
-  AQUA_REQUIRE(!constant_, "decision() on a degenerate constant model");
   AQUA_REQUIRE(xs.size() == weights_.size(), "pretransformed feature size mismatch");
   double z = bias_;
   for (std::size_t c = 0; c < xs.size(); ++c) z += weights_[c] * xs[c];
@@ -184,27 +149,35 @@ double LinearModelCore::decision_pretransformed(std::span<const double> xs) cons
 
 namespace {
 
-/// Shared-map acceptance for the linear family: degenerate constants
-/// accept any owner (they ignore the map); fitted models require an owner
-/// of the same concrete type whose scaler state is bitwise identical.
+/// Shared-map acceptance for the linear family: an owner of the same
+/// concrete type whose scaler state is bitwise identical.
 template <typename Classifier>
 bool linear_accepts_input_map(const detail::LinearModelCore& core,
                               const BinaryClassifier& owner) {
-  if (core.constant()) return true;
   const auto* peer = dynamic_cast<const Classifier*>(&owner);
-  return peer != nullptr && !peer->core().constant() &&
-         core.scaler().identical(peer->core().scaler());
+  return peer != nullptr && core.scaler().identical(peer->core().scaler());
+}
+
+/// Loads a LinearR / LogisticR core and checks that it standardizes the
+/// width its weights take, so decision() cannot read past them.
+void load_standardizing_core(detail::LinearModelCore& core, io::BinaryReader& reader) {
+  core.load(reader);
+  if (!core.scaler().fitted() || core.weights().size() != core.scaler().mean().size()) {
+    throw io::SerializationError("malformed linear-model state: weight count differs from its "
+                                 "scaler");
+  }
 }
 
 }  // namespace
 
 LinearRegressionClassifier::LinearRegressionClassifier(SgdConfig config)
-    : config_(config), core_(detail::LinearLoss::kSquared, config) {}
+    : core_(detail::LinearLoss::kSquared, config) {}
 
-void LinearRegressionClassifier::fit(const Matrix& x, const Labels& y) { core_.fit(x, y); }
+void LinearRegressionClassifier::fit_checked(const Matrix& x, const Labels& y, const FitStore&) {
+  core_.fit(x, y);
+}
 
 double LinearRegressionClassifier::predict_proba(std::span<const double> x) const {
-  if (core_.constant()) return core_.constant_probability();
   return std::clamp(core_.decision(x), 0.0, 1.0);
 }
 
@@ -214,41 +187,35 @@ bool LinearRegressionClassifier::accepts_input_map(const BinaryClassifier& owner
 
 void LinearRegressionClassifier::map_input(std::span<const double> x,
                                            PredictWorkspace& ws) const {
-  // A degenerate constant never fitted its scaler; it can still serve as
-  // map owner for a model whose every label is constant (heads ignore it).
-  if (core_.constant()) {
-    ws.mapped.assign(x.begin(), x.end());
-    return;
-  }
   core_.scaler().transform_row_into(x, ws.mapped);
 }
 
 double LinearRegressionClassifier::predict_proba_mapped(std::span<const double> mapped) const {
-  if (core_.constant()) return core_.constant_probability();
   return std::clamp(core_.decision_pretransformed(mapped), 0.0, 1.0);
 }
 
 std::unique_ptr<BinaryClassifier> LinearRegressionClassifier::clone_config() const {
-  return std::make_unique<LinearRegressionClassifier>(config_);
+  return std::make_unique<LinearRegressionClassifier>(core_.config());
 }
 
-void LinearRegressionClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) const {
-  write_sgd_config(writer, config_);
+void LinearRegressionClassifier::save_state(io::BinaryWriter& writer) const {
   core_.save(writer);
 }
 
-void LinearRegressionClassifier::load_state(io::BinaryReader& reader, const SvmMapTable&) {
-  config_ = read_sgd_config(reader);
-  core_.load(reader);
+void LinearRegressionClassifier::load_state(io::BinaryReader& reader,
+                                            const std::shared_ptr<const SvmFeatureMap>&) {
+  load_standardizing_core(core_, reader);
 }
 
 LogisticRegressionClassifier::LogisticRegressionClassifier(SgdConfig config)
-    : config_(config), core_(detail::LinearLoss::kLogistic, config) {}
+    : core_(detail::LinearLoss::kLogistic, config) {}
 
-void LogisticRegressionClassifier::fit(const Matrix& x, const Labels& y) { core_.fit(x, y); }
+void LogisticRegressionClassifier::fit_checked(const Matrix& x, const Labels& y,
+                                               const FitStore&) {
+  core_.fit(x, y);
+}
 
 double LogisticRegressionClassifier::predict_proba(std::span<const double> x) const {
-  if (core_.constant()) return core_.constant_probability();
   return sigmoid(core_.decision(x));
 }
 
@@ -258,30 +225,24 @@ bool LogisticRegressionClassifier::accepts_input_map(const BinaryClassifier& own
 
 void LogisticRegressionClassifier::map_input(std::span<const double> x,
                                              PredictWorkspace& ws) const {
-  if (core_.constant()) {
-    ws.mapped.assign(x.begin(), x.end());
-    return;
-  }
   core_.scaler().transform_row_into(x, ws.mapped);
 }
 
 double LogisticRegressionClassifier::predict_proba_mapped(std::span<const double> mapped) const {
-  if (core_.constant()) return core_.constant_probability();
   return sigmoid(core_.decision_pretransformed(mapped));
 }
 
 std::unique_ptr<BinaryClassifier> LogisticRegressionClassifier::clone_config() const {
-  return std::make_unique<LogisticRegressionClassifier>(config_);
+  return std::make_unique<LogisticRegressionClassifier>(core_.config());
 }
 
-void LogisticRegressionClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) const {
-  write_sgd_config(writer, config_);
+void LogisticRegressionClassifier::save_state(io::BinaryWriter& writer) const {
   core_.save(writer);
 }
 
-void LogisticRegressionClassifier::load_state(io::BinaryReader& reader, const SvmMapTable&) {
-  config_ = read_sgd_config(reader);
-  core_.load(reader);
+void LogisticRegressionClassifier::load_state(io::BinaryReader& reader,
+                                              const std::shared_ptr<const SvmFeatureMap>&) {
+  load_standardizing_core(core_, reader);
 }
 
 }  // namespace aqua::ml

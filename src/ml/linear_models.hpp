@@ -21,8 +21,8 @@ namespace detail {
 enum class LinearLoss { kSquared, kLogistic, kHinge };
 
 /// Shared Adam-trained linear model. Fits w, b on standardized inputs;
-/// `decision()` is w.x + b. Degenerates to a constant when y is
-/// single-class.
+/// `decision()` is w.x + b. Its state carries the loss and the SGD
+/// configuration, so a classifier built on it persists both once.
 class LinearModelCore {
  public:
   LinearModelCore(LinearLoss loss, SgdConfig config) : loss_(loss), config_(config) {}
@@ -37,23 +37,20 @@ class LinearModelCore {
   /// decision() on features already standardized by this core's scaler
   /// (shared-input-map fast path): bias + w.xs, no transform, no alloc.
   double decision_pretransformed(std::span<const double> xs) const;
-  bool constant() const noexcept { return constant_; }
-  double constant_probability() const noexcept { return constant_probability_; }
+  const SgdConfig& config() const noexcept { return config_; }
   const std::vector<double>& weights() const noexcept { return weights_; }
   const StandardScaler& scaler() const noexcept { return scaler_; }
-  /// The scaler's width, exact; nothing for a constant model.
+  /// The scaler's width, exact.
   BinaryClassifier::InputWidth input_width() const noexcept {
-    if (constant_) return {};
     return {scaler_.mean().size(), true};
   }
 
   void save(io::BinaryWriter& writer) const;
+  /// Restores a state of this core's loss; throws io::SerializationError
+  /// for another loss tag.
   void load(io::BinaryReader& reader);
 
  private:
-  /// Single-class targets degenerate to the constant predictor; returns
-  /// whether this fit did.
-  bool fit_constant(const Matrix& x, const Labels& y);
   /// Adam over standardized rows.
   void train(const Matrix& xs, const Labels& y);
 
@@ -62,8 +59,6 @@ class LinearModelCore {
   StandardScaler scaler_;
   std::vector<double> weights_;
   double bias_ = 0.0;
-  bool constant_ = false;
-  double constant_probability_ = 0.0;
 };
 
 }  // namespace detail
@@ -79,21 +74,21 @@ class LinearRegressionClassifier final : public BinaryClassifier {
   explicit LinearRegressionClassifier(
       SgdConfig config = {.epochs = 150, .batch_size = 64, .learning_rate = 0.004, .l2 = 1e-4,
                           .seed = 13});
-  void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
   InputWidth input_width() const override { return core_.input_width(); }
-  bool input_map_is_identity() const override { return false; }
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;
   double predict_proba_mapped(std::span<const double> mapped) const override;
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "LinearR"; }
-  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
-  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
+  void save_state(io::BinaryWriter& writer) const override;
+  void load_state(io::BinaryReader& reader,
+                  const std::shared_ptr<const SvmFeatureMap>& svm_map) override;
   const detail::LinearModelCore& core() const noexcept { return core_; }
 
  private:
-  SgdConfig config_;
+  void fit_checked(const Matrix& x, const Labels& y, const FitStore& store) override;
+
   detail::LinearModelCore core_;
 };
 
@@ -101,21 +96,21 @@ class LinearRegressionClassifier final : public BinaryClassifier {
 class LogisticRegressionClassifier final : public BinaryClassifier {
  public:
   explicit LogisticRegressionClassifier(SgdConfig config = {});
-  void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
   InputWidth input_width() const override { return core_.input_width(); }
-  bool input_map_is_identity() const override { return false; }
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;
   double predict_proba_mapped(std::span<const double> mapped) const override;
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "LogisticR"; }
-  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
-  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
+  void save_state(io::BinaryWriter& writer) const override;
+  void load_state(io::BinaryReader& reader,
+                  const std::shared_ptr<const SvmFeatureMap>& svm_map) override;
   const detail::LinearModelCore& core() const noexcept { return core_; }
 
  private:
-  SgdConfig config_;
+  void fit_checked(const Matrix& x, const Labels& y, const FitStore& store) override;
+
   detail::LinearModelCore core_;
 };
 

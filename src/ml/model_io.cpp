@@ -8,12 +8,6 @@
 
 namespace aqua::ml {
 
-void save_classifier(io::BinaryWriter& writer, const BinaryClassifier& classifier,
-                     SvmMapTable& maps) {
-  writer.write_string(classifier.name());
-  classifier.save_state(writer, maps);
-}
-
 std::unique_ptr<BinaryClassifier> make_classifier_by_name(const std::string& name) {
   if (name == "LinearR") return std::make_unique<LinearRegressionClassifier>();
   if (name == "LogisticR") return std::make_unique<LogisticRegressionClassifier>();
@@ -22,13 +16,6 @@ std::unique_ptr<BinaryClassifier> make_classifier_by_name(const std::string& nam
   if (name == "SVM") return std::make_unique<SvmClassifier>();
   if (name == "HybridRSL") return std::make_unique<HybridRslClassifier>();
   throw io::SerializationError("unknown classifier kind tag: '" + name + "'");
-}
-
-std::unique_ptr<BinaryClassifier> load_classifier(io::BinaryReader& reader,
-                                                  const SvmMapTable& maps) {
-  auto classifier = make_classifier_by_name(reader.read_string());
-  classifier->load_state(reader, maps);
-  return classifier;
 }
 
 void write_matrix(io::BinaryWriter& writer, const linalg::Matrix& matrix) {

@@ -1,7 +1,7 @@
-// Polymorphic classifier framing for model artifacts: a classifier is
-// written as its kind tag (the stable name() string) followed by its
-// save_state() payload, so a reader can reinstantiate the right concrete
-// type before loading. Also hosts the dense-matrix framing shared by
+// Classifier framing helpers for model artifacts: the kind tag (the
+// stable name() string, written once per model payload by
+// MultiLabelModel::save) reinstantiates the right concrete type before
+// its states load. Also hosts the dense-matrix framing shared by
 // classifiers that persist linalg::Matrix members.
 #pragma once
 
@@ -13,16 +13,6 @@
 #include "ml/classifier.hpp"
 
 namespace aqua::ml {
-
-/// Kind tag + state payload; shared SVM feature maps go to `maps`.
-void save_classifier(io::BinaryWriter& writer, const BinaryClassifier& classifier,
-                     SvmMapTable& maps);
-
-/// Reinstantiates the concrete classifier named by the kind tag and loads
-/// its state, resolving map indices in `maps`; throws
-/// io::SerializationError for unknown tags.
-std::unique_ptr<BinaryClassifier> load_classifier(io::BinaryReader& reader,
-                                                  const SvmMapTable& maps);
 
 /// Default-configured instance for a kind tag ("LinearR", "LogisticR",
 /// "GB", "RF", "SVM", "HybridRSL"); throws io::SerializationError otherwise.

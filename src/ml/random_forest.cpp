@@ -14,37 +14,10 @@ RandomForestClassifier::RandomForestClassifier(RandomForestConfig config) : conf
                "max_bins out of range");
 }
 
-void RandomForestClassifier::fit(const Matrix& x, const Labels& y) {
-  fit_impl(x, y, nullptr);
-}
-
-void RandomForestClassifier::fit_with_store(const Matrix& x, const Labels& y,
-                                            const FitStore& store) {
-  if (!store.bins.fitted()) {
-    fit_impl(x, y, nullptr);
-    return;
-  }
-  AQUA_REQUIRE(store.bins.num_samples() == x.rows() && store.bins.num_features() == x.cols() &&
-                   store.bins.max_bins() == config_.max_bins,
-               "shared store does not match the training matrix");
-  fit_impl(x, y, &store.bins);
-}
-
-void RandomForestClassifier::fit_impl(const Matrix& x, const Labels& y,
-                                      const BinnedDataset* store) {
-  AQUA_REQUIRE(x.rows() == y.size(), "feature/label row mismatch");
-  AQUA_REQUIRE(x.rows() > 0, "empty training set");
-
-  const double pos_rate = positive_rate(y);
-  if (pos_rate == 0.0 || pos_rate == 1.0) {
-    constant_ = true;
-    constant_probability_ = pos_rate;
-    trees_.clear();
-    compiled_.clear();
-    return;
-  }
-  constant_ = false;
-
+void RandomForestClassifier::fit_checked(const Matrix& x, const Labels& y,
+                                         const FitStore& store) {
+  AQUA_REQUIRE(store.bins.matches(x, config_.max_bins),
+               "fit store lacks this forest's binning of the training matrix");
   const std::size_t n = x.rows();
   const auto [w_neg, w_pos] = balanced_class_weights(y);
   std::vector<double> targets(n), weights(n);
@@ -67,15 +40,6 @@ void RandomForestClassifier::fit_impl(const Matrix& x, const Labels& y,
     mtry = std::min({mtry, x.cols(), std::size_t{64}});
   }
 
-  // Quantile-bin the features once; every bootstrap tree reuses the
-  // shared column-block encoding — or the caller's store when one was
-  // already fitted on exactly this matrix.
-  BinnedDataset local_store;
-  if (store == nullptr) {
-    local_store.fit(x, config_.max_bins);
-    store = &local_store;
-  }
-
   trees_.clear();
   trees_.reserve(config_.num_trees);
   Rng rng(config_.seed);
@@ -92,21 +56,20 @@ void RandomForestClassifier::fit_impl(const Matrix& x, const Labels& y,
     tree_config.max_features = mtry;
     tree_config.seed = rng();
     RegressionTree tree(tree_config);
-    tree.fit_binned(*store, targets, weights, bootstrap);
+    // Every bootstrap tree reuses the store's column-block encoding.
+    tree.fit_binned(store.bins, targets, weights, bootstrap);
     trees_.push_back(std::move(tree));
   }
   compiled_.compile(trees_, 1.0);
 }
 
 BinaryClassifier::InputWidth RandomForestClassifier::input_width() const {
-  if (constant_) return {};
   std::size_t width = 0;
   for (const auto& tree : trees_) width = std::max(width, tree.input_width());
   return {width, false};
 }
 
 double RandomForestClassifier::predict_proba(std::span<const double> x) const {
-  if (constant_) return constant_probability_;
   AQUA_REQUIRE(!trees_.empty(), "predict on unfitted forest");
   double sum = 0.0;
   for (const auto& tree : trees_) sum += tree.predict(x);
@@ -116,7 +79,7 @@ double RandomForestClassifier::predict_proba(std::span<const double> x) const {
 void RandomForestClassifier::predict_proba_mapped_tile(const double* const* rows,
                                                        std::size_t count, std::size_t dim,
                                                        double* out, std::size_t stride) const {
-  if (constant_ || !compiled_.compiled()) {
+  if (!compiled_.compiled()) {
     BinaryClassifier::predict_proba_mapped_tile(rows, count, dim, out, stride);
     return;
   }
@@ -139,7 +102,7 @@ std::unique_ptr<BinaryClassifier> RandomForestClassifier::clone_config() const {
   return std::make_unique<RandomForestClassifier>(config_);
 }
 
-void RandomForestClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) const {
+void RandomForestClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_u64(config_.num_trees);
   writer.write_u64(config_.max_depth);
   writer.write_u64(config_.min_samples_leaf);
@@ -147,13 +110,12 @@ void RandomForestClassifier::save_state(io::BinaryWriter& writer, SvmMapTable&) 
   writer.write_f64(config_.max_features_fraction);
   writer.write_u64(config_.seed);
   writer.write_u64(config_.max_bins);
-  writer.write_bool(constant_);
-  writer.write_f64(constant_probability_);
   writer.write_u64(trees_.size());
   for (const auto& tree : trees_) tree.save(writer);
 }
 
-void RandomForestClassifier::load_state(io::BinaryReader& reader, const SvmMapTable&) {
+void RandomForestClassifier::load_state(io::BinaryReader& reader,
+                                        const std::shared_ptr<const SvmFeatureMap>&) {
   config_.num_trees = reader.read_u64();
   config_.max_depth = reader.read_u64();
   config_.min_samples_leaf = reader.read_u64();
@@ -161,12 +123,10 @@ void RandomForestClassifier::load_state(io::BinaryReader& reader, const SvmMapTa
   config_.max_features_fraction = reader.read_f64();
   config_.seed = reader.read_u64();
   config_.max_bins = reader.read_u64();
-  constant_ = reader.read_bool();
-  constant_probability_ = reader.read_f64();
   const std::uint64_t count = reader.read_u64();
-  // A count the payload cannot hold is rejected before anything is
-  // allocated for it.
-  if (count > (std::uint64_t{1} << 24) ||
+  // A fitted forest has a tree; a count the payload cannot hold is
+  // rejected before anything is allocated for it.
+  if (count == 0 || count > (std::uint64_t{1} << 24) ||
       count > reader.remaining() / RegressionTree::kMinSerializedBytes) {
     throw io::SerializationError("malformed forest size");
   }

@@ -31,12 +31,11 @@ class RandomForestClassifier final : public BinaryClassifier {
  public:
   explicit RandomForestClassifier(RandomForestConfig config = {});
 
-  void fit(const Matrix& x, const Labels& y) override;
   double predict_proba(std::span<const double> x) const override;
   InputWidth input_width() const override;
   /// Compiled traversal over the whole tile (bit-identical to the
   /// per-row pointer walk); falls back to the base per-row loop when the
-  /// ensemble is degenerate or did not compile.
+  /// ensemble did not compile.
   void predict_proba_mapped_tile(const double* const* rows, std::size_t count, std::size_t dim,
                                  double* out, std::size_t stride) const override;
   const CompiledForest* compiled_forest() const override {
@@ -44,16 +43,18 @@ class RandomForestClassifier final : public BinaryClassifier {
   }
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "RF"; }
-  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
-  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
+  void save_state(io::BinaryWriter& writer) const override;
+  void load_state(io::BinaryReader& reader,
+                  const std::shared_ptr<const SvmFeatureMap>& svm_map) override;
 
+  /// Trains through the store's binning at max_bins.
   std::size_t fit_store_bins() const override { return config_.max_bins; }
-  void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
 
+  const RandomForestConfig& config() const noexcept { return config_; }
   std::size_t num_trees() const noexcept { return trees_.size(); }
 
  private:
-  void fit_impl(const Matrix& x, const Labels& y, const BinnedDataset* store);
+  void fit_checked(const Matrix& x, const Labels& y, const FitStore& store) override;
 
   RandomForestConfig config_;
   std::vector<RegressionTree> trees_;
@@ -61,8 +62,6 @@ class RandomForestClassifier final : public BinaryClassifier {
   /// state, never serialized). The pointer-walking predict_proba stays
   /// the oracle.
   CompiledForest compiled_;
-  bool constant_ = false;
-  double constant_probability_ = 0.0;
 };
 
 }  // namespace aqua::ml

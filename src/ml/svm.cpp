@@ -137,82 +137,25 @@ std::shared_ptr<const SvmFeatureMap> SvmFeatureMap::load(io::BinaryReader& reade
   return map;
 }
 
-std::uint64_t SvmMapTable::index_of(const std::shared_ptr<const SvmFeatureMap>& map) {
-  AQUA_REQUIRE(map != nullptr, "cannot index a null feature map");
-  const auto it = std::find(maps_.begin(), maps_.end(), map);
-  if (it != maps_.end()) return static_cast<std::uint64_t>(it - maps_.begin());
-  maps_.push_back(map);
-  return maps_.size() - 1;
-}
-
-const std::shared_ptr<const SvmFeatureMap>& SvmMapTable::at(std::uint64_t index) const {
-  if (index >= maps_.size()) {
-    throw io::SerializationError("malformed model: SVM feature map index out of range");
-  }
-  return maps_[index];
-}
-
-void SvmMapTable::save(io::BinaryWriter& writer) const {
-  writer.write_u64(maps_.size());
-  for (const auto& map : maps_) map->save(writer);
-}
-
-SvmMapTable SvmMapTable::load(io::BinaryReader& reader) {
-  // The smallest map (every vector empty) is 64 bytes: two scalers of two
-  // length-prefixed vectors, the weight shape and data prefix, the offsets
-  // prefix. A count the payload cannot hold is rejected before reserving.
-  constexpr std::size_t kMinMapBytes = 64;
-  const std::uint64_t count = reader.read_u64();
-  if (count > reader.remaining() / kMinMapBytes) {
-    throw io::SerializationError("malformed model: SVM feature map count");
-  }
-  SvmMapTable table;
-  table.maps_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) table.maps_.push_back(SvmFeatureMap::load(reader));
-  return table;
-}
-
 SvmClassifier::SvmClassifier(SvmConfig config)
     : config_(config), core_(detail::LinearLoss::kHinge, config.sgd) {}
 
-void SvmClassifier::fit(const Matrix& x, const Labels& y) { fit_decisions(x, y, FitStore{}); }
-
-void SvmClassifier::fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) {
+void SvmClassifier::fit_checked(const Matrix& x, const Labels& y, const FitStore& store) {
   fit_decisions(x, y, store);
 }
 
 std::vector<double> SvmClassifier::fit_decisions(const Matrix& x, const Labels& y,
                                                  const FitStore& store) {
-  AQUA_REQUIRE(x.rows() == y.size(), "feature/label row mismatch");
-  AQUA_REQUIRE(x.rows() > 0, "empty training set");
-
-  const double pos_rate = positive_rate(y);
-  if (pos_rate == 0.0 || pos_rate == 1.0) {
-    constant_ = true;
-    constant_probability_ = pos_rate;
-    map_.reset();
-    return {};
-  }
-  constant_ = false;
-
-  Matrix own_features;
-  const Matrix* features = &store.svm_features;
-  if (store.svm_map != nullptr) {
-    AQUA_REQUIRE(store.svm_map->input_dimension() == x.cols() &&
-                     store.svm_map->rff_dimension() == config_.rff_dimension &&
-                     store.svm_features.rows() == x.rows() &&
-                     store.svm_features.cols() == store.svm_map->dimension(),
-                 "shared feature map does not match the training matrix");
-    map_ = store.svm_map;
-  } else {
-    map_ = SvmFeatureMap::fit(x, config_, own_features);
-    features = &own_features;
-  }
-
-  core_.fit_standardized(*features, y);
+  AQUA_REQUIRE(store.svm_map != nullptr && store.svm_map->input_dimension() == x.cols() &&
+                   store.svm_map->rff_dimension() == config_.rff_dimension &&
+                   store.svm_features.rows() == x.rows() &&
+                   store.svm_features.cols() == store.svm_map->dimension(),
+               "fit store lacks this SVM's feature map of the training matrix");
+  map_ = store.svm_map;
+  core_.fit_standardized(store.svm_features, y);
   std::vector<double> decision(x.rows());
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    decision[i] = core_.decision_pretransformed(features->row(i));
+    decision[i] = core_.decision_pretransformed(store.svm_features.row(i));
   }
   fit_platt(decision, y);
   return decision;
@@ -256,33 +199,25 @@ void SvmClassifier::fit_platt(const std::vector<double>& decision, const Labels&
 }
 
 double SvmClassifier::decision_value(std::span<const double> x) const {
-  AQUA_REQUIRE(!constant_, "decision_value on a degenerate constant model");
   PredictWorkspace ws;
   map_->map_into(x, ws);
   return core_.decision_pretransformed(ws.mapped);
 }
 
 double SvmClassifier::predict_proba(std::span<const double> x) const {
-  if (constant_) return constant_probability_;
   return probability(decision_value(x));
 }
 
 bool SvmClassifier::accepts_input_map(const BinaryClassifier& owner) const {
-  if (constant_) return true;  // ignores the map entirely
   const auto* peer = dynamic_cast<const SvmClassifier*>(&owner);
-  return peer != nullptr && !peer->constant_ && peer->map_ == map_;
+  return peer != nullptr && peer->map_ == map_;
 }
 
 void SvmClassifier::map_input(std::span<const double> x, PredictWorkspace& ws) const {
-  if (constant_) {  // never fitted; identity map for the all-constant case
-    ws.mapped.assign(x.begin(), x.end());
-    return;
-  }
   map_->map_into(x, ws);
 }
 
 double SvmClassifier::predict_proba_mapped(std::span<const double> mapped) const {
-  if (constant_) return constant_probability_;
   return probability(core_.decision_pretransformed(mapped));
 }
 
@@ -290,34 +225,29 @@ std::unique_ptr<BinaryClassifier> SvmClassifier::clone_config() const {
   return std::make_unique<SvmClassifier>(config_);
 }
 
-void SvmClassifier::save_state(io::BinaryWriter& writer, SvmMapTable& maps) const {
-  write_sgd_config(writer, config_.sgd);
+void SvmClassifier::save_state(io::BinaryWriter& writer) const {
   writer.write_u64(config_.rff_dimension);
   writer.write_f64(config_.rff_gamma);
   writer.write_u64(config_.seed);
-  writer.write_bool(constant_);
-  writer.write_f64(constant_probability_);
-  if (constant_) return;  // a constant model has neither a map nor weights
-  writer.write_u64(maps.index_of(map_));
-  core_.save(writer);
+  core_.save(writer);  // with the SGD half of config_
   writer.write_f64(platt_a_);
   writer.write_f64(platt_b_);
 }
 
-void SvmClassifier::load_state(io::BinaryReader& reader, const SvmMapTable& maps) {
-  config_.sgd = read_sgd_config(reader);
+void SvmClassifier::load_state(io::BinaryReader& reader,
+                               const std::shared_ptr<const SvmFeatureMap>& svm_map) {
   config_.rff_dimension = reader.read_u64();
   config_.rff_gamma = reader.read_f64();
   config_.seed = reader.read_u64();
-  constant_ = reader.read_bool();
-  constant_probability_ = reader.read_f64();
-  map_.reset();
-  if (constant_) return;
-  map_ = maps.at(reader.read_u64());
   core_.load(reader);
+  config_.sgd = core_.config();
   platt_a_ = reader.read_f64();
   platt_b_ = reader.read_f64();
-  if (core_.constant() || core_.weights().size() != map_->dimension()) {
+  map_ = svm_map;
+  if (map_ == nullptr) {
+    throw io::SerializationError("malformed SVM state: the model holds no feature map");
+  }
+  if (core_.weights().size() != map_->dimension()) {
     throw io::SerializationError("malformed SVM state: weight count differs from its map");
   }
   if (map_->rff_dimension() != config_.rff_dimension) {

@@ -27,20 +27,15 @@ struct SvmConfig {
 /// only the decision-space scaler). It depends on the training matrix and
 /// the map half of SvmConfig (rff_dimension, rff_gamma, seed), never on a
 /// label, so MultiLabelModel fits one per profile and hands it to every
-/// label through the shared-store fit protocol; each SvmClassifier holds
-/// it by shared_ptr<const>. Immutable after fit/load, so every member is
-/// reentrant.
+/// label through the fit store; each SvmClassifier holds it by
+/// shared_ptr<const>, and the model payload writes it once. Immutable
+/// after fit/load, so every member is reentrant.
 class SvmFeatureMap {
  public:
   /// Fits the map on x and writes x's rows through it into `features`
   /// (the matrix the SGD trains on).
   static std::shared_ptr<const SvmFeatureMap> fit(const Matrix& x, const SvmConfig& config,
                                                   Matrix& features);
-
-  /// True when `a` and `b` draw the same map from the same matrix.
-  static bool same_map(const SvmConfig& a, const SvmConfig& b) noexcept {
-    return a.rff_dimension == b.rff_dimension && a.rff_gamma == b.rff_gamma && a.seed == b.seed;
-  }
 
   /// Input width the map was fitted on.
   std::size_t input_dimension() const noexcept {
@@ -69,51 +64,26 @@ class SvmFeatureMap {
   StandardScaler decision_scaler_;  // D (d without RFF)
 };
 
-/// The distinct SvmFeatureMaps of one model payload. Saving assigns each
-/// map an index on first use; the payload writes the table once, ahead of
-/// the classifier states that refer to it. Loading reads and validates
-/// every map once, then resolves each state's index.
-class SvmMapTable {
- public:
-  /// Save side: the index of `map`, appended on first use.
-  std::uint64_t index_of(const std::shared_ptr<const SvmFeatureMap>& map);
-  /// Load side: the map at a stored index; throws io::SerializationError
-  /// when the index is out of range.
-  const std::shared_ptr<const SvmFeatureMap>& at(std::uint64_t index) const;
-
-  void save(io::BinaryWriter& writer) const;
-  static SvmMapTable load(io::BinaryReader& reader);
-
- private:
-  std::vector<std::shared_ptr<const SvmFeatureMap>> maps_;
-};
-
 class SvmClassifier final : public BinaryClassifier {
  public:
   explicit SvmClassifier(SvmConfig config = {});
 
-  void fit(const Matrix& x, const Labels& y) override;
-  /// Shared-store fit protocol: every label trains on, and keeps, the one
-  /// map in store.svm_map; without one the label fits its own.
+  /// Trains on, and keeps, the store's feature map.
   const SvmConfig* fit_store_svm_map() const override { return &config_; }
-  void fit_with_store(const Matrix& x, const Labels& y, const FitStore& store) override;
-  /// fit_with_store() that also returns the training rows' decision
-  /// values (empty for a degenerate constant model), from which HybridRSL
-  /// takes its stacked column as probability(decision).
+  /// One label's fit through the store's feature map (fit()'s
+  /// preconditions hold); also returns the training rows' decision
+  /// values, from which HybridRSL takes its stacked column as
+  /// probability(decision).
   std::vector<double> fit_decisions(const Matrix& x, const Labels& y, const FitStore& store);
 
   double predict_proba(std::span<const double> x) const override;
-  /// The feature map's input width, exact; nothing for a constant model.
-  InputWidth input_width() const override {
-    if (constant_) return {};
-    return {map_->input_dimension(), true};
-  }
+  /// The feature map's input width, exact.
+  InputWidth input_width() const override { return {map_->input_dimension(), true}; }
   /// Shared-input-map protocol: the map is the whole SvmFeatureMap; only
   /// w, b and the Platt sigmoid are per-label. Hoisting it is the
   /// dominant batched-inference win: the RFF map (D x d multiplies + D
   /// cosines) runs once per snapshot instead of once per label. Labels
   /// share a map when they hold the same SvmFeatureMap object.
-  bool input_map_is_identity() const override { return false; }
   bool accepts_input_map(const BinaryClassifier& owner) const override;
   void map_input(std::span<const double> x, PredictWorkspace& ws) const override;
   double predict_proba_mapped(std::span<const double> mapped) const override;
@@ -121,14 +91,19 @@ class SvmClassifier final : public BinaryClassifier {
   double decision_value(std::span<const double> x) const;
   /// The Platt sigmoid of a decision value.
   double probability(double decision) const { return sigmoid(platt_a_ * decision + platt_b_); }
-  /// The fitted feature map (null for a degenerate constant model).
+  /// The fitted feature map (null before fit/load).
   const std::shared_ptr<const SvmFeatureMap>& feature_map() const noexcept { return map_; }
+  const SvmConfig& config() const noexcept { return config_; }
   std::unique_ptr<BinaryClassifier> clone_config() const override;
   std::string name() const override { return "SVM"; }
-  void save_state(io::BinaryWriter& writer, SvmMapTable& maps) const override;
-  void load_state(io::BinaryReader& reader, const SvmMapTable& maps) override;
+  void save_state(io::BinaryWriter& writer) const override;
+  /// Takes `svm_map` as its feature map; throws io::SerializationError
+  /// when it is null or does not fit the state's weights.
+  void load_state(io::BinaryReader& reader,
+                  const std::shared_ptr<const SvmFeatureMap>& svm_map) override;
 
  private:
+  void fit_checked(const Matrix& x, const Labels& y, const FitStore& store) override;
   void fit_platt(const std::vector<double>& decision, const Labels& y);
 
   SvmConfig config_;
@@ -136,8 +111,6 @@ class SvmClassifier final : public BinaryClassifier {
   std::shared_ptr<const SvmFeatureMap> map_;
   double platt_a_ = -1.0;
   double platt_b_ = 0.0;
-  bool constant_ = false;
-  double constant_probability_ = 0.0;
 };
 
 }  // namespace aqua::ml

@@ -56,12 +56,10 @@ SensorSet place_sensors_kmedoids(const hydraulics::Network& network,
   SensorSet set;
   set.sensors.reserve(count);
   for (std::size_t medoid : clustering.medoids) {
-    if (medoid < network.num_nodes()) {
-      set.sensors.push_back({SensorKind::kPressure, medoid, "p:" + network.node(medoid).name});
-    } else {
-      const std::size_t link = medoid - network.num_nodes();
-      set.sensors.push_back({SensorKind::kFlow, link, "q:" + network.link(link).name});
-    }
+    set.sensors.push_back(
+        medoid < network.num_nodes()
+            ? make_sensor(network, SensorKind::kPressure, medoid)
+            : make_sensor(network, SensorKind::kFlow, medoid - network.num_nodes()));
   }
   return set;
 }
@@ -73,12 +71,9 @@ SensorSet place_sensors_random(const hydraulics::Network& network, std::size_t c
   Rng rng(seed);
   SensorSet set;
   for (std::size_t pick : rng.sample_without_replacement(num_candidates, count)) {
-    if (pick < network.num_nodes()) {
-      set.sensors.push_back({SensorKind::kPressure, pick, "p:" + network.node(pick).name});
-    } else {
-      const std::size_t link = pick - network.num_nodes();
-      set.sensors.push_back({SensorKind::kFlow, link, "q:" + network.link(link).name});
-    }
+    set.sensors.push_back(pick < network.num_nodes()
+                              ? make_sensor(network, SensorKind::kPressure, pick)
+                              : make_sensor(network, SensorKind::kFlow, pick - network.num_nodes()));
   }
   return set;
 }

@@ -105,14 +105,32 @@ double apply_sensor_fault(const SensorFault& fault, double reading, std::size_t 
   return reading;
 }
 
+Sensor make_sensor(const hydraulics::Network& network, SensorKind kind, std::size_t index) {
+  if (kind == SensorKind::kPressure) return {kind, index, "p:" + network.node(index).name};
+  return {kind, index, "q:" + network.link(index).name};
+}
+
+void check_sensor_names(const hydraulics::Network& network, const SensorSet& sensors) {
+  for (const Sensor& sensor : sensors.sensors) {
+    const bool pressure = sensor.kind == SensorKind::kPressure;
+    if (sensor.index >= (pressure ? network.num_nodes() : network.num_links())) continue;
+    const Sensor element = make_sensor(network, sensor.kind, sensor.index);
+    if (sensor.name != element.name) {
+      throw InvalidArgument("sensor '" + sensor.name + "' indexes " + (pressure ? "node " : "link ") +
+                            std::to_string(sensor.index) + ", which this network names '" +
+                            element.name + "'");
+    }
+  }
+}
+
 SensorSet full_observation(const hydraulics::Network& network) {
   SensorSet set;
   set.sensors.reserve(network.num_nodes() + network.num_links());
   for (std::size_t v = 0; v < network.num_nodes(); ++v) {
-    set.sensors.push_back({SensorKind::kPressure, v, "p:" + network.node(v).name});
+    set.sensors.push_back(make_sensor(network, SensorKind::kPressure, v));
   }
   for (std::size_t l = 0; l < network.num_links(); ++l) {
-    set.sensors.push_back({SensorKind::kFlow, l, "q:" + network.link(l).name});
+    set.sensors.push_back(make_sensor(network, SensorKind::kFlow, l));
   }
   return set;
 }

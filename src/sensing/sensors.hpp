@@ -118,6 +118,17 @@ std::vector<SensorFault> resolve_sensor_faults(std::span<const SensorFaultDraw> 
 ///   bias:     r -> r + value
 double apply_sensor_fault(const SensorFault& fault, double reading, std::size_t slot);
 
+/// The sensor of `kind` on element `index` of `network` (a node for
+/// pressure, a link for flow), named "p:<node>" or "q:<link>". Every
+/// placement names its sensors this way.
+Sensor make_sensor(const hydraulics::Network& network, SensorKind kind, std::size_t index);
+
+/// Throws InvalidArgument, naming both, when a sensor that indexes an
+/// element of `network` does not carry that element's make_sensor name:
+/// the set was placed on another network. An index past the network is
+/// SnapshotBatch::features_into's to reject.
+void check_sensor_names(const hydraulics::Network& network, const SensorSet& sensors);
+
 /// Full observation A = V ∪ E: a pressure sensor at every node and a flow
 /// meter on every link ("|A| = |V| + |E| refers to the full (100%) IoT
 /// observations", Sec. V-B).

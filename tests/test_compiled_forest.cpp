@@ -435,7 +435,8 @@ TEST(CompiledForest, TreelessKindsFallBackTransparently) {
   MultiLabelModel model(core::make_classifier_factory(ModelKind::kLogisticR));
   model.fit(synthetic_dataset(0x8A));
   for (std::size_t v = 0; v < model.num_labels(); ++v) {
-    EXPECT_EQ(model.classifier(v).compiled_forest(), nullptr);
+    ASSERT_NE(model.classifier(v), nullptr);
+    EXPECT_EQ(model.classifier(v)->compiled_forest(), nullptr);
   }
   expect_batch_matches_per_row(ModelKind::kLogisticR, /*expect_trees=*/false);
 }

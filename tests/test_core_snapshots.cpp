@@ -150,6 +150,40 @@ TEST_F(SnapshotTest, FlowDeltaNoiseCombinesBothReadingsRelativeSigmas) {
   EXPECT_NEAR(spread, expected, 0.03 * expected);
 }
 
+TEST_F(SnapshotTest, SensorNamingAnotherElementThrowsNamingBoth) {
+  // EPA-NET's full observation fits inside WSSC-SUBNET's index ranges, but
+  // its sensors name EPA-NET elements: the first, p:J1_0, indexes WSSC
+  // node J0_13. build_dataset checks every name once per call; the
+  // per-row featurizer does not.
+  const auto wssc = networks::make_wssc_subnet();
+  ScenarioConfig config;
+  config.min_events = 1;
+  config.max_events = 1;
+  config.seed = 6;
+  const auto scenarios = ScenarioGenerator(wssc, config).generate(2);
+  const SnapshotBatch batch(wssc, scenarios, {1});
+  const auto foreign = sensing::full_observation(net_);
+  ASSERT_LT(net_.num_nodes(), wssc.num_nodes());
+  ASSERT_LT(net_.num_links(), wssc.num_links());
+  // The two networks share their first node names; the first pressure
+  // sensor whose name differs is the one reported.
+  std::size_t first = 0;
+  while (foreign.sensors[first].name == "p:" + wssc.node(first).name) ++first;
+  ASSERT_LT(first, net_.num_nodes());
+  try {
+    (void)batch.build_dataset(scenarios, foreign, 0, {}, 42);
+    ADD_FAILURE() << "featurized EPA-NET sensors on WSSC-SUBNET";
+  } catch (const InvalidArgument& error) {
+    const std::string expected = "sensor '" + foreign.sensors[first].name + "' indexes node " +
+                                 std::to_string(first) + ", which this network names 'p:" +
+                                 wssc.node(first).name + "'";
+    EXPECT_NE(std::string(error.what()).find(expected), std::string::npos) << error.what();
+  }
+  Rng rng(13);
+  EXPECT_NO_THROW((void)batch.features(0, foreign, 0, {}, rng));
+  EXPECT_NO_THROW((void)batch.build_dataset(scenarios, sensing::full_observation(wssc), 0, {}, 42));
+}
+
 TEST_F(SnapshotTest, SensorOutsideTheNetworkThrowsNamingIt) {
   // A profile placed on another network must not index past the
   // snapshots: WSSC-SUBNET's full observation has more nodes and links

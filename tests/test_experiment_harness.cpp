@@ -9,6 +9,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "common/error.hpp"
@@ -121,6 +122,30 @@ TEST_F(HarnessTest, EvaluateProfileRequiresTrainedModel) {
   ProfileModel empty;
   EvalOptions options;
   EXPECT_THROW(context_->evaluate_profile(empty, options), InvalidArgument);
+}
+
+TEST_F(HarnessTest, EvaluateProfileRejectsSensorsNamingOtherElements) {
+  // Two sensors with swapped names index the right range but the wrong
+  // elements; evaluate_profile checks every name before featurizing.
+  ProfileModel profile;
+  profile.sensors = sensing::full_observation(*net_);
+  std::swap(profile.sensors.sensors[0].name, profile.sensors.sensors[1].name);
+  ml::MultiLabelDataset data;
+  data.features = ml::Matrix(4, 1);
+  for (std::size_t i = 0; i < 4; ++i) {
+    data.features(i, 0) = static_cast<double>(i);
+    data.labels.push_back({static_cast<std::uint8_t>(i % 2)});
+  }
+  profile.model = ml::MultiLabelModel(make_classifier_factory(ModelKind::kLogisticR));
+  profile.model.fit(data);
+  try {
+    (void)context_->evaluate_profile(profile, EvalOptions{});
+    ADD_FAILURE() << "evaluated sensors that name other elements";
+  } catch (const InvalidArgument& error) {
+    const std::string expected =
+        "sensor '" + profile.sensors.sensors[0].name + "' indexes node 0";
+    EXPECT_NE(std::string(error.what()).find(expected), std::string::npos) << error.what();
+  }
 }
 
 TEST_F(HarnessTest, ModelKindNamesAreUniqueAndComplete) {

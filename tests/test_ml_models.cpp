@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -114,15 +115,73 @@ TEST_P(EveryModel, ProbabilitiesAreDiscriminative) {
       << GetParam().name;
 }
 
-TEST_P(EveryModel, HandlesSingleClassDegenerately) {
-  Matrix x(20, 2, 1.0);
-  auto model = GetParam().factory();
-  model->fit(x, Labels(20, 0));
-  std::vector<double> probe{1.0, 1.0};
-  EXPECT_DOUBLE_EQ(model->predict_proba(probe), 0.0) << GetParam().name;
-  auto model_pos = GetParam().factory();
-  model_pos->fit(x, Labels(20, 1));
-  EXPECT_DOUBLE_EQ(model_pos->predict_proba(probe), 1.0) << GetParam().name;
+TEST_P(EveryModel, RejectsSingleClassTargets) {
+  // A single-class label is MultiLabelModel's constant, never a kind's fit.
+  Rng rng(10);
+  const auto [x, y] = blobs(40, rng);
+  (void)y;
+  for (const int value : {0, 1}) {
+    const Labels single(x.rows(), static_cast<std::uint8_t>(value));
+    auto model = GetParam().factory();
+    EXPECT_THROW(model->fit(x, single), InvalidArgument) << GetParam().name;
+    EXPECT_THROW(model->fit(x, single, make_fit_store(*model, x)), InvalidArgument)
+        << GetParam().name;
+  }
+}
+
+/// Round trip through MultiLabelModel::save / load.
+MultiLabelModel reloaded(const MultiLabelModel& model) {
+  io::BinaryWriter writer;
+  model.save(writer);
+  io::BinaryReader reader(writer.buffer());
+  MultiLabelModel loaded = MultiLabelModel::load(reader);
+  reader.expect_end();
+  return loaded;
+}
+
+TEST_P(EveryModel, SingleClassLabelsAreExactConstantsInAProfile) {
+  // Label 0 never fires and label 1 always does; label 2 is learnable.
+  // The constants hold no classifier and predict exactly their rate per
+  // row, through the batch (serial and parallel) and after a round trip;
+  // without label 2 no label owns an input map at all.
+  Rng rng(24);
+  const auto [x, y] = blobs(120, rng);
+  for (const std::size_t labels : {3u, 2u}) {
+    SCOPED_TRACE(labels);
+    MultiLabelDataset data;
+    data.features = x;
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      data.labels.push_back(labels == 3 ? Labels{0, 1, y[i]} : Labels{0, 1});
+    }
+    MultiLabelModel fitted(GetParam().factory);
+    fitted.fit(data);
+    const MultiLabelModel loaded = reloaded(fitted);
+    for (const MultiLabelModel* model : {&std::as_const(fitted), &loaded}) {
+      EXPECT_EQ(model->kind(), GetParam().name);
+      EXPECT_EQ(model->classifier(0), nullptr);
+      EXPECT_EQ(model->classifier(1), nullptr);
+      if (labels == 3) {
+        EXPECT_NE(model->classifier(2), nullptr);
+      }
+      for (std::size_t i = 0; i < x.rows(); ++i) {
+        const auto p = model->predict_proba(x.row(i));
+        EXPECT_EQ(p[0], 0.0);
+        EXPECT_EQ(p[1], 1.0);
+        EXPECT_EQ(model->predict(x.row(i))[1], 1);
+      }
+      for (const bool parallel : {false, true}) {
+        Matrix batch;
+        model->predict_proba_batch_into(x, batch, parallel);
+        for (std::size_t i = 0; i < x.rows(); ++i) {
+          EXPECT_EQ(batch(i, 0), 0.0);
+          EXPECT_EQ(batch(i, 1), 1.0);
+          if (labels == 3) {
+            EXPECT_EQ(batch(i, 2), fitted.predict_proba(x.row(i))[2]);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_P(EveryModel, RecallsRarePositives) {
@@ -301,48 +360,15 @@ MultiLabelDataset tree_multilabel_data(std::size_t n, std::size_t labels, Rng& r
   return data;
 }
 
-/// Shared-store protocol contract: fit_with_store must be bit-identical
-/// to fit on the same matrix, for every store consumer.
-TEST(SharedStoreFit, BitIdenticalToPlainFit) {
-  Rng rng(65);
-  const auto [x, y] = blobs(300, rng);
-  struct Case {
-    std::string name;
-    std::unique_ptr<BinaryClassifier> plain, stored;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"GB", std::make_unique<GradientBoostingClassifier>(),
-                   std::make_unique<GradientBoostingClassifier>()});
-  cases.push_back({"RF", std::make_unique<RandomForestClassifier>(),
-                   std::make_unique<RandomForestClassifier>()});
-  cases.push_back({"SVM", std::make_unique<SvmClassifier>(), std::make_unique<SvmClassifier>()});
-  cases.push_back({"HybridRSL", std::make_unique<HybridRslClassifier>(),
-                   std::make_unique<HybridRslClassifier>()});
-  for (auto& c : cases) {
-    FitStore store;
-    if (c.plain->fit_store_bins() > 0) store.bins.fit(x, c.plain->fit_store_bins());
-    if (const SvmConfig* svm = c.plain->fit_store_svm_map()) {
-      store.svm_map = SvmFeatureMap::fit(x, *svm, store.svm_features);
-    }
-    ASSERT_TRUE(store.bins.fitted() || store.svm_map != nullptr) << c.name;
-    c.plain->fit(x, y);
-    c.stored->fit_with_store(x, y, store);
-    Rng test_rng(66);
-    const auto [tx, ty] = blobs(150, test_rng);
-    (void)ty;
-    for (std::size_t i = 0; i < tx.rows(); ++i) {
-      EXPECT_EQ(c.stored->predict_proba(tx.row(i)), c.plain->predict_proba(tx.row(i))) << c.name;
-    }
-  }
-}
-
-TEST(SharedStoreFit, MismatchedStoreIsRejected) {
+TEST(FitStore, MismatchedOrMissingStoreIsRejected) {
   Rng rng(67);
   const auto [x, y] = blobs(100, rng);
   FitStore store;
-  store.bins.fit(x, 32);  // budget disagrees with the classifier's max_bins
+  store.bins.fit(x, 32);  // budget disagrees with the ensembles' max_bins
   GradientBoostingClassifier gb;
-  EXPECT_THROW(gb.fit_with_store(x, y, store), InvalidArgument);
+  EXPECT_THROW(gb.fit(x, y, store), InvalidArgument);
+  RandomForestClassifier rf;
+  EXPECT_THROW(rf.fit(x, y, store), InvalidArgument);
 
   // A feature map fitted on another width, or drawn without RFF, does not
   // fit this SVM's training matrix.
@@ -350,12 +376,23 @@ TEST(SharedStoreFit, MismatchedStoreIsRejected) {
   const Matrix first_column = Matrix(x.rows(), 1, 0.5);
   narrow.svm_map = SvmFeatureMap::fit(first_column, SvmConfig{}, narrow.svm_features);
   SvmClassifier svm;
-  EXPECT_THROW(svm.fit_with_store(x, y, narrow), InvalidArgument);
+  EXPECT_THROW(svm.fit(x, y, narrow), InvalidArgument);
   SvmConfig linear;
   linear.rff_dimension = 0;
   FitStore plain;
   plain.svm_map = SvmFeatureMap::fit(x, linear, plain.svm_features);
-  EXPECT_THROW(svm.fit_with_store(x, y, plain), InvalidArgument);
+  EXPECT_THROW(svm.fit(x, y, plain), InvalidArgument);
+
+  // Every kind requires what it advertises; the linear kinds take nothing.
+  for (const auto& c : all_models()) {
+    auto model = c.factory();
+    const bool takes_store = model->fit_store_bins() > 0 || model->fit_store_svm_map() != nullptr;
+    if (takes_store) {
+      EXPECT_THROW(model->fit(x, y, FitStore{}), InvalidArgument) << c.name;
+    } else {
+      EXPECT_NO_THROW(model->fit(x, y, FitStore{})) << c.name;
+    }
+  }
 }
 
 TEST(MultiLabel, ParallelFitBitIdenticalToSerial) {
@@ -414,10 +451,9 @@ TEST(MultiLabel, SharedStoreBitIdenticalToPerLabelBinning) {
   }
 }
 
-TEST(MultiLabel, LabelMajorBatchBitIdenticalToPerRow) {
-  // Alternating LogisticR and RF labels: neither kind accepts the other's
-  // input map, so no map is shared and the batch runs the label-major
-  // sweep, which must still equal per-row predict_proba bit for bit.
+TEST(MultiLabel, FitCallsTheFactoryOncePerFit) {
+  // One kind per profile: a factory that alternates kinds still yields
+  // one kind, the prototype's, on every label.
   Rng rng(70);
   const auto data = tree_multilabel_data(250, 4, rng);
   auto made = std::make_shared<std::size_t>(0);
@@ -426,14 +462,92 @@ TEST(MultiLabel, LabelMajorBatchBitIdenticalToPerRow) {
     return std::make_unique<RandomForestClassifier>();
   });
   model.fit(data, /*parallel=*/true);
-  ASSERT_EQ(model.classifier(0).name(), "LogisticR");
-  ASSERT_EQ(model.classifier(1).name(), "RF");
-  EXPECT_FALSE(model.has_shared_input_map());
-  const Matrix reference = per_row_proba(model, data.features);
-  for (const bool parallel : {false, true}) {
-    Matrix batch;
-    model.predict_proba_batch_into(data.features, batch, parallel);
-    EXPECT_EQ(batch.data(), reference.data()) << "parallel " << parallel;
+  EXPECT_EQ(*made, 1u);
+  EXPECT_EQ(model.kind(), "LogisticR");
+  for (std::size_t v = 0; v < model.num_labels(); ++v) {
+    EXPECT_EQ(model.classifier(v)->name(), "LogisticR");
+  }
+  model.fit(data, /*parallel=*/false);
+  EXPECT_EQ(*made, 2u);
+  EXPECT_EQ(model.kind(), "RF");
+}
+
+TEST(MultiLabel, LoadRejectsLabelsThatDoNotShareTheInputMap) {
+  // A crafted LogisticR payload whose two labels standardize with
+  // different scalers: the batch path would map every row with the first
+  // label's scaler, so load throws instead. The same state twice loads.
+  Rng rng(74);
+  const auto [x, y] = blobs(80, rng);
+  Matrix shifted = x;
+  for (double& value : shifted.data()) value += 1.0;
+  LogisticRegressionClassifier first;
+  first.fit(x, y);
+  LogisticRegressionClassifier second;
+  second.fit(shifted, y);
+  auto payload = [](const BinaryClassifier& a, const BinaryClassifier& b) {
+    io::BinaryWriter writer;
+    writer.write_string("LogisticR");
+    writer.write_bool(false);  // no SVM feature map
+    writer.write_u64(2);
+    for (const BinaryClassifier* c : {&a, &b}) {
+      writer.write_bool(true);
+      c->save_state(writer);
+    }
+    return writer.buffer();
+  };
+  const std::string same = payload(first, first);
+  io::BinaryReader control(same);
+  EXPECT_NO_THROW(MultiLabelModel::load(control));
+  const std::string differ = payload(first, second);
+  io::BinaryReader reader(differ);
+  try {
+    MultiLabelModel::load(reader);
+    ADD_FAILURE() << "loaded labels whose scalers differ";
+  } catch (const io::SerializationError& error) {
+    EXPECT_NE(std::string(error.what()).find("does not share"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(MultiLabel, LoadRejectsAConstantRateOtherThanZeroOrOne) {
+  // fit stores a single-class label's rate, 0 or 1; any other value in a
+  // payload is malformed.
+  for (const double rate : {0.0, 1.0, 0.5, std::nan("")}) {
+    io::BinaryWriter writer;
+    writer.write_string("RF");
+    writer.write_bool(false);  // no SVM feature map
+    writer.write_u64(1);
+    writer.write_bool(false);  // a constant label
+    writer.write_f64(rate);
+    io::BinaryReader reader(writer.buffer());
+    if (rate == 0.0 || rate == 1.0) {
+      EXPECT_EQ(MultiLabelModel::load(reader).predict_proba(std::vector<double>{0.0})[0], rate);
+    } else {
+      EXPECT_THROW(MultiLabelModel::load(reader), io::SerializationError) << rate;
+    }
+  }
+}
+
+TEST(MultiLabel, LoadRejectsAFeatureMapForAKindThatTakesNone) {
+  Rng rng(75);
+  const auto [x, y] = blobs(60, rng);
+  (void)y;
+  Matrix features;
+  const auto map = SvmFeatureMap::fit(x, SvmConfig{}, features);
+  for (const std::string kind : {"SVM", "LogisticR"}) {
+    io::BinaryWriter writer;
+    writer.write_string(kind);
+    writer.write_bool(true);
+    map->save(writer);
+    writer.write_u64(1);
+    writer.write_bool(false);  // a constant label
+    writer.write_f64(0.0);
+    io::BinaryReader reader(writer.buffer());
+    if (kind == "SVM") {
+      EXPECT_NO_THROW(MultiLabelModel::load(reader));
+    } else {
+      EXPECT_THROW(MultiLabelModel::load(reader), io::SerializationError);
+    }
   }
 }
 
@@ -457,16 +571,11 @@ TEST(ModelIo, CapSizedCountsThrowBeforeAllocating) {
   // they throw before allocating for the elements: at 64 bytes per empty
   // tree, allocating first would cost 1 GiB.
   constexpr std::uint64_t kCap = std::uint64_t{1} << 24;
-  Rng rng(71);
-  const auto [x, y] = blobs(40, rng);
-  const Labels negatives(y.size(), 0);  // constant models: an empty tree list ends the state
-  const SvmMapTable no_maps;
   const double before = peak_rss_mib();
 
+  // Unfitted ensembles: an empty tree list ends the state.
   RandomForestClassifier forest;
-  forest.fit(x, negatives);
   GradientBoostingClassifier boosting;
-  boosting.fit(x, negatives);
   // The count check itself must fire, not a truncation error after the
   // allocation.
   auto expect_count_rejected = [](const std::function<void()>& load, const std::string& reason) {
@@ -479,20 +588,30 @@ TEST(ModelIo, CapSizedCountsThrowBeforeAllocating) {
   };
   for (BinaryClassifier* classifier : {static_cast<BinaryClassifier*>(&forest),
                                        static_cast<BinaryClassifier*>(&boosting)}) {
-    SvmMapTable maps;
     io::BinaryWriter state;
-    classifier->save_state(state, maps);
+    classifier->save_state(state);
     const std::string crafted = with_trailing_u64(state.buffer(), kCap);
     auto fresh = classifier->clone_config();
     expect_count_rejected(
         [&] {
           io::BinaryReader reader(crafted);
-          fresh->load_state(reader, no_maps);
+          fresh->load_state(reader, nullptr);
         },
         classifier == &forest ? "malformed forest size" : "malformed ensemble size");
   }
 
+  // A fitted ensemble holds a tree: an empty list is rejected too.
+  for (BinaryClassifier* classifier : {static_cast<BinaryClassifier*>(&forest),
+                                       static_cast<BinaryClassifier*>(&boosting)}) {
+    io::BinaryWriter state;
+    classifier->save_state(state);
+    io::BinaryReader reader(state.buffer());
+    EXPECT_THROW(classifier->clone_config()->load_state(reader, nullptr), io::SerializationError);
+  }
+
   io::BinaryWriter labels;
+  labels.write_string("RF");
+  labels.write_bool(false);  // no SVM feature map
   labels.write_u64(kCap);
   expect_count_rejected(
       [&] {
@@ -502,6 +621,34 @@ TEST(ModelIo, CapSizedCountsThrowBeforeAllocating) {
       "label count");
 
   EXPECT_LT(peak_rss_mib() - before, 64.0);
+}
+
+TEST(ModelIo, LinearStateMustStandardizeWhatItsWeightsTake) {
+  // decision() walks the scaler's width over the weights, so a state with
+  // fewer weights than its scaler is wide would read past them; a state
+  // of another loss is another kind's.
+  auto state = [](std::uint8_t loss, std::size_t width, std::size_t weights) {
+    io::BinaryWriter writer;
+    writer.write_u8(loss);
+    write_sgd_config(writer, SgdConfig{});
+    writer.write_f64_vector(std::vector<double>(width, 0.0));  // scaler mean
+    writer.write_f64_vector(std::vector<double>(width, 1.0));  // scaler 1/std
+    writer.write_f64_vector(std::vector<double>(weights, 0.5));
+    writer.write_f64(0.0);  // bias
+    return writer.buffer();
+  };
+  auto load = [](BinaryClassifier& classifier, const std::string& bytes) {
+    io::BinaryReader reader(bytes);
+    classifier.load_state(reader, nullptr);
+  };
+  constexpr std::uint8_t kSquared = 0, kLogistic = 1;
+  LinearRegressionClassifier linear;
+  LogisticRegressionClassifier logistic;
+  EXPECT_NO_THROW(load(linear, state(kSquared, 4, 4)));
+  EXPECT_NO_THROW(load(logistic, state(kLogistic, 4, 4)));
+  EXPECT_THROW(load(logistic, state(kLogistic, 4, 3)), io::SerializationError);
+  EXPECT_THROW(load(linear, state(kSquared, 0, 0)), io::SerializationError);
+  EXPECT_THROW(load(logistic, state(kSquared, 4, 4)), io::SerializationError);
 }
 
 TEST(HybridRsl, StackedSvmColumnIsTheSvmProbability) {

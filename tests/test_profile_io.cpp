@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/error.hpp"
 #include "io/artifact.hpp"
 #include "io/binary.hpp"
 #include "ml/hybrid_rsl.hpp"
@@ -178,10 +179,16 @@ TEST(ProfileIo, StoreTrainedNonDefaultBinsRoundTrip) {
   // survive the artifact round trip (max_bins is fitted state now) and
   // stay refittable through the store path.
   const auto s = make_setup(false);
-  ProfileTrainingConfig config;
-  config.kind = ModelKind::kGradientBoosting;
-  config.max_bins = 128;
-  const ProfileModel original = train_profile(*s->batch, s->scenarios, s->sensors, 0, config);
+  ProfileModel original;
+  original.sensors = s->sensors;
+  original.include_time_feature = true;
+  original.kind = ModelKind::kRandomForest;
+  original.model = ml::MultiLabelModel([] {
+    ml::RandomForestConfig config;
+    config.max_bins = 128;
+    return std::make_unique<ml::RandomForestClassifier>(config);
+  });
+  original.model.fit(s->eval);
   ProfileModel loaded = load_bytes(save_bytes(original));
   expect_bit_identical(original, loaded, s->eval.features);
   loaded.model.fit(s->eval);  // refit through the rebuilt factory
@@ -213,14 +220,14 @@ TEST(ProfileIo, LoadedModelCanRefit) {
 }
 
 /// The feature map of every fitted label's SVM, plain or inside HybridRSL
-/// (degenerate constant labels hold none).
+/// (constant labels hold no classifier).
 std::vector<const ml::SvmFeatureMap*> svm_maps(const ProfileModel& profile) {
   std::vector<const ml::SvmFeatureMap*> maps;
   for (std::size_t label = 0; label < profile.model.num_labels(); ++label) {
-    const ml::BinaryClassifier& c = profile.model.classifier(label);
-    const auto* svm = dynamic_cast<const ml::SvmClassifier*>(&c);
-    if (const auto* hybrid = dynamic_cast<const ml::HybridRslClassifier*>(&c)) svm = &hybrid->svm();
-    if (svm != nullptr && svm->feature_map() != nullptr) maps.push_back(svm->feature_map().get());
+    const ml::BinaryClassifier* c = profile.model.classifier(label);
+    const auto* svm = dynamic_cast<const ml::SvmClassifier*>(c);
+    if (const auto* hybrid = dynamic_cast<const ml::HybridRslClassifier*>(c)) svm = &hybrid->svm();
+    if (svm != nullptr) maps.push_back(svm->feature_map().get());
   }
   return maps;
 }
@@ -240,7 +247,6 @@ TEST(ProfileIo, SvmKindsHoldOneFeatureMapAfterFitAndLoad) {
       const auto maps = svm_maps(*profile);
       ASSERT_GE(maps.size(), 2u);
       for (const ml::SvmFeatureMap* map : maps) EXPECT_EQ(map, maps.front());
-      EXPECT_TRUE(profile->model.has_shared_input_map());
     }
     EXPECT_NE(svm_maps(loaded).front(), svm_maps(original).front());
     expect_bit_identical(original, loaded, s->eval.features);
@@ -318,10 +324,11 @@ void expect_rejected(const std::string& bytes, const std::string& reason) {
   }
 }
 
-TEST(ProfileIo, HostileFeatureMapTableThrows) {
-  // The v3 model payload is [label count][map count][maps][states]. Each
-  // case swaps the one map for a crafted table and re-stamps the CRCs;
-  // a table of the right shapes still loads, so the decoder is reached.
+TEST(ProfileIo, HostileFeatureMapThrows) {
+  // The v4 model payload is [kind tag][map flag][map][label count][labels].
+  // Each case swaps the one map for a crafted one (or none) and re-stamps
+  // the CRCs; a map of the right shapes still loads, so the decoder is
+  // reached.
   const auto s = make_setup(false);
   for (ModelKind kind : {ModelKind::kSvm, ModelKind::kHybridRsl}) {
     SCOPED_TRACE(model_kind_name(kind));
@@ -335,27 +342,55 @@ TEST(ProfileIo, HostileFeatureMapTableThrows) {
     for (const auto& [name, payload] : artifact_sections(bytes)) {
       if (name == "model") model = payload;
     }
-    io::BinaryReader counts(model);
-    ASSERT_EQ(counts.read_u64(), profile.model.num_labels());
-    ASSERT_EQ(counts.read_u64(), 1u);
-    const std::string head = model.substr(0, 8);
-    const std::string states = model.substr(16 + real_map.size());
-    auto with_table = [&](std::uint64_t map_count, const std::string& table) {
-      io::BinaryWriter count;
-      count.write_u64(map_count);
-      return with_model_payload(bytes, head + count.buffer() + table + states);
+    io::BinaryReader head(model);
+    ASSERT_EQ(head.read_string(), model_kind_name(kind));
+    ASSERT_TRUE(head.read_bool());
+    const std::size_t map_at = model.size() - head.remaining();
+    ASSERT_EQ(model.substr(map_at, real_map.size()), real_map.buffer());
+    const std::string tag = model.substr(0, map_at - 1);
+    const std::string labels = model.substr(map_at + real_map.size());
+    auto with_map = [&](bool present, const std::string& map) {
+      return with_model_payload(bytes, tag + std::string(1, present ? '\1' : '\0') + map + labels);
     };
     const std::size_t d = profile.num_features();
     const std::size_t dim = maps.front()->dimension();
 
-    std::istringstream control(with_table(1, map_payload(d, dim, d, dim)));
+    std::istringstream control(with_map(true, map_payload(d, dim, d, dim)));
     EXPECT_NO_THROW(ProfileModel::load(control));
-    expect_rejected(with_table(0, ""), "index out of range");
-    expect_rejected(with_table(1, map_payload(d + 1, dim, d, dim)),
+    expect_rejected(with_map(false, ""), "the model holds no feature map");
+    expect_rejected(with_map(true, map_payload(d + 1, dim, d, dim)),
                     "input-scaler width differs from RFF weight columns");
-    expect_rejected(with_table(1, map_payload(d, dim - 1, d, dim - 1)),
+    expect_rejected(with_map(true, map_payload(d, dim - 1, d, dim - 1)),
                     "weight count differs from its map");
   }
+}
+
+TEST(ProfileIo, SaveRejectsAKindOtherThanTheModels) {
+  // The model payload's kind tag is the one record of the kind: a profile
+  // whose `kind` names another kind than its classifiers is not saved,
+  // and load derives `kind` from the tag.
+  const auto s = make_setup(false);
+  ProfileModel profile = train_kind(*s, ModelKind::kLogisticR);
+  EXPECT_EQ(load_bytes(save_bytes(profile)).kind, ModelKind::kLogisticR);
+  profile.kind = ModelKind::kRandomForest;
+  try {
+    save_bytes(profile);
+    ADD_FAILURE() << "saved an RF profile around a LogisticR model";
+  } catch (const InvalidArgument& error) {
+    EXPECT_NE(std::string(error.what()).find("'RF' differs from its model's 'LogisticR'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ProfileIo, FormatVersion3ArtifactIsRejected) {
+  // v3 artifacts wrote a per-label map index and constant modes; this
+  // build reads v4 only.
+  const auto s = make_setup(false);
+  std::string bytes = save_bytes(train_kind(*s, ModelKind::kLinearR));
+  ASSERT_EQ(io::kFormatVersion, 4u);
+  bytes[8] = 3;  // the little-endian u32 after the 8-byte magic
+  expect_rejected(bytes, "unsupported artifact format version 3");
 }
 
 TEST(ProfileIo, TruncatedArtifactThrows) {

@@ -380,12 +380,19 @@ INSTANTIATE_TEST_SUITE_P(ModelKinds, EngineBitIdentity,
                          ::testing::Values(ModelKind::kLogisticR, ModelKind::kSvm,
                                            ModelKind::kHybridRsl));
 
-TEST(EngineProperty, SharedInputMapDetectedForTransformingKinds) {
+TEST(EngineProperty, EveryLabelAcceptsTheFirstFittedLabelsInputMap) {
   // LogisticR/SVM/HybridRSL all carry per-label copies of one input
-  // transform; the batched path must hoist it.
+  // transform; the batched path hoists the first fitted label's.
   for (const ModelKind kind : {ModelKind::kLogisticR, ModelKind::kSvm, ModelKind::kHybridRsl}) {
     const ProfileModel profile = make_synthetic_profile(kind, 0x1357);
-    EXPECT_TRUE(profile.model.has_shared_input_map()) << model_kind_name(kind);
+    const ml::BinaryClassifier* owner = nullptr;
+    for (std::size_t v = 0; v < profile.model.num_labels(); ++v) {
+      const ml::BinaryClassifier* label = profile.model.classifier(v);
+      if (label == nullptr) continue;
+      if (owner == nullptr) owner = label;
+      EXPECT_TRUE(label->accepts_input_map(*owner)) << model_kind_name(kind) << " label " << v;
+    }
+    EXPECT_NE(owner, nullptr) << model_kind_name(kind);
   }
 }
 
