@@ -51,9 +51,9 @@ int main() {
   auto run_scenario = [&](const std::vector<hydraulics::NodeId>& leaks) {
     hydraulics::SimulationOptions options;
     options.duration_s = 3.0 * 3600.0;
-    hydraulics::Simulation sim(net, options);
-    for (const auto node : leaks) sim.schedule_leak({node, 0.006, 0.5, leak_start});
-    const auto results = sim.run();
+    std::vector<hydraulics::LeakEvent> events;
+    for (const auto node : leaks) events.push_back({node, 0.006, 0.5, leak_start});
+    const auto results = hydraulics::Simulation(net, options).run({.leaks = events});
     const std::size_t slot = results.step_at(leak_start);
     std::vector<double> before(net.num_nodes()), after(net.num_nodes());
     for (hydraulics::NodeId v = 0; v < net.num_nodes(); ++v) {

@@ -69,8 +69,7 @@ void BM_ScenarioSimulation(benchmark::State& state) {
     hydraulics::SimulationOptions options;
     options.duration_s = static_cast<double>(scenario.leak_slot + 2) * 900.0;
     hydraulics::Simulation sim(net, options);
-    sim.schedule_leaks(scenario.events);
-    benchmark::DoNotOptimize(sim.run());
+    benchmark::DoNotOptimize(sim.run(scenario.dynamics()));
   }
 }
 BENCHMARK(BM_ScenarioSimulation);

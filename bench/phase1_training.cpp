@@ -1,8 +1,8 @@
 // Phase I scenario throughput: the paper trains the profile model on
 // thousands of simulated leak scenarios (Sec. IV-A), and simulation count
 // is the binding cost of the whole method family. This bench compares the
-// full-run path (every scenario simulated from t = 0) against the
-// checkpointed replay path (shared no-leak baseline + per-scenario resume
+// full-run path (`use_replay = false`: every scenario simulated from t = 0
+// on the batch's engines) against the checkpointed replay path (shared no-leak baseline + per-scenario resume
 // at the leak slot) on both builtin networks, verifying the two produce
 // bit-identical snapshots before timing anything. A divergence fails the
 // bench's gate and makes it exit nonzero.
@@ -32,7 +32,7 @@ bool snapshots_identical(const SnapshotBatch& a, const SnapshotBatch& b) {
     const auto& sb = b.snapshots(i);
     if (sa.before_pressure != sb.before_pressure || sa.before_flow != sb.before_flow ||
         sa.after_pressure != sb.after_pressure || sa.after_flow != sb.after_flow ||
-        sa.day_fraction != sb.day_fraction) {
+        sa.day_fraction != sb.day_fraction || sa.leak_slot != sb.leak_slot) {
       return false;
     }
   }
@@ -96,10 +96,9 @@ void run_network(const hydraulics::Network& net, std::size_t base_count, const s
 }
 
 /// Variant-mixed corpus (scenario-diversity engine): hydraulic variants at
-/// moderate rates plus tank drawdowns, so the batch exercises the
-/// automatic replay/full-run partition. The identity gate still holds —
-/// replay-compatible scenarios replay, the rest fall back, and both
-/// batches must agree snapshot for snapshot.
+/// moderate rates plus tank drawdowns, so one batch both resumes scenarios
+/// at their leak slot and runs the rest from step 0. The identity gate
+/// still holds: both batches must agree snapshot for snapshot.
 void run_variant_mix(const hydraulics::Network& net, std::size_t base_count,
                      const std::string& key, bench::Metrics& metrics, bench::Gates& gates) {
   ScenarioConfig config;

@@ -149,12 +149,10 @@ int cmd_leak(const std::string& path, const std::string& node_name, double ec, d
   hydraulics::SimulationOptions options;
   options.duration_s = hours * 3600.0;
 
-  hydraulics::Simulation healthy(net, options);
-  const auto base = healthy.run();
-
-  hydraulics::Simulation broken(net, options);
-  broken.schedule_leak({node, ec, 0.5, 0.0});
-  const auto leaky = broken.run();
+  hydraulics::Simulation simulation(net, options);
+  const auto base = simulation.run();
+  const hydraulics::LeakEvent leak{node, ec, 0.5, 0.0};
+  const auto leaky = simulation.run({.leaks = {&leak, 1}});
 
   std::printf("leak what-if at %s (EC = %.4f) over %.1f h:\n", node_name.c_str(), ec, hours);
   std::printf("  water lost: %.1f m^3\n", leaky.leaked_volume());

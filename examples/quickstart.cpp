@@ -38,8 +38,8 @@ int main() {
   options.duration_s = 24.0 * 3600.0;  // one day
   options.hydraulic_step_s = 900.0;    // 15-minute IoT cadence
   hydraulics::Simulation sim(net, options);
-  sim.schedule_leak({b, /*EC=*/0.004, /*beta=*/0.5, /*start=*/6.0 * 3600.0});
-  const auto results = sim.run();
+  const hydraulics::LeakEvent leak{b, /*EC=*/0.004, /*beta=*/0.5, /*start=*/6.0 * 3600.0};
+  const auto results = sim.run({.leaks = {&leak, 1}});
 
   const auto before = results.step_at(6.0 * 3600.0 - 900.0);
   const auto after = results.step_at(6.0 * 3600.0 + 900.0);

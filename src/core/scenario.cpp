@@ -97,18 +97,6 @@ FaultSpec make_fault_spec(FaultKind kind, double probability) {
   return spec;
 }
 
-bool LeakScenario::replay_compatible(double hydraulic_step_s) const noexcept {
-  if (tank_init_scale != 1.0) return false;
-  const double resume_time = static_cast<double>(leak_slot) * hydraulic_step_s;
-  for (const auto& op : operations) {
-    if (op.start_time_s < resume_time - 1e-9) return false;
-  }
-  for (const auto& demand : demand_events) {
-    if (demand.start_time_s < resume_time - 1e-9) return false;
-  }
-  return true;
-}
-
 ScenarioGenerator::ScenarioGenerator(const hydraulics::Network& network, ScenarioConfig config)
     : network_(network),
       config_(std::move(config)),

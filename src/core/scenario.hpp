@@ -40,7 +40,7 @@ enum class FaultKind : std::uint8_t {
   kValveClosure,   // valve (or pipe gate) links forced closed over a window
   kLeakRamp,       // leak EC ramps linearly instead of appearing at full size
   kDemandSurge,    // junction demands multiplied over a window
-  kTankDrawdown,   // tank initial levels scaled down at t = 0 (full-run only)
+  kTankDrawdown,   // tank initial levels scaled down at t = 0 (runs from step 0)
   kSensorDropout,  // sensor reading -> 0
   kSensorStuckAt,  // sensor reading -> constant
   kSensorDrift,    // sensor reading accumulates per-slot offset
@@ -59,11 +59,11 @@ inline constexpr std::uint32_t fault_bit(FaultKind kind) noexcept {
 /// Distribution over one variant family. Each generated scenario fires the
 /// spec with `probability`; window positions are expressed in slots
 /// RELATIVE to the scenario's leak slot (negative offsets start before the
-/// leak and force the scenario onto the full-run path — see
-/// LeakScenario::replay_compatible). Fields that a kind does not use are
-/// ignored; specs whose targets are absent from a network (pumps on a
-/// pump-less system, tanks on a tank-less one) silently never fire there,
-/// without affecting any other draw.
+/// leak, so the scenario cannot resume from the baseline at its leak slot
+/// and runs from step 0 — see ScenarioDynamics::resumable_at). Fields that
+/// a kind does not use are ignored; specs whose targets are absent from a
+/// network (pumps on a pump-less system, tanks on a tank-less one) silently
+/// never fire there, without affecting any other draw.
 struct FaultSpec {
   FaultKind kind = FaultKind::kPumpOutage;
   double probability = 1.0;
@@ -102,13 +102,12 @@ struct LeakScenario {
   std::vector<sensing::SensorFaultDraw> sensor_faults;
   std::uint32_t variant_mask = 0;  // OR of fault_bit(kind) for fired variants
 
-  /// True when the no-leak baseline checkpoint at this scenario's leak
-  /// slot is still valid: initial tank levels untouched and every
-  /// operational / demand window starting at or after the leak slot.
-  /// Sensor faults never matter here — they live downstream of hydraulics.
-  /// Scenarios failing this must run full (SnapshotBatch falls back
-  /// automatically and counts them in its stats).
-  bool replay_compatible(double hydraulic_step_s) const noexcept;
+  /// The scenario's hydraulic dynamics, a view of its own fields (valid
+  /// while the scenario lives unchanged). Sensor faults are not part of it:
+  /// they act downstream of hydraulics.
+  hydraulics::ScenarioDynamics dynamics() const noexcept {
+    return {events, operations, demand_events, tank_init_scale};
+  }
 };
 
 struct ScenarioConfig {

@@ -14,11 +14,11 @@
 namespace aqua::core {
 namespace {
 
-/// Extracts the before/after snapshot rows of one scenario. `before` and
-/// `after_results` may come from different runs (shared baseline + replay)
-/// or the same full run; indices are relative to each results object.
+/// Extracts the before/after snapshot rows of one scenario. `before_results`
+/// and `after_results` may come from different runs (shared baseline +
+/// resumed run) or the same run from step 0; both are indexed by absolute
+/// step through their start_step().
 void extract_snapshots(const hydraulics::SimulationResults& before_results,
-                       std::size_t before_index,
                        const hydraulics::SimulationResults& after_results,
                        const LeakScenario& scenario,
                        const std::vector<std::size_t>& elapsed_slots, double hydraulic_step_s,
@@ -27,10 +27,11 @@ void extract_snapshots(const hydraulics::SimulationResults& before_results,
   const std::size_t links = before_results.num_links();
   snap.before_pressure.resize(nodes);
   snap.before_flow.resize(links);
+  const std::size_t before = scenario.leak_slot - 1 - before_results.start_step();
   for (std::size_t v = 0; v < nodes; ++v) {
-    snap.before_pressure[v] = before_results.pressure(before_index, v);
+    snap.before_pressure[v] = before_results.pressure(before, v);
   }
-  for (std::size_t l = 0; l < links; ++l) snap.before_flow[l] = before_results.flow(before_index, l);
+  for (std::size_t l = 0; l < links; ++l) snap.before_flow[l] = before_results.flow(before, l);
 
   const double seconds_per_day = 24.0 * 3600.0;
   snap.day_fraction =
@@ -69,23 +70,77 @@ SnapshotBatch::SnapshotBatch(const hydraulics::Network& network,
   stats_.scenarios = scenarios.size();
   for (const LeakScenario& scenario : scenarios) validate_scenario(scenario, options);
 
-  // Partition: scenarios whose dynamics leave the no-leak baseline valid
-  // up to their leak slot replay from its checkpoint; the rest (tank
-  // drawdowns, pre-leak operational/demand windows) fall back to full
-  // runs. `use_replay = false` forces everything onto the full path.
-  std::vector<std::size_t> replayable, full;
+  // Each scenario starts at its leak slot when the no-leak baseline is
+  // still its trajectory up to there, and at step 0 otherwise (tank
+  // drawdowns, windows before the leak). `use_replay = false` starts every
+  // scenario at step 0. A batch that resumes nothing still records a
+  // one-step baseline: the engines clone its solver.
+  std::vector<std::size_t> first_step(scenarios.size(), 0);
+  std::size_t max_slot = 1;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    if (use_replay && scenarios[i].replay_compatible(options.hydraulic_step_s)) {
-      replayable.push_back(i);
-    } else {
-      full.push_back(i);
+    const std::size_t slot = scenarios[i].leak_slot;
+    if (use_replay && scenarios[i].dynamics().resumable_at(static_cast<double>(slot) *
+                                                           options.hydraulic_step_s)) {
+      first_step[i] = slot;
+      max_slot = std::max(max_slot, slot);
+      ++stats_.replayed;
     }
   }
-  stats_.replayed = replayable.size();
-  stats_.full_run = full.size();
+  stats_.full_run = scenarios.size() - stats_.replayed;
 
-  if (!replayable.empty()) build_replay(scenarios, replayable, options, parallel);
-  if (!full.empty()) build_full(scenarios, full, options, parallel);
+  // One baseline run covers every resumed scenario: checkpoints up to the
+  // deepest leak slot, pre-leak snapshot rows for free.
+  const hydraulics::BaselineTrajectory baseline(network_, options, max_slot - 1);
+  stats_.baseline_steps = baseline.results().num_steps();
+  stats_.baseline_linear_solves = baseline.results().total_linear_solves();
+
+  // Engine pool: each worker grabs an idle engine (or builds one, cloning
+  // the baseline's symbolic factorization) and returns it when done, so at
+  // most pool-width engines exist no matter how many scenarios run.
+  std::vector<std::unique_ptr<hydraulics::ReplayEngine>> idle;
+  std::mutex pool_mutex;
+  auto acquire = [&]() -> std::unique_ptr<hydraulics::ReplayEngine> {
+    {
+      const std::lock_guard<std::mutex> lock(pool_mutex);
+      if (!idle.empty()) {
+        auto engine = std::move(idle.back());
+        idle.pop_back();
+        return engine;
+      }
+      ++stats_.engines_built;
+    }
+    return std::make_unique<hydraulics::ReplayEngine>(baseline);
+  };
+  auto release = [&](std::unique_ptr<hydraulics::ReplayEngine> engine) {
+    const std::lock_guard<std::mutex> lock(pool_mutex);
+    idle.push_back(std::move(engine));
+  };
+
+  const std::size_t max_elapsed = elapsed_slots_.back();
+  std::atomic<std::size_t> steps{0}, solves{0};
+  auto run_one = [&](std::size_t i) {
+    const LeakScenario& scenario = scenarios[i];
+    const std::size_t first = first_step[i];
+    auto engine = acquire();
+    // Simulate just past the last snapshot we need. Windows may extend
+    // past it; the stepper simply never reaches them.
+    const auto results =
+        engine->replay(scenario.dynamics(), first, scenario.leak_slot + max_elapsed + 1 - first);
+    steps.fetch_add(results.num_steps(), std::memory_order_relaxed);
+    solves.fetch_add(results.total_linear_solves(), std::memory_order_relaxed);
+    // A resumed scenario's pre-leak row is the baseline's.
+    extract_snapshots(first == 0 ? results : baseline.results(), results, scenario,
+                      elapsed_slots_, options.hydraulic_step_s, snapshots_[i]);
+    release(std::move(engine));
+  };
+
+  if (parallel) {
+    ThreadPool::global().parallel_for(scenarios.size(), run_one);
+  } else {
+    for (std::size_t i = 0; i < scenarios.size(); ++i) run_one(i);
+  }
+  stats_.scenario_steps = steps.load();
+  stats_.scenario_linear_solves = solves.load();
 }
 
 void SnapshotBatch::validate_scenario(const LeakScenario& scenario,
@@ -99,104 +154,7 @@ void SnapshotBatch::validate_scenario(const LeakScenario& scenario,
     AQUA_REQUIRE(std::abs(event.start_time_s - slot_start) <= 1e-6,
                  "scenario slot length disagrees with the simulation hydraulic step");
   }
-}
-
-void SnapshotBatch::build_full(std::span<const LeakScenario> scenarios,
-                               std::span<const std::size_t> indices,
-                               const hydraulics::SimulationOptions& options, bool parallel) {
-  const std::size_t max_elapsed = elapsed_slots_.back();
-  std::atomic<std::size_t> steps{0}, solves{0};
-
-  auto run_one = [&](std::size_t k) {
-    const std::size_t i = indices[k];
-    const LeakScenario& scenario = scenarios[i];
-    hydraulics::SimulationOptions run_options = options;
-    // Simulate just past the last snapshot we need. Operational/demand
-    // windows may extend past it; the stepper simply never reaches them.
-    run_options.duration_s =
-        static_cast<double>(scenario.leak_slot + max_elapsed) * run_options.hydraulic_step_s;
-    hydraulics::Simulation simulation(network_, run_options);
-    simulation.schedule_leaks(scenario.events);
-    simulation.schedule_operations(scenario.operations);
-    simulation.schedule_demand_events(scenario.demand_events);
-    simulation.set_tank_init_scale(scenario.tank_init_scale);
-    const auto results = simulation.run();
-    steps.fetch_add(results.num_steps(), std::memory_order_relaxed);
-    solves.fetch_add(results.total_linear_solves(), std::memory_order_relaxed);
-    extract_snapshots(results, scenario.leak_slot - 1, results, scenario, elapsed_slots_,
-                      run_options.hydraulic_step_s, snapshots_[i]);
-  };
-
-  if (parallel) {
-    ThreadPool::global().parallel_for(indices.size(), run_one);
-  } else {
-    for (std::size_t k = 0; k < indices.size(); ++k) run_one(k);
-  }
-  stats_.scenario_steps += steps.load();
-  stats_.scenario_linear_solves += solves.load();
-}
-
-void SnapshotBatch::build_replay(std::span<const LeakScenario> scenarios,
-                                 std::span<const std::size_t> indices,
-                                 const hydraulics::SimulationOptions& options, bool parallel) {
-  const std::size_t max_elapsed = elapsed_slots_.back();
-  std::size_t max_slot = 0;
-  for (std::size_t i : indices) {
-    max_slot = std::max(max_slot, scenarios[i].leak_slot);
-  }
-
-  // One baseline run covers every scenario: checkpoints up to the deepest
-  // leak slot, pre-leak snapshot rows for free.
-  const hydraulics::BaselineTrajectory baseline(network_, options, max_slot - 1);
-  stats_.baseline_steps = baseline.results().num_steps();
-  stats_.baseline_linear_solves = baseline.results().total_linear_solves();
-
-  // Engine pool: each worker grabs an idle engine (or builds one, cloning
-  // the baseline's symbolic factorization) and returns it when done, so at
-  // most pool-width engines exist no matter how many scenarios run.
-  std::vector<std::unique_ptr<hydraulics::ReplayEngine>> idle;
-  std::mutex pool_mutex;
-  std::size_t engines_built = 0;
-  auto acquire = [&]() -> std::unique_ptr<hydraulics::ReplayEngine> {
-    {
-      const std::lock_guard<std::mutex> lock(pool_mutex);
-      if (!idle.empty()) {
-        auto engine = std::move(idle.back());
-        idle.pop_back();
-        return engine;
-      }
-      ++engines_built;
-    }
-    return std::make_unique<hydraulics::ReplayEngine>(baseline);
-  };
-  auto release = [&](std::unique_ptr<hydraulics::ReplayEngine> engine) {
-    const std::lock_guard<std::mutex> lock(pool_mutex);
-    idle.push_back(std::move(engine));
-  };
-
-  std::atomic<std::size_t> steps{0}, solves{0};
-  auto run_one = [&](std::size_t k) {
-    const std::size_t i = indices[k];
-    const LeakScenario& scenario = scenarios[i];
-    auto engine = acquire();
-    const hydraulics::ScenarioDynamics dynamics{scenario.events, scenario.operations,
-                                                scenario.demand_events};
-    const auto results = engine->replay(dynamics, scenario.leak_slot, max_elapsed + 1);
-    steps.fetch_add(results.num_steps(), std::memory_order_relaxed);
-    solves.fetch_add(results.total_linear_solves(), std::memory_order_relaxed);
-    extract_snapshots(baseline.results(), scenario.leak_slot - 1, results, scenario,
-                      elapsed_slots_, options.hydraulic_step_s, snapshots_[i]);
-    release(std::move(engine));
-  };
-
-  if (parallel) {
-    ThreadPool::global().parallel_for(indices.size(), run_one);
-  } else {
-    for (std::size_t k = 0; k < indices.size(); ++k) run_one(k);
-  }
-  stats_.scenario_steps += steps.load();
-  stats_.scenario_linear_solves += solves.load();
-  stats_.engines_built = engines_built;
+  scenario.dynamics().validate(network_);
 }
 
 const ScenarioSnapshots& SnapshotBatch::snapshots(std::size_t scenario) const {

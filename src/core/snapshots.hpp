@@ -2,12 +2,14 @@
 // period simulation per training scenario is the dominant cost of Phase I,
 // so the batch (a) simulates the shared no-leak baseline once and replays
 // each scenario from its leak-slot checkpoint (hydraulics/replay.hpp),
-// paying only for post-leak steps, (b) parallelizes replays on the process
-// thread pool with a per-thread engine pool that shares one symbolic
-// factorization per network, and (c) stores only the snapshots features
-// need: the full network state at e.t−1 and at e.t+n for every elapsed
-// count n of interest. Datasets for any sensor set / noise / elapsed-slot
-// combination are then assembled without re-simulating.
+// paying only for post-leak steps (a scenario whose dynamics perturb the
+// trajectory earlier runs on the same engine from step 0), (b)
+// parallelizes replays on the process thread pool with a per-thread engine
+// pool that shares one symbolic factorization per network, and (c) stores
+// only the snapshots features need: the full network state at e.t−1 and
+// at e.t+n for every elapsed count n of interest. Datasets for any sensor
+// set / noise / elapsed-slot combination are then assembled without
+// re-simulating.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +42,8 @@ struct SnapshotBatchStats {
   std::size_t scenario_steps = 0;          // per-scenario hydraulic steps solved
   std::size_t scenario_linear_solves = 0;
   std::size_t engines_built = 0;  // replay workers constructed (<= pool threads)
-  std::size_t replayed = 0;       // scenarios served from the baseline checkpoint
-  std::size_t full_run = 0;       // scenarios that fell back to a full run
+  std::size_t replayed = 0;       // scenarios resumed from the baseline checkpoint
+  std::size_t full_run = 0;       // scenarios run from step 0
 
   std::size_t total_steps() const noexcept { return baseline_steps + scenario_steps; }
   std::size_t total_linear_solves() const noexcept {
@@ -52,14 +54,15 @@ struct SnapshotBatchStats {
 class SnapshotBatch {
  public:
   /// Simulates every scenario once (in parallel) and keeps snapshots for
-  /// each n in `elapsed_slots` (must be non-empty, ascending). The default
-  /// checkpointed-replay path produces snapshots bit-identical to
-  /// `use_replay = false` (full per-scenario runs from t = 0, kept for
-  /// verification and benchmarking) at a fraction of the hydraulic solves.
-  /// Variant scenarios that invalidate the no-leak baseline (tank
-  /// drawdown, pre-leak operational/demand windows — see
-  /// LeakScenario::replay_compatible) automatically fall back to full runs
-  /// within an otherwise-replayed batch; stats() counts both populations.
+  /// each n in `elapsed_slots` (must be non-empty, ascending). Every
+  /// scenario runs on a pool of replay engines: from the shared baseline's
+  /// checkpoint at its leak slot when its dynamics are resumable there
+  /// (ScenarioDynamics::resumable_at), from step 0 otherwise (tank
+  /// drawdowns, windows before the leak), and from step 0 always when
+  /// `use_replay` is false, which gives bit-identical snapshots at many
+  /// more hydraulic solves (kept as the replay ≡ full check). stats()
+  /// counts both populations. Throws InvalidArgument for a malformed
+  /// scenario (ScenarioDynamics::validate) before simulating any.
   SnapshotBatch(const hydraulics::Network& network, std::span<const LeakScenario> scenarios,
                 std::vector<std::size_t> elapsed_slots,
                 hydraulics::SimulationOptions options = {}, bool parallel = true,
@@ -108,11 +111,6 @@ class SnapshotBatch {
                                       bool include_time_feature = true) const;
 
  private:
-  void build_full(std::span<const LeakScenario> scenarios, std::span<const std::size_t> indices,
-                  const hydraulics::SimulationOptions& options, bool parallel);
-  void build_replay(std::span<const LeakScenario> scenarios,
-                    std::span<const std::size_t> indices,
-                    const hydraulics::SimulationOptions& options, bool parallel);
   void validate_scenario(const LeakScenario& scenario,
                          const hydraulics::SimulationOptions& options) const;
 

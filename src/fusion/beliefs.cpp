@@ -78,14 +78,10 @@ double total_energy(const Beliefs& beliefs, const std::vector<LabelClique>& cliq
 }
 
 HumanTuningResult apply_human_tuning(Beliefs& beliefs, const std::vector<LabelClique>& cliques,
-                                     double entropy_threshold, double min_confidence) {
+                                     double entropy_threshold) {
   HumanTuningResult result;
   for (const auto& clique : cliques) {
     AQUA_REQUIRE(!clique.labels.empty(), "clique must contain labels");
-    if (clique.confidence < min_confidence) {
-      ++result.cliques_determinate;  // too little tweet support to act on
-      continue;
-    }
     bool any_predicted = false;
     for (std::size_t v : clique.labels) {
       AQUA_REQUIRE(v < beliefs.size(), "clique label out of range");

@@ -68,13 +68,7 @@ struct HumanTuningResult {
 /// inconsistent clique, the member with the highest entropy is forced to
 /// leak (p = 1, entropy 0), eliminating the infinite potential and
 /// reducing the total energy.
-///
-/// `min_confidence` extends the algorithm with Eq. 3's clique confidence
-/// p_t = 1 - p_e^k: cliques whose confidence is below the threshold are
-/// skipped (counted as determinate) instead of forcing a detection — a
-/// single stray tweet then cannot flip a node. The paper's behavior is
-/// min_confidence = 0 (every clique acts).
 HumanTuningResult apply_human_tuning(Beliefs& beliefs, const std::vector<LabelClique>& cliques,
-                                     double entropy_threshold, double min_confidence = 0.0);
+                                     double entropy_threshold);
 
 }  // namespace aqua::fusion

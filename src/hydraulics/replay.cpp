@@ -25,13 +25,12 @@ BaselineTrajectory::BaselineTrajectory(const Network& network, SimulationOptions
       results_(last_step + 1, network_.num_nodes(), network_.num_links()) {
   AQUA_REQUIRE(options_.hydraulic_step_s > 0.0, "hydraulic step must be positive");
   AQUA_REQUIRE(options_.pattern_step_s > 0.0, "pattern step must be positive");
-  results_.step_s_ = options_.hydraulic_step_s;
 
   const std::size_t n = network_.num_nodes();
   tank_levels_.assign((last_step_ + 2) * n, 0.0);
 
-  EpsStepper stepper(network_, solver_, options_, {});
-  stepper.start();
+  EpsStepper stepper(network_, solver_, options_);
+  stepper.start({});
   for (std::size_t step = 0; step <= last_step_; ++step) {
     std::copy(stepper.tank_levels().begin(), stepper.tank_levels().end(),
               tank_levels_.begin() + step * n);
@@ -66,22 +65,21 @@ ReplayEngine::ReplayEngine(const BaselineTrajectory& baseline)
     : baseline_(baseline),
       network_(baseline.network()),
       solver_(network_, baseline.solver()),
-      stepper_(network_, solver_, baseline_.options(), {}) {}
+      stepper_(network_, solver_, baseline_.options()) {}
 
 SimulationResults ReplayEngine::replay(const ScenarioDynamics& dynamics,
-                                       std::size_t resume_step, std::size_t num_steps) {
+                                       std::size_t first_step, std::size_t num_steps) {
   AQUA_REQUIRE(num_steps > 0, "replay needs at least one step");
-  AQUA_REQUIRE(baseline_.covers_resume_at(resume_step),
+  AQUA_REQUIRE(first_step == 0 || baseline_.covers_resume_at(first_step),
                "resume step not covered by the baseline trajectory");
 
-  SimulationResults results(num_steps, network_.num_nodes(), network_.num_links(), resume_step);
-  results.step_s_ = baseline_.options().hydraulic_step_s;
-
-  stepper_.set_events(dynamics.leaks);
-  stepper_.set_operations(dynamics.operations);
-  stepper_.set_demand_events(dynamics.demands);
-  stepper_.resume(resume_step, baseline_.tank_levels_entering(resume_step),
-                  baseline_.state_at(resume_step - 1));
+  SimulationResults results(num_steps, network_.num_nodes(), network_.num_links(), first_step);
+  if (first_step == 0) {
+    stepper_.start(dynamics);
+  } else {
+    stepper_.resume(dynamics, first_step, baseline_.tank_levels_entering(first_step),
+                    baseline_.state_at(first_step - 1));
+  }
   for (std::size_t step = 0; step < num_steps; ++step) {
     const double t = stepper_.next_time();
     results.record(step, t, stepper_.advance());

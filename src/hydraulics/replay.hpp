@@ -8,7 +8,8 @@
 // function of the previous step's heads/flows, the replayed tail is
 // bit-identical to a full run — asserted, not approximate (tests/
 // test_replay.cpp). Per-scenario cost drops from O(leak_slot + elapsed)
-// hydraulic solves to O(elapsed + 1).
+// hydraulic solves to O(elapsed + 1). Scenarios whose dynamics perturb the
+// trajectory before their leak slot run on the same engine from step 0.
 #pragma once
 
 #include <cstddef>
@@ -67,37 +68,26 @@ class BaselineTrajectory {
   std::vector<double> tank_levels_;  // (last_step + 2) x num_nodes, row-major
 };
 
-/// Everything a scenario injects into the hydraulic trajectory beyond the
-/// healthy baseline: leaks (constant or ramping EC), pump-outage /
-/// valve-closure windows, and demand surges. Tank-drawdown starts are
-/// deliberately absent — they perturb step 0, so no baseline checkpoint is
-/// valid and such scenarios must run full (Simulation::set_tank_init_scale
-/// + Simulation::run).
-struct ScenarioDynamics {
-  std::span<const LeakEvent> leaks;
-  std::span<const OperationalEvent> operations;
-  std::span<const DemandEvent> demands;
-};
-
-/// Replays leak scenarios against a shared baseline. Each engine owns a
-/// private network copy (leak emitters and operational closures are
-/// engine-local state) and a solver cloned from the baseline's symbolic
-/// factorization, so constructing one per worker thread costs no
-/// ordering/analysis work and replay() never races: one engine per thread,
-/// many scenarios per engine.
+/// Runs scenarios against a shared baseline. Each engine owns a private
+/// network copy (leak emitters and operational closures are engine-local
+/// state) and a solver cloned from the baseline's symbolic factorization,
+/// so constructing one per worker thread costs no ordering/analysis work
+/// and replay() never races: one engine per thread, many scenarios per
+/// engine.
 class ReplayEngine {
  public:
   explicit ReplayEngine(const BaselineTrajectory& baseline);
 
   const BaselineTrajectory& baseline() const noexcept { return baseline_; }
 
-  /// Resumes the baseline at `resume_step` with the scenario's leaks,
-  /// operational and demand events scheduled and simulates `num_steps`
-  /// steps, returning results whose start_step() is `resume_step` and
-  /// bit-identical to the same rows of Simulation::run. Every event must
-  /// start at or after the resume time (earlier events would have
-  /// perturbed the checkpoint — use a full run for those scenarios).
-  SimulationResults replay(const ScenarioDynamics& dynamics, std::size_t resume_step,
+  /// Simulates `num_steps` steps of the scenario from absolute step
+  /// `first_step` and returns results whose start_step() is `first_step`,
+  /// bit-identical to the same rows of Simulation::run(dynamics). Step 0
+  /// runs from t = 0 (any valid dynamics, tank drawdowns included); a later
+  /// step resumes the baseline's checkpoint there, so the dynamics must be
+  /// resumable_at that step's time (earlier events would have perturbed
+  /// the checkpoint).
+  SimulationResults replay(const ScenarioDynamics& dynamics, std::size_t first_step,
                            std::size_t num_steps);
 
  private:

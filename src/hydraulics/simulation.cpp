@@ -49,9 +49,46 @@ void SimulationResults::record(std::size_t step, double time_s, const HydraulicS
   total_linear_solves_ += state.iterations;
 }
 
+void ScenarioDynamics::validate(const Network& network) const {
+  const auto at_junction = [&](NodeId node) {
+    return node < network.num_nodes() && network.node(node).type == NodeType::kJunction;
+  };
+  for (const LeakEvent& event : leaks) {
+    AQUA_REQUIRE(at_junction(event.node), "leaks occur at junctions");
+    AQUA_REQUIRE(std::isfinite(event.coefficient) && event.coefficient > 0.0,
+                 "leak coefficient must be finite and positive");
+    AQUA_REQUIRE(event.exponent > 0.0, "leak exponent must be positive");
+    AQUA_REQUIRE(event.start_time_s >= 0.0, "leak start time must be non-negative");
+    AQUA_REQUIRE(event.ramp_s >= 0.0, "leak ramp must be non-negative");
+  }
+  for (const OperationalEvent& op : operations) {
+    AQUA_REQUIRE(op.link < network.num_links(), "operational event names an unknown link");
+    AQUA_REQUIRE(op.start_time_s >= 0.0, "operational start time must be non-negative");
+    AQUA_REQUIRE(op.end_time_s > op.start_time_s, "operational window must be non-empty");
+  }
+  for (const DemandEvent& event : demands) {
+    AQUA_REQUIRE(at_junction(event.node), "demand events target junctions");
+    AQUA_REQUIRE(std::isfinite(event.multiplier) && event.multiplier > 0.0,
+                 "demand multiplier must be finite and positive");
+    AQUA_REQUIRE(event.start_time_s >= 0.0, "demand-event start time must be non-negative");
+    AQUA_REQUIRE(event.end_time_s > event.start_time_s, "demand-event window must be non-empty");
+  }
+  AQUA_REQUIRE(std::isfinite(tank_init_scale) && tank_init_scale > 0.0,
+               "tank init scale must be finite and positive");
+}
+
+bool ScenarioDynamics::resumable_at(double time_s) const noexcept {
+  // The tolerance absorbs the rounding of slot * step products.
+  const auto from_then = [earliest = time_s - 1e-9](const auto& event) {
+    return event.start_time_s >= earliest;
+  };
+  return tank_init_scale == 1.0 && std::ranges::all_of(leaks, from_then) &&
+         std::ranges::all_of(operations, from_then) && std::ranges::all_of(demands, from_then);
+}
+
 EpsStepper::EpsStepper(Network& network, const GgaSolver& solver,
-                       const SimulationOptions& options, std::span<const LeakEvent> events)
-    : network_(network), solver_(solver), options_(options), events_(events) {
+                       const SimulationOptions& options)
+    : network_(network), solver_(solver), options_(options) {
   const std::size_t n = network_.num_nodes();
   tank_level_.assign(n, 0.0);
   demands_.assign(n, 0.0);
@@ -81,67 +118,44 @@ EpsStepper::EpsStepper(Network& network, const GgaSolver& solver,
   }
 }
 
-void EpsStepper::restore_operational_status() {
-  for (const OperationalEvent& op : operations_) {
-    network_.link(op.link).status = base_status_[op.link];
-  }
+EpsStepper::~EpsStepper() {
+  for (LinkId l = 0; l < base_status_.size(); ++l) network_.link(l).status = base_status_[l];
 }
 
-void EpsStepper::set_operations(std::span<const OperationalEvent> operations) {
-  // Undo the outgoing schedule's closures before it becomes unreachable;
-  // otherwise a link closed by scenario k would stay closed in scenario
-  // k + 1 even though k + 1 never mentions it.
-  restore_operational_status();
-  operations_ = operations;
-}
-
-void EpsStepper::set_tank_init_scale(double scale) {
-  AQUA_REQUIRE(scale > 0.0, "tank init scale must be positive");
-  tank_init_scale_ = scale;
-}
-
-void EpsStepper::start() {
+void EpsStepper::install(const ScenarioDynamics& dynamics) {
+  dynamics.validate(network_);
+  for (LinkId l = 0; l < base_status_.size(); ++l) network_.link(l).status = base_status_[l];
   network_.clear_emitters();
-  restore_operational_status();
+  dynamics_ = dynamics;
+}
+
+void EpsStepper::start(const ScenarioDynamics& dynamics) {
+  install(dynamics);
   std::fill(tank_level_.begin(), tank_level_.end(), 0.0);
+  const double scale = dynamics_.tank_init_scale;
   for (const auto& tank : tanks_) {
     const Node& node = network_.node(tank.node);
     double level = node.init_level;
     // Only the non-default path touches the arithmetic: scale 1.0 must be
     // bit-identical to the pre-variant engine, clamp included.
-    if (tank_init_scale_ != 1.0) {
-      level = std::clamp(level * tank_init_scale_, node.min_level, node.max_level);
-    }
+    if (scale != 1.0) level = std::clamp(level * scale, node.min_level, node.max_level);
     tank_level_[tank.node] = level;
   }
   have_previous_ = false;
   next_step_ = 0;
 }
 
-void EpsStepper::resume(std::size_t step, std::span<const double> tank_level,
-                        HydraulicState previous) {
+void EpsStepper::resume(const ScenarioDynamics& dynamics, std::size_t step,
+                        std::span<const double> tank_level, HydraulicState previous) {
   AQUA_REQUIRE(step >= 1, "resume requires a predecessor step for the warm start");
   AQUA_REQUIRE(tank_level.size() == network_.num_nodes(), "tank levels must be per-node");
   AQUA_REQUIRE(previous.head.size() == network_.num_nodes() &&
                    previous.flow.size() == network_.num_links(),
                "warm-start state does not match the network");
-  const double resume_time = static_cast<double>(step) * options_.hydraulic_step_s;
-  for (const LeakEvent& event : events_) {
-    AQUA_REQUIRE(event.start_time_s >= resume_time - 1e-9,
-                 "cannot resume after a leak already started: the checkpoint would be stale");
-  }
-  for (const OperationalEvent& op : operations_) {
-    AQUA_REQUIRE(op.start_time_s >= resume_time - 1e-9,
-                 "cannot resume after an operational event started: the checkpoint would be stale");
-  }
-  for (const DemandEvent& event : demand_events_) {
-    AQUA_REQUIRE(event.start_time_s >= resume_time - 1e-9,
-                 "cannot resume after a demand event started: the checkpoint would be stale");
-  }
-  AQUA_REQUIRE(tank_init_scale_ == 1.0,
-               "tank-drawdown starts change step 0: no baseline checkpoint is valid");
-  network_.clear_emitters();
-  restore_operational_status();
+  install(dynamics);
+  AQUA_REQUIRE(dynamics_.resumable_at(static_cast<double>(step) * options_.hydraulic_step_s),
+               "cannot resume a scenario that changes the trajectory before the resume step: "
+               "the checkpoint would be stale");
   std::copy(tank_level.begin(), tank_level.end(), tank_level_.begin());
   previous_ = std::move(previous);
   have_previous_ = true;
@@ -156,7 +170,7 @@ const HydraulicState& EpsStepper::advance() {
   // active for the rest of the run (a broken pipe does not heal itself).
   // coefficient_at() is monotone non-decreasing, so ramping leaks re-stamp
   // a larger EC each step and constant leaks stamp once, exactly as before.
-  for (const LeakEvent& event : events_) {
+  for (const LeakEvent& event : dynamics_.leaks) {
     const double coefficient = event.coefficient_at(t);
     if (network_.node(event.node).emitter_coefficient < coefficient) {
       network_.set_emitter(event.node, coefficient, event.exponent);
@@ -166,12 +180,12 @@ const HydraulicState& EpsStepper::advance() {
   // Operational windows: reset every affected link to its base status,
   // then close the ones inside an active window, so overlapping windows
   // compose and expired windows reopen their link.
-  if (!operations_.empty()) {
-    restore_operational_status();
-    for (const OperationalEvent& op : operations_) {
-      if (op.start_time_s <= t && t < op.end_time_s) {
-        network_.link(op.link).status = LinkStatus::kClosed;
-      }
+  for (const OperationalEvent& op : dynamics_.operations) {
+    network_.link(op.link).status = base_status_[op.link];
+  }
+  for (const OperationalEvent& op : dynamics_.operations) {
+    if (op.start_time_s <= t && t < op.end_time_s) {
+      network_.link(op.link).status = LinkStatus::kClosed;
     }
   }
 
@@ -182,7 +196,7 @@ const HydraulicState& EpsStepper::advance() {
     if (node.type == NodeType::kReservoir) fixed_[v] = node.elevation;
     if (node.type == NodeType::kTank) fixed_[v] = node.elevation + tank_level_[v];
   }
-  for (const DemandEvent& event : demand_events_) {
+  for (const DemandEvent& event : dynamics_.demands) {
     if (event.start_time_s <= t && t < event.end_time_s) {
       demands_[event.node] *= event.multiplier;
     }
@@ -216,49 +230,6 @@ Simulation::Simulation(Network network, SimulationOptions options)
   network_.clear_emitters();
 }
 
-void Simulation::schedule_leak(const LeakEvent& event) {
-  const Node& node = network_.node(event.node);
-  AQUA_REQUIRE(node.type == NodeType::kJunction, "leaks occur at junctions");
-  AQUA_REQUIRE(event.coefficient > 0.0, "leak coefficient must be positive");
-  AQUA_REQUIRE(event.start_time_s >= 0.0, "leak start time must be non-negative");
-  AQUA_REQUIRE(event.ramp_s >= 0.0, "leak ramp must be non-negative");
-  events_.push_back(event);
-}
-
-void Simulation::schedule_leaks(const std::vector<LeakEvent>& events) {
-  for (const auto& e : events) schedule_leak(e);
-}
-
-void Simulation::schedule_operation(const OperationalEvent& event) {
-  AQUA_REQUIRE(event.link < network_.num_links(), "operational event names an unknown link");
-  AQUA_REQUIRE(event.start_time_s >= 0.0, "operational start time must be non-negative");
-  AQUA_REQUIRE(event.end_time_s > event.start_time_s, "operational window must be non-empty");
-  operations_.push_back(event);
-}
-
-void Simulation::schedule_operations(const std::vector<OperationalEvent>& events) {
-  for (const auto& e : events) schedule_operation(e);
-}
-
-void Simulation::schedule_demand_event(const DemandEvent& event) {
-  AQUA_REQUIRE(event.node < network_.num_nodes() &&
-                   network_.node(event.node).type == NodeType::kJunction,
-               "demand events target junctions");
-  AQUA_REQUIRE(event.multiplier > 0.0, "demand multiplier must be positive");
-  AQUA_REQUIRE(event.start_time_s >= 0.0, "demand-event start time must be non-negative");
-  AQUA_REQUIRE(event.end_time_s > event.start_time_s, "demand-event window must be non-empty");
-  demand_events_.push_back(event);
-}
-
-void Simulation::schedule_demand_events(const std::vector<DemandEvent>& events) {
-  for (const auto& e : events) schedule_demand_event(e);
-}
-
-void Simulation::set_tank_init_scale(double scale) {
-  AQUA_REQUIRE(scale > 0.0, "tank init scale must be positive");
-  tank_init_scale_ = scale;
-}
-
 std::size_t Simulation::num_steps() const noexcept {
   // floor() of the raw quotient silently drops the final step whenever an
   // exact multiple lands at k - ulp (e.g. 0.3 / 0.1 == 2.999...96); the
@@ -268,19 +239,12 @@ std::size_t Simulation::num_steps() const noexcept {
   return static_cast<std::size_t>(std::floor(quotient + 1e-9)) + 1;
 }
 
-SimulationResults Simulation::run() {
-  network_.clear_emitters();
+SimulationResults Simulation::run(const ScenarioDynamics& dynamics) {
   const std::size_t steps = num_steps();
-
   GgaSolver solver(network_, options_.solver);
   SimulationResults results(steps, network_.num_nodes(), network_.num_links());
-  results.step_s_ = options_.hydraulic_step_s;
-
-  EpsStepper stepper(network_, solver, options_, events_);
-  stepper.set_operations(operations_);
-  stepper.set_demand_events(demand_events_);
-  stepper.set_tank_init_scale(tank_init_scale_);
-  stepper.start();
+  EpsStepper stepper(network_, solver, options_);
+  stepper.start(dynamics);
   for (std::size_t step = 0; step < steps; ++step) {
     const double t = stepper.next_time();
     results.record(step, t, stepper.advance());

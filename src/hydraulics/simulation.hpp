@@ -75,6 +75,33 @@ struct DemandEvent {
   double end_time_s = 0.0;  // exclusive; must exceed start_time_s
 };
 
+/// Everything a scenario injects into one trajectory beyond the healthy
+/// network: leaks, pump-outage / valve-closure windows, demand surges and
+/// a tank-drawdown start (every tank's initial level times
+/// `tank_init_scale`, clamped to its [min_level, max_level]; 1.0 is the
+/// paper's baseline and leaves the arithmetic untouched). The default value
+/// is the healthy run. The spans are views: what they refer to must outlive
+/// every run that takes them.
+struct ScenarioDynamics {
+  std::span<const LeakEvent> leaks{};
+  std::span<const OperationalEvent> operations{};
+  std::span<const DemandEvent> demands{};
+  double tank_init_scale = 1.0;
+
+  /// Throws InvalidArgument unless every field is well-formed on `network`:
+  /// leaks at junctions with a finite EC > 0, an exponent > 0, start >= 0
+  /// and ramp >= 0; closures on links of the network; surges at junctions
+  /// with a finite multiplier > 0; every window with end > start >= 0; a
+  /// finite scale > 0. Every trajectory path (EpsStepper::start and
+  /// resume, so Simulation::run and ReplayEngine::replay) calls it.
+  void validate(const Network& network) const;
+
+  /// True when a checkpoint of the healthy baseline taken at `time_s` is
+  /// still this scenario's state there: the tank levels start unscaled and
+  /// every leak and window starts at or after `time_s`.
+  bool resumable_at(double time_s) const noexcept;
+};
+
 /// Dense step-major time series produced by an EPS run. A results object
 /// may cover only a tail window of the horizon (replay): `start_step()` is
 /// the absolute step index of row 0, all per-step accessors take indices
@@ -132,11 +159,6 @@ class SimulationResults {
   std::vector<double> emitter_;
   std::vector<double> emitter_total_;  // per step, filled by record()
   std::size_t total_linear_solves_ = 0;
-  double step_s_ = 0.0;
-
-  friend class Simulation;
-  friend class BaselineTrajectory;
-  friend class ReplayEngine;
 };
 
 /// Low-level EPS stepping core shared by Simulation::run, the baseline
@@ -146,42 +168,30 @@ class SimulationResults {
 /// reproduces the tail of that run bit for bit.
 class EpsStepper {
  public:
-  /// Binds to a network (mutated: emitter activation), a solver built for
-  /// it, and the leak schedule. All referents must outlive the stepper.
-  EpsStepper(Network& network, const GgaSolver& solver, const SimulationOptions& options,
-             std::span<const LeakEvent> events);
+  /// Binds to a network (mutated: emitters and operational link status), a
+  /// solver built for it, and the options. All referents must outlive the
+  /// stepper.
+  EpsStepper(Network& network, const GgaSolver& solver, const SimulationOptions& options);
+  /// Restores every link to its construction-time status, so no closure
+  /// outlives the stepper (a later stepper on the same network would take
+  /// it for the link's base status).
+  ~EpsStepper();
+  EpsStepper(const EpsStepper&) = delete;
+  EpsStepper& operator=(const EpsStepper&) = delete;
 
-  /// Replaces the leak schedule (used by engines that replay many
-  /// scenarios through one stepper). Call before start()/resume().
-  void set_events(std::span<const LeakEvent> events) noexcept { events_ = events; }
+  /// Validates `dynamics` and positions at absolute step 0 with its initial
+  /// tank levels, no warm start, all emitters cleared and every link at its
+  /// base status. The stepper keeps the dynamics' views until the next
+  /// start() or resume().
+  void start(const ScenarioDynamics& dynamics);
 
-  /// Replaces the operational-event schedule. Links closed by the previous
-  /// schedule are restored to their base status immediately, so swapping
-  /// schedules between scenarios never leaks a closure. Call before
-  /// start()/resume().
-  void set_operations(std::span<const OperationalEvent> operations);
-
-  /// Replaces the demand-event schedule. Call before start()/resume().
-  void set_demand_events(std::span<const DemandEvent> demands) noexcept {
-    demand_events_ = demands;
-  }
-
-  /// Scales every tank's initial level at start() (tank-drawdown starts;
-  /// levels clamp to [min_level, max_level]). 1.0 — the default — is the
-  /// paper's baseline and is bit-identical to the pre-variant behavior.
-  /// resume() rejects scales != 1.0: the checkpoint was recorded with
-  /// baseline initial levels, so a scaled start invalidates it.
-  void set_tank_init_scale(double scale);
-
-  /// Positions at absolute step 0 with initial tank levels, no warm start,
-  /// and all emitters cleared.
-  void start();
-
-  /// Positions at absolute step `step` from a checkpoint: per-node tank
-  /// levels entering the step and the hydraulic state of step-1 (warm
-  /// start). Emitters are cleared; events re-activate as time reaches them,
-  /// so every scheduled event must start at or after the resume time.
-  void resume(std::size_t step, std::span<const double> tank_level, HydraulicState previous);
+  /// Validates `dynamics` and positions at absolute step `step` from a
+  /// checkpoint: per-node tank levels entering the step and the hydraulic
+  /// state of step-1 (warm start). Emitters are cleared and links restored
+  /// as in start(); events activate as time reaches them. Throws
+  /// InvalidArgument unless the dynamics are resumable_at the step's time.
+  void resume(const ScenarioDynamics& dynamics, std::size_t step,
+              std::span<const double> tank_level, HydraulicState previous);
 
   /// Solves the current step and integrates tank levels across it.
   /// The returned reference is valid until the next advance().
@@ -201,18 +211,16 @@ class EpsStepper {
     std::vector<std::pair<LinkId, double>> links;  // link id, inflow sign
   };
 
-  /// Restores every link named by the current operational schedule to its
-  /// base (construction-time) status.
-  void restore_operational_status();
+  /// Validates and takes `dynamics`: every link back to its base status
+  /// (so a closure of the outgoing scenario never leaks into the next) and
+  /// every emitter cleared.
+  void install(const ScenarioDynamics& dynamics);
 
   Network& network_;
   const GgaSolver& solver_;
   const SimulationOptions& options_;
-  std::span<const LeakEvent> events_;
-  std::span<const OperationalEvent> operations_;
-  std::span<const DemandEvent> demand_events_;
+  ScenarioDynamics dynamics_;
   std::vector<LinkStatus> base_status_;  // per link, captured at construction
-  double tank_init_scale_ = 1.0;
   std::vector<TankLinks> tanks_;
   std::vector<double> tank_level_;  // per node, entering next_step_
   std::vector<double> demands_, fixed_;
@@ -221,51 +229,26 @@ class EpsStepper {
   std::size_t next_step_ = 0;
 };
 
-/// Extended-period simulation engine. Owns a copy of the network so leak
-/// scheduling never mutates the caller's model.
+/// Extended-period simulation engine from t = 0, the full-run oracle the
+/// replay engine is tested against. Owns a copy of the network so a run
+/// never mutates the caller's model.
 class Simulation {
  public:
   Simulation(Network network, SimulationOptions options = {});
 
-  /// Schedules a leak; multiple events may target different nodes with the
-  /// same start time (the paper's concurrent multi-failure case).
-  void schedule_leak(const LeakEvent& event);
-  void schedule_leaks(const std::vector<LeakEvent>& events);
-
-  /// Schedules a pump outage / valve closure window on any link.
-  void schedule_operation(const OperationalEvent& event);
-  void schedule_operations(const std::vector<OperationalEvent>& events);
-
-  /// Schedules a demand-surge window on a junction.
-  void schedule_demand_event(const DemandEvent& event);
-  void schedule_demand_events(const std::vector<DemandEvent>& events);
-
-  /// Tank-drawdown start: scales every tank's initial level (see
-  /// EpsStepper::set_tank_init_scale). No baseline checkpoint is valid for
-  /// a scaled start, so such a scenario runs full (EpsStepper::resume
-  /// rejects scales != 1.0).
-  void set_tank_init_scale(double scale);
-
   const Network& network() const noexcept { return network_; }
   const SimulationOptions& options() const noexcept { return options_; }
-  const std::vector<LeakEvent>& events() const noexcept { return events_; }
-  const std::vector<OperationalEvent>& operations() const noexcept { return operations_; }
-  const std::vector<DemandEvent>& demand_events() const noexcept { return demand_events_; }
-  double tank_init_scale() const noexcept { return tank_init_scale_; }
   std::size_t num_steps() const noexcept;
 
-  /// Runs the EPS and returns recorded time series. Repeatable: each call
-  /// restarts from initial tank levels. ReplayEngine::replay resumes the
-  /// same stepping mid-run, bit-identical to the tail of this.
-  SimulationResults run();
+  /// Runs the EPS under `dynamics` (validated; the default is the healthy
+  /// network) and returns recorded time series. Repeatable: each call
+  /// restarts from initial tank levels. ReplayEngine::replay runs the same
+  /// stepping, bit-identical to this.
+  SimulationResults run(const ScenarioDynamics& dynamics = {});
 
  private:
   Network network_;
   SimulationOptions options_;
-  std::vector<LeakEvent> events_;
-  std::vector<OperationalEvent> operations_;
-  std::vector<DemandEvent> demand_events_;
-  double tank_init_scale_ = 1.0;
 };
 
 }  // namespace aqua::hydraulics

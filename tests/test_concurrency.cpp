@@ -146,7 +146,7 @@ std::vector<LeakScenario> mixed_variant_corpus(const hydraulics::Network& net,
       make_fault_spec(FaultKind::kValveClosure, 0.4),
       make_fault_spec(FaultKind::kLeakRamp, 0.4),
       make_fault_spec(FaultKind::kDemandSurge, 0.4),
-      make_fault_spec(FaultKind::kTankDrawdown, 0.25),  // forces full-run fallback
+      make_fault_spec(FaultKind::kTankDrawdown, 0.25),  // forces a step-0 start
       make_fault_spec(FaultKind::kSensorBias, 0.4),
   };
   ScenarioGenerator generator(net, config);
@@ -168,15 +168,16 @@ bool batches_identical(const SnapshotBatch& a, const SnapshotBatch& b) {
 }
 
 TEST(VariantBatchConcurrency, ParallelMixedBatchMatchesSerialExactly) {
-  // A variant-mixed corpus exercises BOTH pool paths at once — replayed
-  // scenarios through the shared engine pool and tank-drawdown fallbacks
-  // through full runs — and the parallel build must be order-deterministic:
-  // bit-identical to the serial build regardless of worker interleaving.
+  // A variant-mixed corpus exercises BOTH starts at once — scenarios
+  // resumed at their leak slot and tank drawdowns run from step 0, all on
+  // the shared engine pool — and the parallel build must be
+  // order-deterministic: bit-identical to the serial build regardless of
+  // worker interleaving.
   const auto net = networks::make_epa_net();
   const auto scenarios = mixed_variant_corpus(net, 24);
   std::size_t fallbacks = 0;
   for (const auto& s : scenarios) {
-    if (!s.replay_compatible(900.0)) ++fallbacks;
+    if (!s.dynamics().resumable_at(static_cast<double>(s.leak_slot) * 900.0)) ++fallbacks;
   }
   ASSERT_GT(fallbacks, 0u) << "mix produced no full-run fallback scenarios";
   ASSERT_LT(fallbacks, scenarios.size()) << "mix produced no replayed scenarios";
@@ -192,8 +193,8 @@ TEST(VariantBatchConcurrency, ConcurrentBatchBuildsAndGeneratorsAreIndependent) 
   // over the shared network. Generators are value state (no hidden
   // globals) and batches only read the network, so every thread must
   // reproduce the reference bit for bit — under TSan this doubles as the
-  // data-race check for the replay engine pool and the full-run fallback
-  // running side by side.
+  // data-race check for the replay engine pool running resumed and step-0
+  // scenarios side by side.
   const auto net = networks::make_epa_net();
   const auto reference_scenarios = mixed_variant_corpus(net, 12);
   const SnapshotBatch reference(net, reference_scenarios, {1}, {}, true, true);

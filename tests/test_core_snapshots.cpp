@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
+#include "hydraulics/replay.hpp"
 #include "networks/builtin.hpp"
 #include "sensing/placement.hpp"
 
@@ -281,6 +284,58 @@ TEST_F(SnapshotTest, LeakSlotWithoutPredecessorThrows) {
   scenario.leak_slot = 0;
   const std::vector<LeakScenario> scenarios{scenario};
   EXPECT_THROW(SnapshotBatch(net_, scenarios, {1}), InvalidArgument);
+}
+
+TEST_F(SnapshotTest, HostileDynamicsThrowOnEveryPath) {
+  // Each case spoils one field of a scenario whose windows start at its
+  // leak slot, so a batch would resume it from the baseline. Every path a
+  // trajectory can take must reject it: the batch resuming or running
+  // from step 0, Simulation::run, and the engine at either start.
+  const LeakScenario base = scenarios_[0];
+  const double t = static_cast<double>(base.leak_slot) * 900.0;
+  const hydraulics::NodeId junction = net_.junction_ids()[0];
+  hydraulics::NodeId reservoir = 0;
+  while (net_.node(reservoir).type != hydraulics::NodeType::kReservoir) ++reservoir;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, std::function<void(LeakScenario&)>>> cases{
+      {"zero surge multiplier",
+       [&](LeakScenario& s) { s.demand_events = {{junction, 0.0, t, t + 3600.0}}; }},
+      {"NaN surge multiplier",
+       [&](LeakScenario& s) { s.demand_events = {{junction, nan, t, t + 3600.0}}; }},
+      {"surge at a reservoir",
+       [&](LeakScenario& s) { s.demand_events = {{reservoir, 2.0, t, t + 3600.0}}; }},
+      {"surge on a node past the network",
+       [&](LeakScenario& s) { s.demand_events = {{net_.num_nodes(), 2.0, t, t + 3600.0}}; }},
+      {"empty closure window", [&](LeakScenario& s) { s.operations = {{0, t, t}}; }},
+      {"closure on a link past the network",
+       [&](LeakScenario& s) { s.operations = {{net_.num_links(), t, t + 3600.0}}; }},
+      {"zero leak EC", [](LeakScenario& s) { s.events[0].coefficient = 0.0; }},
+      {"leak ramp -900 s", [](LeakScenario& s) { s.events[0].ramp_s = -900.0; }},
+      {"leak exponent 0", [](LeakScenario& s) { s.events[0].exponent = 0.0; }},
+      {"tank scale 0", [](LeakScenario& s) { s.tank_init_scale = 0.0; }},
+  };
+
+  hydraulics::SimulationOptions options;
+  options.duration_s = static_cast<double>(base.leak_slot + 2) * options.hydraulic_step_s;
+  const hydraulics::BaselineTrajectory baseline(net_, options, base.leak_slot - 1);
+  hydraulics::ReplayEngine engine(baseline);
+  for (const auto& [name, spoil] : cases) {
+    SCOPED_TRACE(name);
+    std::vector<LeakScenario> scenarios{base};
+    spoil(scenarios[0]);
+    for (const bool use_replay : {true, false}) {
+      EXPECT_THROW(SnapshotBatch(net_, scenarios, {1}, {}, false, use_replay), InvalidArgument)
+          << "use_replay " << use_replay;
+    }
+    const hydraulics::ScenarioDynamics dynamics = scenarios[0].dynamics();
+    EXPECT_THROW(hydraulics::Simulation(net_, options).run(dynamics), InvalidArgument);
+    EXPECT_THROW(engine.replay(dynamics, base.leak_slot, 2), InvalidArgument);
+    EXPECT_THROW(engine.replay(dynamics, 0, 2), InvalidArgument);
+  }
+  // The unspoiled scenario passes every path.
+  const std::vector<LeakScenario> healthy{base};
+  EXPECT_EQ(SnapshotBatch(net_, healthy, {1}).stats().replayed, 1u);
+  EXPECT_NO_THROW(engine.replay(base.dynamics(), base.leak_slot, 2));
 }
 
 TEST_F(SnapshotTest, Validation) {

@@ -1,7 +1,6 @@
 // Tests for the future-work extensions implemented beyond the paper's
 // evaluated system: the Markov-chain weather model (Sec. III-C future
-// work), greedy sensor-placement optimization (Sec. IV-A future work) and
-// confidence-gated human tuning (Eq. 3 integrated into Algorithm 2).
+// work) and greedy sensor-placement optimization (Sec. IV-A future work).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -119,24 +118,6 @@ TEST_F(GreedyPlacementTest, SensorsAreDistinct) {
   std::set<std::string> names;
   for (const auto& s : result.sensors.sensors) names.insert(s.name);
   EXPECT_EQ(names.size(), 10u);
-}
-
-TEST(ConfidenceGatedTuning, LowConfidenceCliquesAreSkipped) {
-  fusion::Beliefs beliefs;
-  beliefs.p_leak = {0.3, 0.3};
-  // Clique 0 has one supporting tweet (confidence 0.7), clique 1 has four
-  // (confidence ~0.992).
-  const std::vector<fusion::LabelClique> cliques{{{0}, 0.7}, {{1}, 0.992}};
-  fusion::Beliefs gated = beliefs;
-  const auto result = fusion::apply_human_tuning(gated, cliques, 0.0, 0.9);
-  EXPECT_EQ(result.added_labels, std::vector<std::size_t>{1});
-  EXPECT_EQ(result.cliques_determinate, 1u);  // the low-confidence one
-  EXPECT_DOUBLE_EQ(gated.p_leak[0], 0.3);     // untouched
-  EXPECT_DOUBLE_EQ(gated.p_leak[1], 1.0);
-  // With the default threshold (0), both cliques act — paper behavior.
-  fusion::Beliefs open = beliefs;
-  const auto all = fusion::apply_human_tuning(open, cliques, 0.0);
-  EXPECT_EQ(all.added_labels.size(), 2u);
 }
 
 }  // namespace

@@ -178,9 +178,8 @@ TEST_P(LeakSlot, ActivationIsExactlyOnSchedule) {
   const NodeId target = net.junction_ids()[30];
   SimulationOptions options;
   options.duration_s = static_cast<double>(slot + 2) * 900.0;
-  Simulation sim(net, options);
-  sim.schedule_leak({target, 0.003, 0.5, static_cast<double>(slot) * 900.0});
-  const auto results = sim.run();
+  const std::vector<LeakEvent> leak{{target, 0.003, 0.5, static_cast<double>(slot) * 900.0}};
+  const auto results = Simulation(net, options).run({.leaks = leak});
   EXPECT_DOUBLE_EQ(results.emitter_outflow(slot - 1, target), 0.0);
   EXPECT_GT(results.emitter_outflow(slot, target), 0.0);
 }
@@ -291,8 +290,8 @@ TEST(HumanTuningProperty, EnergyNeverIncreases) {
 
     ASSERT_LE(energy_after, energy_before)
         << "tuning raised the energy at trial " << trial << " gamma " << gamma;
-    // Tuning with min_confidence = 0 always resolves every inconsistent
-    // clique (force or determinate), so the post-tuning energy is finite.
+    // Tuning resolves every inconsistent clique (force or determinate), so
+    // the post-tuning energy is finite.
     ASSERT_TRUE(std::isfinite(energy_after)) << "trial " << trial;
   }
 }

@@ -66,17 +66,15 @@ void expect_tail_equal(const SimulationResults& full, const SimulationResults& t
   }
 }
 
-/// Leak-only dynamics, the scenario shape of the paper's corpus. The span
-/// refers to `events`, which must outlive the replay call.
-ScenarioDynamics leaks_only(const std::vector<LeakEvent>& events) { return {events, {}, {}}; }
-
-/// Replays `sim`'s leaks from a baseline checkpoint at `slot` through the
-/// rest of the horizon and checks the tail equals the full run bit for bit.
-void expect_replay_equals_run(const Network& net, Simulation& sim, std::size_t slot) {
-  const auto full = sim.run();
-  const BaselineTrajectory baseline(net, sim.options(), slot - 1);
+/// Replays `events` from a baseline checkpoint at `slot` through the rest
+/// of the horizon and checks the tail equals the full run bit for bit.
+void expect_replay_equals_run(const Network& net, const SimulationOptions& options,
+                              const std::vector<LeakEvent>& events, std::size_t slot) {
+  const ScenarioDynamics dynamics{.leaks = events};
+  const auto full = Simulation(net, options).run(dynamics);
+  const BaselineTrajectory baseline(net, options, slot - 1);
   ReplayEngine engine(baseline);
-  const auto tail = engine.replay(leaks_only(sim.events()), slot, full.num_steps() - slot);
+  const auto tail = engine.replay(dynamics, slot, full.num_steps() - slot);
   EXPECT_EQ(tail.start_step(), slot);
   EXPECT_EQ(tail.num_steps(), full.num_steps() - slot);
   expect_tail_equal(full, tail);
@@ -92,9 +90,9 @@ TEST(Replay, ReplayMatchesFullRunOnEpaNet) {
     SCOPED_TRACE(slot);
     SimulationOptions options;
     options.duration_s = static_cast<double>(slot + 4) * options.hydraulic_step_s;
-    Simulation sim(net, options);
-    sim.schedule_leak({leak, 0.004, 0.5, static_cast<double>(slot) * options.hydraulic_step_s});
-    expect_replay_equals_run(net, sim, slot);
+    expect_replay_equals_run(
+        net, options, {{leak, 0.004, 0.5, static_cast<double>(slot) * options.hydraulic_step_s}},
+        slot);
   }
 }
 
@@ -103,10 +101,40 @@ TEST(Replay, ReplayMatchesFullRunOnWsscSubnet) {
   const std::size_t slot = 6;
   SimulationOptions options;
   options.duration_s = static_cast<double>(slot + 3) * options.hydraulic_step_s;
-  Simulation sim(net, options);
-  sim.schedule_leak({net.junction_ids()[42], 0.006, 0.5,
-                     static_cast<double>(slot) * options.hydraulic_step_s});
-  expect_replay_equals_run(net, sim, slot);
+  expect_replay_equals_run(net, options,
+                           {{net.junction_ids()[42], 0.006, 0.5,
+                             static_cast<double>(slot) * options.hydraulic_step_s}},
+                           slot);
+}
+
+/// A scenario no checkpoint serves — a tank drawdown, and a pipe closed
+/// before the leak — run by the engine from step 0 must equal
+/// Simulation::run bit for bit over the whole horizon.
+void expect_step_zero_equals_run(const Network& net) {
+  SimulationOptions options;
+  options.duration_s = 12 * options.hydraulic_step_s;
+  const double slot = options.hydraulic_step_s;
+  LinkId pipe = 0;
+  while (net.link(pipe).type != LinkType::kPipe) ++pipe;
+  const std::vector<LeakEvent> leaks{{net.junction_ids()[9], 0.004, 0.5, 6 * slot}};
+  const std::vector<OperationalEvent> closures{{pipe, 2 * slot, 5 * slot}};
+  const ScenarioDynamics dynamics{leaks, closures, {}, 0.6};
+  ASSERT_FALSE(dynamics.resumable_at(6 * slot));
+
+  const auto full = Simulation(net, options).run(dynamics);
+  const BaselineTrajectory baseline(net, options, 3);
+  ReplayEngine engine(baseline);
+  const auto replayed = engine.replay(dynamics, 0, full.num_steps());
+  expect_results_equal(full, replayed);
+  EXPECT_EQ(full.total_linear_solves(), replayed.total_linear_solves());
+}
+
+TEST(Replay, StepZeroMatchesFullRunOnEpaNet) { expect_step_zero_equals_run(networks::make_epa_net()); }
+
+TEST(Replay, StepZeroMatchesFullRunOnWsscSubnet) {
+  // WSSC-SUBNET has no tanks, so the scale changes nothing there; the
+  // closure still does.
+  expect_step_zero_equals_run(networks::make_wssc_subnet());
 }
 
 TEST(Replay, BaselineMatchesHealthyRunPrefix) {
@@ -121,23 +149,26 @@ TEST(Replay, BaselineMatchesHealthyRunPrefix) {
 }
 
 TEST(Replay, EngineIsCleanAcrossScenarios) {
-  // One engine serving many scenarios must not leak emitter state from one
-  // replay into the next.
+  // One engine serving many scenarios must not leak emitter state or a
+  // closure still in force from one replay into the next.
   const Network net = networks::make_epa_net();
   SimulationOptions options;
   const BaselineTrajectory baseline(net, options, 8);
   ReplayEngine engine(baseline);
 
   const double t0 = 4 * options.hydraulic_step_s;
+  LinkId pump = 0;
+  while (net.link(pump).type != LinkType::kPump) ++pump;
   const std::vector<LeakEvent> a{{net.junction_ids()[3], 0.005, 0.5, t0}};
   const std::vector<LeakEvent> b{{net.junction_ids()[50], 0.002, 0.5, t0}};
-  const auto first = engine.replay(leaks_only(a), 4, 3);
-  (void)engine.replay(leaks_only(b), 4, 3);
-  const auto again = engine.replay(leaks_only(a), 4, 3);
+  const std::vector<OperationalEvent> outage{{pump, t0, 1e9}};
+  const auto first = engine.replay({.leaks = a}, 4, 3);
+  (void)engine.replay({.leaks = b, .operations = outage}, 4, 3);
+  const auto again = engine.replay({.leaks = a}, 4, 3);
   expect_results_equal(first, again);
 
   ReplayEngine fresh(baseline);
-  expect_results_equal(first, fresh.replay(leaks_only(a), 4, 3));
+  expect_results_equal(first, fresh.replay({.leaks = a}, 4, 3));
 }
 
 TEST(Replay, SolverCloneSolvesIdentically) {
@@ -194,25 +225,30 @@ TEST(Replay, Validation) {
   ReplayEngine engine(baseline);
 
   const ScenarioDynamics none{};
-  EXPECT_THROW(engine.replay(none, 0, 2), InvalidArgument);   // no predecessor
   EXPECT_THROW(engine.replay(none, 10, 2), InvalidArgument);  // covers only <= 8
   EXPECT_THROW(engine.replay(none, 2, 0), InvalidArgument);   // no steps
+  // Step 0 has no predecessor to resume from: it runs from the start.
+  Simulation healthy(net, options);
+  expect_results_equal(engine.replay(none, 0, healthy.num_steps()), healthy.run());
 
   // Every event must start at or after the resume time: an earlier one
   // would have perturbed the checkpoint itself.
   const double t3 = 3 * options.hydraulic_step_s;
   const std::vector<LeakEvent> leak{{net.junction_ids()[0], 0.003, 0.5, t3}};
-  EXPECT_THROW(engine.replay(leaks_only(leak), 5, 2), InvalidArgument);
-  EXPECT_NO_THROW(engine.replay(leaks_only(leak), 3, 2));
+  EXPECT_THROW(engine.replay({.leaks = leak}, 5, 2), InvalidArgument);
+  EXPECT_NO_THROW(engine.replay({.leaks = leak}, 3, 2));
   const double t6 = 6 * options.hydraulic_step_s;
   LinkId pump = 0;
   while (net.link(pump).type != LinkType::kPump) ++pump;
   const std::vector<OperationalEvent> outage{{pump, t3, t6}};
-  EXPECT_THROW(engine.replay({{}, outage, {}}, 5, 2), InvalidArgument);
-  EXPECT_NO_THROW(engine.replay({{}, outage, {}}, 3, 2));
+  EXPECT_THROW(engine.replay({.operations = outage}, 5, 2), InvalidArgument);
+  EXPECT_NO_THROW(engine.replay({.operations = outage}, 3, 2));
   const std::vector<DemandEvent> surge{{net.junction_ids()[0], 2.0, t3, t6}};
-  EXPECT_THROW(engine.replay({{}, {}, surge}, 5, 2), InvalidArgument);
-  EXPECT_NO_THROW(engine.replay({{}, {}, surge}, 3, 2));
+  EXPECT_THROW(engine.replay({.demands = surge}, 5, 2), InvalidArgument);
+  EXPECT_NO_THROW(engine.replay({.demands = surge}, 3, 2));
+  // A tank drawdown changes step 0, so no checkpoint serves it.
+  EXPECT_THROW(engine.replay({.tank_init_scale = 0.5}, 3, 2), InvalidArgument);
+  EXPECT_NO_THROW(engine.replay({.tank_init_scale = 0.5}, 0, 2));
 }
 
 }  // namespace
@@ -303,9 +339,13 @@ TEST(ReplayBatch, StatsAccountForSharedBaseline) {
   EXPECT_GT(stats.baseline_linear_solves, 0u);
   EXPECT_GT(stats.scenario_linear_solves, 0u);
 
+  // A batch that resumes nothing records a one-step baseline, for the
+  // engines to clone its solver.
   const SnapshotBatch full(net, scenarios, {1, 4}, {}, true, false);
-  EXPECT_EQ(full.stats().baseline_steps, 0u);
-  EXPECT_EQ(full.stats().engines_built, 0u);
+  EXPECT_EQ(full.stats().baseline_steps, 1u);
+  EXPECT_EQ(full.stats().replayed, 0u);
+  EXPECT_EQ(full.stats().full_run, scenarios.size());
+  EXPECT_GE(full.stats().engines_built, 1u);
   // The headline inequality: replay solves a small fraction of the full
   // path's hydraulic steps.
   EXPECT_LT(replay.stats().total_steps() * 2, full.stats().total_steps());

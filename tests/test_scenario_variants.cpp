@@ -1,7 +1,7 @@
 // Property suite for the scenario-diversity engine (DESIGN.md §15): each
 // variant family's documented physical/transform effect, the replay ≡
 // full-run bit-identity for every baseline-compatible variant on both
-// builtin networks, the full-run fallback for variants that invalidate the
+// builtin networks, the step-0 runs for variants that invalidate the
 // baseline, and the generator's fixed-draw-count determinism contract
 // (prefix stability; fault specs never perturb the base leak stream).
 #include <gtest/gtest.h>
@@ -49,9 +49,8 @@ TEST(OperationalEvents, PumpOutageZeroesFlowDuringWindowOnly) {
   hydraulics::Simulation baseline(net, {});
   const auto healthy = baseline.run();
 
-  hydraulics::Simulation sim(net, {});
-  sim.schedule_operation({pump, 8 * kSlot, 12 * kSlot});
-  const auto results = sim.run();
+  const std::vector<hydraulics::OperationalEvent> outage{{pump, 8 * kSlot, 12 * kSlot}};
+  const auto results = hydraulics::Simulation(net, {}).run({.operations = outage});
 
   // Healthy pump moves real water at every probed step.
   for (const std::size_t step : {6, 8, 10, 11, 14}) {
@@ -82,9 +81,8 @@ TEST(OperationalEvents, ValveClosureIsolatesDownstreamDemand) {
   hydraulics::Simulation baseline(net, {});
   const auto healthy = baseline.run();
 
-  hydraulics::Simulation sim(net, {});
-  sim.schedule_operation({valve, 10 * kSlot, 16 * kSlot});
-  const auto results = sim.run();
+  const std::vector<hydraulics::OperationalEvent> closure{{valve, 10 * kSlot, 16 * kSlot}};
+  const auto results = hydraulics::Simulation(net, {}).run({.operations = closure});
 
   for (const std::size_t step : {10, 12, 15}) {
     ASSERT_GT(std::abs(healthy.flow(step, valve)), 1e-5) << "step " << step;
@@ -96,12 +94,15 @@ TEST(OperationalEvents, ValveClosureIsolatesDownstreamDemand) {
   }
 }
 
-TEST(OperationalEvents, ScheduleValidation) {
+TEST(OperationalEvents, DynamicsValidation) {
   const auto net = networks::make_epa_net();
-  hydraulics::Simulation sim(net, {});
-  EXPECT_THROW(sim.schedule_operation({0, 900.0, 900.0}), InvalidArgument);  // empty window
-  EXPECT_THROW(sim.schedule_operation({net.num_links(), 0.0, 900.0}), InvalidArgument);
-  EXPECT_THROW(sim.schedule_operation({0, -900.0, 900.0}), InvalidArgument);
+  const auto rejects = [&](hydraulics::OperationalEvent op) {
+    const std::vector<hydraulics::OperationalEvent> ops{op};
+    EXPECT_THROW(hydraulics::ScenarioDynamics{.operations = ops}.validate(net), InvalidArgument);
+  };
+  rejects({0, 900.0, 900.0});  // empty window
+  rejects({net.num_links(), 0.0, 900.0});
+  rejects({0, -900.0, 900.0});
 }
 
 // --- Time-varying (ramping) leaks ----------------------------------------
@@ -141,14 +142,11 @@ TEST(LeakRamp, RampedLeakGrowsAndLeaksLessThanConstant) {
   event.coefficient = 0.004;
   event.start_time_s = 10 * kSlot;
 
-  hydraulics::Simulation constant_sim(net, {});
-  constant_sim.schedule_leak(event);
-  const auto constant = constant_sim.run();
+  hydraulics::Simulation sim(net, {});
+  const auto constant = sim.run({.leaks = {&event, 1}});
 
   event.ramp_s = 6 * kSlot;
-  hydraulics::Simulation ramped_sim(net, {});
-  ramped_sim.schedule_leak(event);
-  const auto ramped = ramped_sim.run();
+  const auto ramped = sim.run({.leaks = {&event, 1}});
 
   // At onset the ramp is still at EC = 0; by the end of the ramp the
   // emitter runs at full size.
@@ -176,9 +174,8 @@ TEST(DemandSurge, PerturbsOnlyTheWindowForward) {
   hydraulics::Simulation baseline(net, {});
   const auto healthy = baseline.run();
 
-  hydraulics::Simulation sim(net, {});
-  sim.schedule_demand_event({surge_node, 4.0, 12 * kSlot, 16 * kSlot});
-  const auto results = sim.run();
+  const std::vector<hydraulics::DemandEvent> surge{{surge_node, 4.0, 12 * kSlot, 16 * kSlot}};
+  const auto results = hydraulics::Simulation(net, {}).run({.demands = surge});
 
   // Bit-identical before the window opens...
   for (std::size_t step = 0; step < 12; ++step) {
@@ -194,16 +191,19 @@ TEST(DemandSurge, PerturbsOnlyTheWindowForward) {
   }
 }
 
-TEST(DemandSurge, ScheduleValidation) {
+TEST(DemandSurge, DynamicsValidation) {
   const auto net = networks::make_epa_net();
-  hydraulics::Simulation sim(net, {});
   hydraulics::NodeId reservoir = 0;
   for (hydraulics::NodeId v = 0; v < net.num_nodes(); ++v) {
     if (net.node(v).type != hydraulics::NodeType::kJunction) reservoir = v;
   }
-  EXPECT_THROW(sim.schedule_demand_event({reservoir, 2.0, 0.0, 900.0}), InvalidArgument);
-  EXPECT_THROW(sim.schedule_demand_event({0, 0.0, 0.0, 900.0}), InvalidArgument);
-  EXPECT_THROW(sim.schedule_demand_event({0, 2.0, 900.0, 900.0}), InvalidArgument);
+  const auto rejects = [&](hydraulics::DemandEvent event) {
+    const std::vector<hydraulics::DemandEvent> demands{event};
+    EXPECT_THROW(hydraulics::ScenarioDynamics{.demands = demands}.validate(net), InvalidArgument);
+  };
+  rejects({reservoir, 2.0, 0.0, 900.0});
+  rejects({0, 0.0, 0.0, 900.0});
+  rejects({0, 2.0, 900.0, 900.0});
 }
 
 // --- Tank drawdown --------------------------------------------------------
@@ -215,12 +215,10 @@ TEST(TankDrawdown, ScalesInitialLevelsAndRefusesReplay) {
     if (net.node(v).type == hydraulics::NodeType::kTank) tank = v;
   }
 
-  hydraulics::Simulation full_sim(net, {});
-  const auto full_levels = full_sim.run();
-
-  hydraulics::Simulation drawn_sim(net, {});
-  drawn_sim.set_tank_init_scale(0.5);
-  const auto drawn = drawn_sim.run();
+  hydraulics::Simulation sim(net, {});
+  const auto full_levels = sim.run();
+  const hydraulics::ScenarioDynamics drawdown{.tank_init_scale = 0.5};
+  const auto drawn = sim.run(drawdown);
 
   // Tank head reflects level (head = elevation + level): the drawn-down
   // start must sit strictly below the baseline at t = 0.
@@ -232,11 +230,12 @@ TEST(TankDrawdown, ScalesInitialLevelsAndRefusesReplay) {
   const hydraulics::BaselineTrajectory baseline(net, options, 20);
   hydraulics::Network copy = net;
   const hydraulics::GgaSolver solver(copy, options.solver);
-  hydraulics::EpsStepper stepper(copy, solver, options, {});
-  stepper.set_tank_init_scale(0.5);
-  EXPECT_THROW(stepper.resume(10, baseline.tank_levels_entering(10), baseline.state_at(9)),
-               InvalidArgument);
-  EXPECT_THROW(drawn_sim.set_tank_init_scale(0.0), InvalidArgument);
+  hydraulics::EpsStepper stepper(copy, solver, options);
+  EXPECT_FALSE(drawdown.resumable_at(10 * kSlot));
+  EXPECT_THROW(
+      stepper.resume(drawdown, 10, baseline.tank_levels_entering(10), baseline.state_at(9)),
+      InvalidArgument);
+  EXPECT_THROW(sim.run({.tank_init_scale = 0.0}), InvalidArgument);
 }
 
 // --- Sensor-fault layer ---------------------------------------------------
@@ -366,7 +365,7 @@ void expect_mixed_corpus_replay_identity(const hydraulics::Network& net) {
   // stays baseline-compatible and replays.
   std::size_t with_dynamics = 0;
   for (const auto& s : scenarios) {
-    EXPECT_TRUE(s.replay_compatible(config.hydraulic_step_s));
+    EXPECT_TRUE(s.dynamics().resumable_at(static_cast<double>(s.leak_slot) * kSlot));
     if (!s.operations.empty() || !s.demand_events.empty()) ++with_dynamics;
   }
   EXPECT_GT(with_dynamics, 0u) << "mix produced no hydraulic variants";
@@ -402,12 +401,12 @@ TEST(ReplayCompatibility, BaselineInvalidatingVariantsFallBackToFullRuns) {
   const auto scenarios = generator.generate(8);
 
   for (const auto& s : scenarios) {
-    EXPECT_FALSE(s.replay_compatible(config.hydraulic_step_s));
+    EXPECT_FALSE(s.dynamics().resumable_at(static_cast<double>(s.leak_slot) * kSlot));
     EXPECT_NE(s.tank_init_scale, 1.0);
   }
 
-  // The batch notices on its own, runs everything full, and still matches
-  // the forced-full batch exactly.
+  // The batch notices on its own, runs everything from step 0, and still
+  // matches the forced-full batch exactly.
   const SnapshotBatch batch(net, scenarios, {1}, {}, true, true);
   EXPECT_EQ(batch.stats().replayed, 0u);
   EXPECT_EQ(batch.stats().full_run, scenarios.size());

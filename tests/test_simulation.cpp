@@ -60,9 +60,9 @@ TEST(Simulation, LeakedVolumeMatchesManualTrapezoid) {
   SimulationOptions options;
   options.duration_s = 4 * 3600.0;
   Simulation sim(small(), options);
-  sim.schedule_leaks({{small().node_id("A"), 0.002, 0.5, 900.0},
-                      {small().node_id("B"), 0.001, 0.5, 2700.0}});
-  const auto results = sim.run();
+  const std::vector<LeakEvent> leaks{{small().node_id("A"), 0.002, 0.5, 900.0},
+                                     {small().node_id("B"), 0.001, 0.5, 2700.0}};
+  const auto results = sim.run({.leaks = leaks});
   double manual = 0.0;
   for (std::size_t s = 0; s + 1 < results.num_steps(); ++s) {
     double now = 0.0, next = 0.0;
@@ -104,8 +104,8 @@ TEST(Simulation, LeakActivatesAtScheduledSlot) {
   Simulation sim(small(), options);
   const Network net = small();
   const NodeId a = net.node_id("A");
-  sim.schedule_leak({a, 0.003, 0.5, 2 * 3600.0});
-  const auto results = sim.run();
+  const std::vector<LeakEvent> leak{{a, 0.003, 0.5, 2 * 3600.0}};
+  const auto results = sim.run({.leaks = leak});
   const auto before = results.step_at(2 * 3600.0 - 900.0);
   const auto after = results.step_at(2 * 3600.0);
   EXPECT_DOUBLE_EQ(results.emitter_outflow(before, a), 0.0);
@@ -118,8 +118,8 @@ TEST(Simulation, LeakPersistsToEndOfRun) {
   options.duration_s = 4 * 3600.0;
   Simulation sim(small(), options);
   const NodeId a = small().node_id("A");
-  sim.schedule_leak({a, 0.003, 0.5, 3600.0});
-  const auto results = sim.run();
+  const std::vector<LeakEvent> leak{{a, 0.003, 0.5, 3600.0}};
+  const auto results = sim.run({.leaks = leak});
   for (std::size_t s = results.step_at(3600.0); s < results.num_steps(); ++s) {
     EXPECT_GT(results.emitter_outflow(s, a), 0.0) << "step " << s;
   }
@@ -130,8 +130,8 @@ TEST(Simulation, LeakedVolumeIsPositiveAndBounded) {
   options.duration_s = 4 * 3600.0;
   Simulation sim(small(), options);
   const NodeId a = small().node_id("A");
-  sim.schedule_leak({a, 0.002, 0.5, 0.0});
-  const auto results = sim.run();
+  const std::vector<LeakEvent> leak{{a, 0.002, 0.5, 0.0}};
+  const auto results = sim.run({.leaks = leak});
   const double volume = results.leaked_volume();
   EXPECT_GT(volume, 0.0);
   // Upper bound: max outflow times duration.
@@ -147,35 +147,48 @@ TEST(Simulation, MultipleConcurrentLeaks) {
   options.duration_s = 2 * 3600.0;
   Simulation sim(small(), options);
   const Network net = small();
-  sim.schedule_leaks({{net.node_id("A"), 0.002, 0.5, 3600.0},
-                      {net.node_id("B"), 0.003, 0.5, 3600.0}});
-  const auto results = sim.run();
+  const std::vector<LeakEvent> leaks{{net.node_id("A"), 0.002, 0.5, 3600.0},
+                                     {net.node_id("B"), 0.003, 0.5, 3600.0}};
+  const auto results = sim.run({.leaks = leaks});
   const auto step = results.step_at(3600.0);
   EXPECT_GT(results.emitter_outflow(step, net.node_id("A")), 0.0);
   EXPECT_GT(results.emitter_outflow(step, net.node_id("B")), 0.0);
+}
+
+void expect_same_pressures(const SimulationResults& a, const SimulationResults& b) {
+  ASSERT_EQ(a.num_steps(), b.num_steps());
+  for (std::size_t s = 0; s < a.num_steps(); ++s) {
+    for (NodeId v = 0; v < a.num_nodes(); ++v) {
+      EXPECT_EQ(a.pressure(s, v), b.pressure(s, v)) << "step " << s << " node " << v;
+    }
+  }
 }
 
 TEST(Simulation, RunsAreRepeatable) {
   SimulationOptions options;
   options.duration_s = 2 * 3600.0;
   Simulation sim(small(), options);
-  sim.schedule_leak({small().node_id("A"), 0.002, 0.5, 1800.0});
-  const auto first = sim.run();
-  const auto second = sim.run();
-  ASSERT_EQ(first.num_steps(), second.num_steps());
-  for (std::size_t s = 0; s < first.num_steps(); ++s) {
-    for (NodeId v = 0; v < first.num_nodes(); ++v) {
-      EXPECT_DOUBLE_EQ(first.pressure(s, v), second.pressure(s, v));
-    }
-  }
+  const std::vector<LeakEvent> leak{{small().node_id("A"), 0.002, 0.5, 1800.0}};
+  expect_same_pressures(sim.run({.leaks = leak}), sim.run({.leaks = leak}));
+
+  // A closure still in force when a run ends must not carry over: the next
+  // run on the same Simulation starts from the links' base status.
+  const Network net = small();
+  const std::vector<OperationalEvent> closure{{net.link_id("P2"), 3600.0, 1e9}};
+  const auto healthy = sim.run();
+  (void)sim.run({.operations = closure});
+  expect_same_pressures(sim.run(), healthy);
 }
 
-TEST(Simulation, SchedulingValidation) {
+TEST(Simulation, RunValidatesItsDynamics) {
   Simulation sim(small(), {});
   const Network net = small();
-  EXPECT_THROW(sim.schedule_leak({net.node_id("R"), 0.002, 0.5, 0.0}), InvalidArgument);
-  EXPECT_THROW(sim.schedule_leak({net.node_id("A"), 0.0, 0.5, 0.0}), InvalidArgument);
-  EXPECT_THROW(sim.schedule_leak({net.node_id("A"), 0.002, 0.5, -5.0}), InvalidArgument);
+  for (const LeakEvent& bad : {LeakEvent{net.node_id("R"), 0.002, 0.5, 0.0},
+                               LeakEvent{net.node_id("A"), 0.0, 0.5, 0.0},
+                               LeakEvent{net.node_id("A"), 0.002, 0.5, -5.0}}) {
+    EXPECT_THROW((ScenarioDynamics{.leaks = {&bad, 1}}.validate(net)), InvalidArgument);
+    EXPECT_THROW(sim.run({.leaks = {&bad, 1}}), InvalidArgument);
+  }
 }
 
 TEST(Simulation, StepAtClampsAndSelects) {
