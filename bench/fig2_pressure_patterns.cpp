@@ -45,7 +45,7 @@ int main() {
   const hydraulics::NodeId e2 = junctions[20];
   const hydraulics::NodeId e3 = junctions[75];
 
-  const auto distances = graph::dijkstra(net.to_graph(), e1).distance;
+  const auto distances = graph::dijkstra(net.to_graph(), e1);
 
   const double leak_start = 2.0 * 3600.0;
   auto run_scenario = [&](const std::vector<hydraulics::NodeId>& leaks) {

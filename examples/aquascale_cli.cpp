@@ -340,7 +340,9 @@ int cmd_serve(const std::string& which, std::size_t batches, std::size_t batch_s
   daemon.drain();
 
   std::size_t served = 0;
-  for (std::size_t d = 0; d < tenants.size(); ++d) served += daemon.served_count(d);
+  for (std::size_t d = 0; d < tenants.size(); ++d) {
+    served += daemon.district_telemetry(d).count(serving::ServingDaemon::kCounterServed);
+  }
   std::printf("\nserved %zu snapshots across %zu district(s); %zu leak flags raised\n", served,
               tenants.size(), leaks_flagged.load());
   std::printf("%-40s %12s\n", "telemetry", "value");

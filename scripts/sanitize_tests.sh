@@ -2,11 +2,13 @@
 # Tier-1 test suite under sanitizers, CI-friendly (non-zero exit on any
 # build or test failure). Two passes in separate build dirs:
 #
-#   1. ASan+UBSan (cmake -DAQUA_SANITIZE=ON): the full suite, so the
-#      replay engine pool, the thread-pool batch paths, the hostile
-#      .inp corpus (test_inp_io), and the compiled forest kernel's
-#      plane indexing (test_compiled_forest) get memory/UB checking
-#      routinely.
+#   1. ASan+UBSan (cmake -DAQUA_SANITIZE=ON, which adds
+#      float-cast-overflow and -fno-sanitize-recover=all, so a UBSan
+#      finding aborts its test instead of printing and passing): the
+#      full suite, so the replay engine pool, the thread-pool batch
+#      paths, the hostile .inp corpus (test_inp_io), and the compiled
+#      forest kernel's plane indexing (test_compiled_forest) get
+#      memory/UB checking routinely.
 #   2. TSan (cmake -DAQUA_TSAN=ON): the unit+concurrency+serving+kernel
 #      labels, which include test_concurrency's shared-model /
 #      shared-engine races, its variant-batch suite (mixed

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -12,14 +11,6 @@ double mean(std::span<const double> values) noexcept {
   double sum = 0.0;
   for (double v : values) sum += v;
   return sum / static_cast<double>(values.size());
-}
-
-double stddev(std::span<const double> values) noexcept {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  double ss = 0.0;
-  for (double v : values) ss += (v - m) * (v - m);
-  return std::sqrt(ss / static_cast<double>(values.size() - 1));
 }
 
 double percentile(std::span<const double> values, double q) {
@@ -34,16 +25,6 @@ double percentile(std::span<const double> values, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double min_value(std::span<const double> values) {
-  AQUA_REQUIRE(!values.empty(), "min of empty span");
-  return *std::min_element(values.begin(), values.end());
-}
-
-double max_value(std::span<const double> values) {
-  AQUA_REQUIRE(!values.empty(), "max of empty span");
-  return *std::max_element(values.begin(), values.end());
-}
-
 void RunningStats::add(double x) noexcept {
   if (n_ == 0) {
     min_ = max_ = x;
@@ -52,15 +33,7 @@ void RunningStats::add(double x) noexcept {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 }  // namespace aqua

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -27,8 +28,13 @@ double FloodResult::total_volume(double cell_area_m2) const noexcept {
 
 FloodResult simulate_flood(const Dem& dem, const std::vector<FloodSource>& sources,
                            const FloodOptions& options) {
-  AQUA_REQUIRE(options.time_step_s > 0.0 && options.duration_s > 0.0,
-               "flood timing must be positive");
+  AQUA_REQUIRE(std::isfinite(options.time_step_s) && options.time_step_s > 0.0 &&
+                   std::isfinite(options.duration_s) && options.duration_s > 0.0,
+               "flood timing must be positive and finite");
+  // The step count below is converted to size_t, which must hold it.
+  AQUA_REQUIRE(options.duration_s / options.time_step_s <
+                   static_cast<double>(std::numeric_limits<std::size_t>::max()),
+               "flood duration / time step is too many steps");
   const std::size_t rows = dem.rows(), cols = dem.cols();
   FloodResult result(rows, cols);
   auto& h = result.data();

@@ -20,14 +20,6 @@ double printed_eq4(std::size_t k, std::size_t n, double lambda) {
          std::pow(static_cast<double>(n) + 1.0, static_cast<double>(k));
 }
 
-double poisson_pmf(std::size_t k, double mean) {
-  AQUA_REQUIRE(mean >= 0.0, "poisson mean must be non-negative");
-  if (mean == 0.0) return k == 0 ? 1.0 : 0.0;
-  double log_p = -mean + static_cast<double>(k) * std::log(mean);
-  for (std::size_t i = 2; i <= k; ++i) log_p -= std::log(static_cast<double>(i));
-  return std::exp(log_p);
-}
-
 TweetGenerator::TweetGenerator(TweetModelConfig config) : config_(config) {
   AQUA_REQUIRE(config_.arrival_rate_per_slot >= 0.0, "arrival rate must be non-negative");
   AQUA_REQUIRE(config_.false_positive_rate > 0.0 && config_.false_positive_rate < 1.0,

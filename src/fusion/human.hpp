@@ -7,8 +7,9 @@
 //
 // The paper prints Eq. 4 as P(k in n slots) = (nλ)^k e^{−nλ} / (n+1)^k,
 // which is not a normalized pmf; `printed_eq4` reproduces it verbatim for
-// the record, while the generator samples the standard Poisson pmf
-// (nλ)^k e^{−nλ} / k! (documented deviation, DESIGN.md §6).
+// the record, while the generator samples the standard Poisson
+// distribution of mean nλ, pmf (nλ)^k e^{−nλ} / k!, with Rng::poisson
+// (documented deviation, DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
@@ -46,9 +47,6 @@ double tweet_confidence(double false_positive_rate, std::size_t k);
 
 /// Eq. 4 exactly as printed in the paper (not a normalized pmf; see above).
 double printed_eq4(std::size_t k, std::size_t n, double lambda);
-
-/// Standard Poisson pmf used for sampling.
-double poisson_pmf(std::size_t k, double mean);
 
 class TweetGenerator {
  public:

@@ -34,8 +34,8 @@ double bayes_aggregate(const std::vector<double>& expert_probabilities) {
 double bayes_aggregate(double p_a, double p_b) { return bayes_aggregate({p_a, p_b}); }
 
 TemperatureModel::TemperatureModel(double annual_mean_f, double annual_amplitude_f,
-                                   double daily_noise_f, std::uint64_t seed)
-    : mean_(annual_mean_f), amplitude_(annual_amplitude_f), noise_(daily_noise_f), seed_(seed) {}
+                                   double daily_noise_f)
+    : mean_(annual_mean_f), amplitude_(annual_amplitude_f), noise_(daily_noise_f) {}
 
 double TemperatureModel::seasonal_mean_f(std::size_t day) const noexcept {
   // Coldest around mid-January (day ~15).
@@ -45,43 +45,6 @@ double TemperatureModel::seasonal_mean_f(std::size_t day) const noexcept {
 
 double TemperatureModel::sample_day_f(std::size_t day, Rng& rng) const noexcept {
   return rng.normal(seasonal_mean_f(day), noise_);
-}
-
-std::vector<double> TemperatureModel::sample_series_f(std::size_t days) const {
-  Rng rng(seed_);
-  std::vector<double> series(days);
-  for (std::size_t d = 0; d < days; ++d) series[d] = sample_day_f(d, rng);
-  return series;
-}
-
-MarkovWeatherModel::MarkovWeatherModel(TemperatureModel seasonal, MarkovWeatherConfig config)
-    : seasonal_(seasonal), config_(config) {
-  AQUA_REQUIRE(config_.p_enter_snap > 0.0 && config_.p_enter_snap < 1.0,
-               "snap entry probability must be in (0,1)");
-  AQUA_REQUIRE(config_.p_exit_snap > 0.0 && config_.p_exit_snap < 1.0,
-               "snap exit probability must be in (0,1)");
-}
-
-std::vector<double> MarkovWeatherModel::sample_series_f(std::size_t days) const {
-  Rng rng(config_.seed);
-  std::vector<double> series(days);
-  bool in_snap = false;
-  for (std::size_t d = 0; d < days; ++d) {
-    in_snap = in_snap ? !rng.bernoulli(config_.p_exit_snap)
-                      : rng.bernoulli(config_.p_enter_snap);
-    const double base = seasonal_.seasonal_mean_f(d) -
-                        (in_snap ? config_.snap_depression_f : 0.0);
-    series[d] = rng.normal(base, config_.daily_noise_f);
-  }
-  return series;
-}
-
-double MarkovWeatherModel::stationary_snap_probability() const noexcept {
-  return config_.p_enter_snap / (config_.p_enter_snap + config_.p_exit_snap);
-}
-
-double MarkovWeatherModel::mean_snap_length_days() const noexcept {
-  return 1.0 / config_.p_exit_snap;
 }
 
 std::vector<BreakDay> simulate_break_history(const TemperatureModel& temperature,

@@ -46,52 +46,17 @@ double bayes_aggregate(double p_a, double p_b);
 class TemperatureModel {
  public:
   explicit TemperatureModel(double annual_mean_f = 55.0, double annual_amplitude_f = 28.0,
-                            double daily_noise_f = 7.0, std::uint64_t seed = 97);
+                            double daily_noise_f = 7.0);
 
   /// Mean temperature of `day` (0 = January 1st).
   double seasonal_mean_f(std::size_t day) const noexcept;
   /// One sampled daily temperature.
   double sample_day_f(std::size_t day, Rng& rng) const noexcept;
-  /// A series of `days` sampled temperatures starting at day 0.
-  std::vector<double> sample_series_f(std::size_t days) const;
 
  private:
   double mean_;
   double amplitude_;
   double noise_;
-  std::uint64_t seed_;
-};
-
-/// Two-state Markov-chain weather model — the extension the paper defers
-/// ("Markov chain will be studied for the modeling of weather information
-/// in the future", Sec. III-C). States are NORMAL and COLD_SNAP; daily
-/// temperatures are drawn from a per-state distribution around the
-/// seasonal mean, so cold snaps arrive in multi-day runs the way real
-/// freeze events do instead of as independent daily draws.
-struct MarkovWeatherConfig {
-  double p_enter_snap = 0.04;   // NORMAL -> COLD_SNAP per day
-  double p_exit_snap = 0.30;    // COLD_SNAP -> NORMAL per day
-  double snap_depression_f = 25.0;  // how far a snap pulls below seasonal
-  double daily_noise_f = 5.0;
-  std::uint64_t seed = 131;
-};
-
-class MarkovWeatherModel {
- public:
-  explicit MarkovWeatherModel(TemperatureModel seasonal, MarkovWeatherConfig config = {});
-
-  /// Samples `days` of temperatures; cold snaps are temporally clustered.
-  std::vector<double> sample_series_f(std::size_t days) const;
-
-  /// Stationary probability of being in a cold snap.
-  double stationary_snap_probability() const noexcept;
-
-  /// Expected run length of a cold snap in days (geometric).
-  double mean_snap_length_days() const noexcept;
-
- private:
-  TemperatureModel seasonal_;
-  MarkovWeatherConfig config_;
 };
 
 /// One simulated day of the freeze-break process (for Fig. 3).

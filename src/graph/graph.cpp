@@ -28,8 +28,6 @@ std::span<const Graph::Incidence> Graph::neighbors(VertexId v) const {
   return adjacency_[v];
 }
 
-std::size_t Graph::degree(VertexId v) const { return neighbors(v).size(); }
-
 std::pair<std::vector<std::size_t>, std::size_t> Graph::connected_components() const {
   constexpr std::size_t kUnvisited = static_cast<std::size_t>(-1);
   std::vector<std::size_t> label(num_vertices(), kUnvisited);

@@ -42,8 +42,6 @@ class Graph {
   /// Edges incident to `v` with the opposite endpoint.
   std::span<const Incidence> neighbors(VertexId v) const;
 
-  std::size_t degree(VertexId v) const;
-
   /// All edges in insertion order.
   std::span<const Edge> edges() const noexcept { return edges_; }
 

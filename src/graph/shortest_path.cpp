@@ -1,62 +1,33 @@
 #include "graph/shortest_path.hpp"
 
-#include <algorithm>
+#include <functional>
 #include <queue>
 
 #include "common/error.hpp"
 
 namespace aqua::graph {
 
-ShortestPaths dijkstra(const Graph& g, VertexId source) {
+std::vector<double> dijkstra(const Graph& g, VertexId source) {
   AQUA_REQUIRE(source < g.num_vertices(), "dijkstra source out of range");
-  ShortestPaths result;
-  result.distance.assign(g.num_vertices(), kUnreachable);
-  result.predecessor.resize(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) result.predecessor[v] = v;
+  std::vector<double> distance(g.num_vertices(), kUnreachable);
 
   using Item = std::pair<double, VertexId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  result.distance[source] = 0.0;
+  distance[source] = 0.0;
   heap.push({0.0, source});
   while (!heap.empty()) {
     const auto [dist, v] = heap.top();
     heap.pop();
-    if (dist > result.distance[v]) continue;  // stale entry
+    if (dist > distance[v]) continue;  // stale entry
     for (const auto& inc : g.neighbors(v)) {
       const double candidate = dist + g.edge(inc.edge).weight;
-      if (candidate < result.distance[inc.neighbor]) {
-        result.distance[inc.neighbor] = candidate;
-        result.predecessor[inc.neighbor] = v;
+      if (candidate < distance[inc.neighbor]) {
+        distance[inc.neighbor] = candidate;
         heap.push({candidate, inc.neighbor});
       }
     }
   }
-  return result;
-}
-
-std::vector<VertexId> extract_path(const ShortestPaths& paths, VertexId source, VertexId target) {
-  AQUA_REQUIRE(target < paths.distance.size(), "target out of range");
-  if (paths.distance[target] == kUnreachable) return {};
-  std::vector<VertexId> path;
-  VertexId v = target;
-  path.push_back(v);
-  while (v != source) {
-    const VertexId pred = paths.predecessor[v];
-    if (pred == v) return {};  // malformed: predecessor chain broken
-    v = pred;
-    path.push_back(v);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-std::vector<std::vector<double>> all_pairs_distances(const Graph& g) {
-  std::vector<std::vector<double>> distances;
-  distances.reserve(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    distances.push_back(dijkstra(g, v).distance);
-  }
-  return distances;
+  return distance;
 }
 
 }  // namespace aqua::graph

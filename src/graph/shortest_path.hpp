@@ -1,6 +1,5 @@
-// Shortest-path queries over pipe-length weights (Dijkstra). Used for the
-// Fig. 2 distance-decay analysis and for clique construction around tweet
-// locations.
+// Shortest-path distances over pipe-length weights (Dijkstra), for the
+// Fig. 2 distance-decay analysis.
 #pragma once
 
 #include <limits>
@@ -12,18 +11,8 @@ namespace aqua::graph {
 
 inline constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 
-struct ShortestPaths {
-  std::vector<double> distance;       // kUnreachable when disconnected
-  std::vector<VertexId> predecessor;  // source's and unreachable vertices' pred = self
-};
-
-/// Single-source Dijkstra with a binary heap; O((V+E) log V).
-ShortestPaths dijkstra(const Graph& g, VertexId source);
-
-/// Reconstructs the vertex sequence source..target (empty if unreachable).
-std::vector<VertexId> extract_path(const ShortestPaths& paths, VertexId source, VertexId target);
-
-/// All-pairs distances via repeated Dijkstra (fine at network scale).
-std::vector<std::vector<double>> all_pairs_distances(const Graph& g);
+/// Single-source Dijkstra with a binary heap; O((V+E) log V). Returns the
+/// distance of every vertex from `source`, kUnreachable when disconnected.
+std::vector<double> dijkstra(const Graph& g, VertexId source);
 
 }  // namespace aqua::graph

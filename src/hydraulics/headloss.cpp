@@ -30,33 +30,11 @@ double hazen_williams_resistance(double length_m, double diameter_m, double roug
   return 10.667 * length_m / (std::pow(roughness_c, kHwExponent) * std::pow(diameter_m, 4.871));
 }
 
-double darcy_weisbach_resistance(double length_m, double diameter_m, double roughness_mm,
-                                 double flow_m3s) {
-  AQUA_REQUIRE(length_m > 0.0 && diameter_m > 0.0, "darcy_weisbach: positive geometry required");
-  constexpr double kKinematicViscosity = 1.004e-6;  // water at 20 C [m^2/s]
-  constexpr double kGravity = 9.80665;
-  const double area = 0.25 * 3.141592653589793 * diameter_m * diameter_m;
-  const double velocity = std::max(std::abs(flow_m3s), kFlowEpsilon) / area;
-  const double reynolds = velocity * diameter_m / kKinematicViscosity;
-  double friction = 0.0;
-  if (reynolds < 2000.0) {
-    friction = 64.0 / std::max(reynolds, 1.0);
-  } else {
-    const double rel_rough = (roughness_mm / 1000.0) / diameter_m;
-    const double arg = rel_rough / 3.7 + 5.74 / std::pow(reynolds, 0.9);
-    friction = 0.25 / std::pow(std::log10(arg), 2);
-  }
-  // h = f L/d * v^2/2g = r q^2.
-  return friction * length_m / diameter_m / (2.0 * kGravity * area * area);
-}
-
-LossCoefficients link_loss_coefficients(const Link& link, HeadLossModel model) {
+LossCoefficients link_loss_coefficients(const Link& link) {
   LossCoefficients out;
   switch (link.type) {
     case LinkType::kPipe:
-      if (model == HeadLossModel::kHazenWilliams) {
-        out.resistance = hazen_williams_resistance(link.length, link.diameter, link.roughness);
-      }
+      out.resistance = hazen_williams_resistance(link.length, link.diameter, link.roughness);
       out.minor = minor_loss_coefficient(link.minor_loss, link.diameter);
       break;
     case LinkType::kPump:
@@ -69,8 +47,7 @@ LossCoefficients link_loss_coefficients(const Link& link, HeadLossModel model) {
   return out;
 }
 
-LossGradient link_loss(const Link& link, const LossCoefficients& coefficients, double flow,
-                       HeadLossModel model) {
+LossGradient link_loss(const Link& link, const LossCoefficients& coefficients, double flow) {
   LossGradient out;
   if (link.status == LinkStatus::kClosed) {
     out.loss = kClosedResistance * flow;
@@ -81,26 +58,18 @@ LossGradient link_loss(const Link& link, const LossCoefficients& coefficients, d
   switch (link.type) {
     case LinkType::kPipe: {
       const double magnitude = std::abs(flow);
-      if (model == HeadLossModel::kHazenWilliams) {
-        const double r = coefficients.resistance;
-        if (magnitude < kFlowEpsilon) {
-          // Linearized segment through the origin with the gradient at
-          // q = kFlowEpsilon: keeps dh/dq bounded and continuous.
-          const double g = kHwExponent * r * std::pow(kFlowEpsilon, kHwExponent - 1.0) +
-                           2.0 * m * kFlowEpsilon;
-          out.gradient = std::max(g, 1e-8);
-          out.loss = out.gradient * flow;
-        } else {
-          const double friction = r * std::pow(magnitude, kHwExponent - 1.0);
-          out.loss = (friction + m * magnitude) * flow;
-          out.gradient = kHwExponent * friction + 2.0 * m * magnitude;
-        }
+      const double r = coefficients.resistance;
+      if (magnitude < kFlowEpsilon) {
+        // Linearized segment through the origin with the gradient at
+        // q = kFlowEpsilon: keeps dh/dq bounded and continuous.
+        const double g = kHwExponent * r * std::pow(kFlowEpsilon, kHwExponent - 1.0) +
+                         2.0 * m * kFlowEpsilon;
+        out.gradient = std::max(g, 1e-8);
+        out.loss = out.gradient * flow;
       } else {
-        const double r =
-            darcy_weisbach_resistance(link.length, link.diameter, link.roughness, flow);
-        const double q = std::max(magnitude, kFlowEpsilon);
-        out.loss = (r + m) * q * flow;
-        out.gradient = 2.0 * (r + m) * q;
+        const double friction = r * std::pow(magnitude, kHwExponent - 1.0);
+        out.loss = (friction + m * magnitude) * flow;
+        out.gradient = kHwExponent * friction + 2.0 * m * magnitude;
       }
       return out;
     }
@@ -129,8 +98,8 @@ LossGradient link_loss(const Link& link, const LossCoefficients& coefficients, d
   return out;
 }
 
-LossGradient link_loss(const Link& link, double flow, HeadLossModel model) {
-  return link_loss(link, link_loss_coefficients(link, model), flow, model);
+LossGradient link_loss(const Link& link, double flow) {
+  return link_loss(link, link_loss_coefficients(link), flow);
 }
 
 EmitterFlow emitter_flow(double coefficient, double exponent, double pressure_head) {

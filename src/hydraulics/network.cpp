@@ -142,8 +142,6 @@ int Network::add_pattern(Pattern pattern) {
   return static_cast<int>(patterns_.size()) - 1;
 }
 
-std::size_t Network::num_junctions() const noexcept { return count_nodes(NodeType::kJunction); }
-
 std::size_t Network::count_nodes(NodeType type) const noexcept {
   return static_cast<std::size_t>(
       std::count_if(nodes_.begin(), nodes_.end(), [type](const Node& n) { return n.type == type; }));
@@ -186,16 +184,6 @@ LinkId Network::link_id(const std::string& name) const {
   return it->second;
 }
 
-std::optional<NodeId> Network::find_node(const std::string& name) const noexcept {
-  const auto it = node_index_.find(name);
-  return it == node_index_.end() ? std::nullopt : std::optional<NodeId>(it->second);
-}
-
-std::optional<LinkId> Network::find_link(const std::string& name) const noexcept {
-  const auto it = link_index_.find(name);
-  return it == link_index_.end() ? std::nullopt : std::optional<LinkId>(it->second);
-}
-
 const Pattern& Network::pattern(int index) const {
   AQUA_REQUIRE(index >= 0 && static_cast<std::size_t>(index) < patterns_.size(),
                "pattern index out of range");
@@ -216,14 +204,6 @@ void Network::clear_emitters() {
     n.emitter_coefficient = 0.0;
     n.emitter_exponent = 0.5;
   }
-}
-
-std::vector<NodeId> Network::leaky_nodes() const {
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id].emitter_coefficient > 0.0) out.push_back(id);
-  }
-  return out;
 }
 
 graph::Graph Network::to_graph() const {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -119,7 +118,6 @@ class Network {
   // --- Access -------------------------------------------------------------
   std::size_t num_nodes() const noexcept { return nodes_.size(); }
   std::size_t num_links() const noexcept { return links_.size(); }
-  std::size_t num_junctions() const noexcept;
   std::size_t count_nodes(NodeType type) const noexcept;
   std::size_t count_links(LinkType type) const noexcept;
 
@@ -132,8 +130,6 @@ class Network {
 
   NodeId node_id(const std::string& name) const;  // throws NotFound
   LinkId link_id(const std::string& name) const;  // throws NotFound
-  std::optional<NodeId> find_node(const std::string& name) const noexcept;
-  std::optional<LinkId> find_link(const std::string& name) const noexcept;
 
   const Pattern& pattern(int index) const;
   std::size_t num_patterns() const noexcept { return patterns_.size(); }
@@ -144,8 +140,6 @@ class Network {
   void set_emitter(NodeId node, double coefficient, double exponent = 0.5);
   /// Removes all emitters (resets the network to a healthy state).
   void clear_emitters();
-  /// Junction ids currently carrying an emitter.
-  std::vector<NodeId> leaky_nodes() const;
 
   // --- Topology -----------------------------------------------------------
   /// Undirected graph over nodes; edge weight = pipe length (pumps/valves

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -223,8 +224,14 @@ const HydraulicState& EpsStepper::advance() {
 
 Simulation::Simulation(Network network, SimulationOptions options)
     : network_(std::move(network)), options_(options) {
-  AQUA_REQUIRE(options_.duration_s > 0.0, "duration must be positive");
-  AQUA_REQUIRE(options_.hydraulic_step_s > 0.0, "hydraulic step must be positive");
+  AQUA_REQUIRE(std::isfinite(options_.duration_s) && options_.duration_s > 0.0,
+               "duration must be positive and finite");
+  AQUA_REQUIRE(std::isfinite(options_.hydraulic_step_s) && options_.hydraulic_step_s > 0.0,
+               "hydraulic step must be positive and finite");
+  // num_steps() converts the step count to size_t, which must hold it.
+  AQUA_REQUIRE(options_.duration_s / options_.hydraulic_step_s <
+                   static_cast<double>(std::numeric_limits<std::size_t>::max()),
+               "duration / hydraulic step is too many steps");
   AQUA_REQUIRE(options_.pattern_step_s > 0.0, "pattern step must be positive");
   network_.validate();
   network_.clear_emitters();

@@ -40,11 +40,10 @@ double initial_flow(const Link& link) {
 }
 
 /// Flow-independent head-loss coefficients of every link of `network`.
-std::vector<LossCoefficients> loss_coefficients_of(const Network& network,
-                                                   HeadLossModel model) {
+std::vector<LossCoefficients> loss_coefficients_of(const Network& network) {
   std::vector<LossCoefficients> coefficients(network.num_links());
   for (LinkId l = 0; l < network.num_links(); ++l) {
-    coefficients[l] = link_loss_coefficients(network.link(l), model);
+    coefficients[l] = link_loss_coefficients(network.link(l));
   }
   return coefficients;
 }
@@ -61,7 +60,7 @@ GgaSolver::GgaSolver(const Network& network, SolverOptions options)
     : network_(network), options_(options) {
   network_.validate();
   assembly_ = build_assembly();
-  loss_coefficients_ = loss_coefficients_of(network_, options_.headloss);
+  loss_coefficients_ = loss_coefficients_of(network_);
 
   // Workspace: the one-and-only copy of the pattern plus every buffer the
   // Newton loop needs, so solve() is allocation-free in steady state.
@@ -101,7 +100,7 @@ GgaSolver::GgaSolver(const Network& network, const GgaSolver& prototype)
   }
   // Geometry may differ from the prototype's (roughness, diameters), so
   // the coefficients come from the network this solver binds.
-  loss_coefficients_ = loss_coefficients_of(network_, options_.headloss);
+  loss_coefficients_ = loss_coefficients_of(network_);
 }
 
 bool GgaSolver::solve_linear_system(std::string* why) const {
@@ -135,8 +134,7 @@ void GgaSolver::probe_outflow_response(const HydraulicState& state,
   auto values = ws.matrix.values();
   for (LinkId l = 0; l < m; ++l) {
     const Link& link = network_.link(l);
-    const LossGradient lg =
-        link_loss(link, loss_coefficients_[l], state.flow[l], options_.headloss);
+    const LossGradient lg = link_loss(link, loss_coefficients_[l], state.flow[l]);
     ws.p[l] = 1.0 / lg.gradient;
     const auto& slots = assembly_.link_slots[l];
     const std::size_t rf = assembly_.row_of_node[link.from];
@@ -297,8 +295,7 @@ HydraulicState GgaSolver::solve(const std::vector<double>& demands,
     // Link stamps.
     for (LinkId l = 0; l < m; ++l) {
       const Link& link = network_.link(l);
-      const LossGradient lg =
-          link_loss(link, loss_coefficients_[l], state.flow[l], options_.headloss);
+      const LossGradient lg = link_loss(link, loss_coefficients_[l], state.flow[l]);
       p[l] = 1.0 / lg.gradient;
       y[l] = state.flow[l] - lg.loss / lg.gradient;
       const auto& slots = assembly_.link_slots[l];

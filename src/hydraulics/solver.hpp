@@ -29,7 +29,6 @@
 namespace aqua::hydraulics {
 
 struct SolverOptions {
-  HeadLossModel headloss = HeadLossModel::kHazenWilliams;
   std::size_t max_iterations = 600;
   /// Convergence: sum of |flow change| over sum of |flow| (EPANET ACCURACY).
   double accuracy = 1e-4;

@@ -113,10 +113,6 @@ ArtifactReader::ArtifactReader(std::istream& in) : bytes_(read_all(in)) {
   }
 }
 
-bool ArtifactReader::has_section(const std::string& name) const {
-  return sections_.count(name) != 0;
-}
-
 BinaryReader ArtifactReader::section(const std::string& name) const {
   const auto it = sections_.find(name);
   if (it == sections_.end()) {

@@ -72,7 +72,6 @@ class ArtifactReader {
   explicit ArtifactReader(std::istream& in);
 
   std::uint32_t version() const noexcept { return version_; }
-  bool has_section(const std::string& name) const;
 
   /// Reader over a section's payload; throws if the section is absent. The
   /// returned reader views memory owned by this ArtifactReader.

@@ -147,12 +147,6 @@ void SparseLdlt::solve(std::span<const double> b, std::span<double> x) {
   for (std::size_t k = 0; k < n; ++k) x[perm_[k]] = work_[k];
 }
 
-std::vector<double> SparseLdlt::solve(std::span<const double> b) {
-  std::vector<double> x(dimension(), 0.0);
-  solve(b, x);
-  return x;
-}
-
 void SparseLdlt::solve_block(std::span<const double> b, std::span<double> x, std::size_t nrhs) {
   const std::size_t n = dimension();
   AQUA_REQUIRE(factorized_, "solve_block before factorize");

@@ -52,9 +52,6 @@ class SparseLdlt {
   /// alias and both have dimension() elements.
   void solve(std::span<const double> b, std::span<double> x);
 
-  /// Convenience allocating overload.
-  std::vector<double> solve(std::span<const double> b);
-
   /// Solves A X = B for `nrhs` right-hand sides sharing the current
   /// factorization. `b` and `x` hold nrhs vectors of dimension() entries
   /// each, each vector contiguous (sizes nrhs * dimension()); they must

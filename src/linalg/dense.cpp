@@ -9,68 +9,6 @@ namespace aqua::linalg {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Vector matvec(const Matrix& a, std::span<const double> x) {
-  AQUA_REQUIRE(a.cols() == x.size(), "matvec dimension mismatch");
-  Vector y(a.rows(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const auto row = a.row(r);
-    double sum = 0.0;
-    for (std::size_t c = 0; c < row.size(); ++c) sum += row[c] * x[c];
-    y[r] = sum;
-  }
-  return y;
-}
-
-Vector matvec_transpose(const Matrix& a, std::span<const double> x) {
-  AQUA_REQUIRE(a.rows() == x.size(), "matvec_transpose dimension mismatch");
-  Vector y(a.cols(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const auto row = a.row(r);
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t c = 0; c < row.size(); ++c) y[c] += row[c] * xr;
-  }
-  return y;
-}
-
-Matrix gram(const Matrix& a) {
-  Matrix g(a.cols(), a.cols(), 0.0);
-  // Accumulate row outer products: better locality than column dot products.
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const auto row = a.row(r);
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      const double ri = row[i];
-      if (ri == 0.0) continue;
-      for (std::size_t j = i; j < row.size(); ++j) g(i, j) += ri * row[j];
-    }
-  }
-  for (std::size_t i = 0; i < g.rows(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) g(i, j) = g(j, i);
-  }
-  return g;
-}
-
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  AQUA_REQUIRE(a.cols() == b.rows(), "matmul dimension mismatch");
-  Matrix c(a.rows(), b.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      const auto brow = b.row(k);
-      auto crow = c.row(i);
-      for (std::size_t j = 0; j < brow.size(); ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return c;
-}
-
 double dot(std::span<const double> x, std::span<const double> y) {
   AQUA_REQUIRE(x.size() == y.size(), "dot dimension mismatch");
   double sum = 0.0;
@@ -84,50 +22,5 @@ void axpy(double alpha, std::span<const double> y, std::span<double> x) {
 }
 
 double norm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
-
-Matrix cholesky(Matrix a) {
-  AQUA_REQUIRE(a.rows() == a.cols(), "cholesky requires a square matrix");
-  const std::size_t n = a.rows();
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= a(j, k) * a(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) {
-      throw SolverError("cholesky: matrix is not positive definite at column " +
-                        std::to_string(j));
-    }
-    const double ljj = std::sqrt(diag);
-    a(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double sum = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= a(i, k) * a(j, k);
-      a(i, j) = sum / ljj;
-    }
-    for (std::size_t c = j + 1; c < n; ++c) a(j, c) = 0.0;  // keep strictly lower form
-  }
-  return a;
-}
-
-Vector cholesky_solve(const Matrix& lower, std::span<const double> b) {
-  AQUA_REQUIRE(lower.rows() == b.size(), "cholesky_solve dimension mismatch");
-  const std::size_t n = lower.rows();
-  Vector y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= lower(i, k) * y[k];
-    y[i] = sum / lower(i, i);
-  }
-  Vector x(n, 0.0);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double sum = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= lower(k, i) * x[k];
-    x[i] = sum / lower(i, i);
-  }
-  return x;
-}
-
-Vector solve_spd(Matrix a, std::span<const double> b) {
-  return cholesky_solve(cholesky(std::move(a)), b);
-}
 
 }  // namespace aqua::linalg

@@ -1,7 +1,6 @@
-// Dense linear algebra: a row-major matrix plus the handful of vector and
-// matrix operations the ML substrate needs (normal equations, IRLS,
-// standardization). Dimensions here are small (features x features), so a
-// straightforward cache-friendly implementation is appropriate.
+// Dense linear algebra: the row-major matrix that holds ML feature rows,
+// and the vector kernels (dot, axpy, norm2) of the conjugate-gradient
+// oracle (solvers.hpp).
 #pragma once
 
 #include <cstddef>
@@ -9,8 +8,6 @@
 #include <vector>
 
 namespace aqua::linalg {
-
-using Vector = std::vector<double>;
 
 /// Row-major dense matrix.
 class Matrix {
@@ -33,25 +30,11 @@ class Matrix {
   const std::vector<double>& data() const noexcept { return data_; }
   std::vector<double>& data() noexcept { return data_; }
 
-  static Matrix identity(std::size_t n);
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// y = A x (rows(A) == y.size(), cols(A) == x.size()).
-Vector matvec(const Matrix& a, std::span<const double> x);
-
-/// y = A^T x.
-Vector matvec_transpose(const Matrix& a, std::span<const double> x);
-
-/// C = A^T A (Gram matrix), the core of ridge normal equations.
-Matrix gram(const Matrix& a);
-
-/// C = A B.
-Matrix matmul(const Matrix& a, const Matrix& b);
 
 /// Dot product; spans must have equal length.
 double dot(std::span<const double> x, std::span<const double> y);
@@ -61,15 +44,5 @@ void axpy(double alpha, std::span<const double> y, std::span<double> x);
 
 /// Euclidean norm.
 double norm2(std::span<const double> x);
-
-/// In-place Cholesky factorization A = L L^T of an SPD matrix; returns the
-/// lower factor. Throws SolverError if A is not (numerically) SPD.
-Matrix cholesky(Matrix a);
-
-/// Solves A x = b given the lower Cholesky factor L.
-Vector cholesky_solve(const Matrix& lower, std::span<const double> b);
-
-/// Convenience: solve SPD system A x = b (factors internally).
-Vector solve_spd(Matrix a, std::span<const double> b);
 
 }  // namespace aqua::linalg

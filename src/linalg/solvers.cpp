@@ -28,8 +28,15 @@ CgResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
 
   // Jacobi preconditioner M = diag(A); rows without a (nonzero) stored
   // diagonal get weight 1.
-  std::vector<double> inv_diag = a.diagonal();
-  for (double& d : inv_diag) d = (d != 0.0) ? 1.0 / d : 1.0;
+  std::vector<double> inv_diag(n, 1.0);
+  const auto row_ptr = a.row_pointers();
+  const auto col = a.column_indices();
+  const auto val = a.values();
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      if (col[k] == r && val[k] != 0.0) inv_diag[r] = 1.0 / val[k];
+    }
+  }
 
   std::vector<double> r(n), z(n), p(n), ap(n);
   a.multiply_into(x, r);

@@ -6,12 +6,6 @@
 
 namespace aqua::linalg {
 
-std::vector<double> CsrMatrix::multiply(std::span<const double> x) const {
-  std::vector<double> y(rows(), 0.0);
-  multiply_into(x, y);
-  return y;
-}
-
 void CsrMatrix::multiply_into(std::span<const double> x, std::span<double> y) const {
   AQUA_REQUIRE(x.size() == rows(), "CSR multiply dimension mismatch");
   AQUA_REQUIRE(y.size() == rows(), "CSR multiply output dimension mismatch");
@@ -23,37 +17,6 @@ void CsrMatrix::multiply_into(std::span<const double> x, std::span<double> y) co
     }
     y[r] = sum;
   }
-}
-
-std::vector<double> CsrMatrix::diagonal() const {
-  std::vector<double> diag(rows(), 0.0);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      if (col_idx_[k] == r) diag[r] = values_[k];
-    }
-  }
-  return diag;
-}
-
-double& CsrMatrix::at(std::size_t row, std::size_t col) {
-  AQUA_REQUIRE(row < rows(), "CSR row out of range");
-  const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row]);
-  const auto end = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row + 1]);
-  const auto it = std::lower_bound(begin, end, col);
-  if (it == end || *it != col) {
-    throw NotFound("CSR entry (" + std::to_string(row) + "," + std::to_string(col) +
-                   ") not in sparsity pattern");
-  }
-  return values_[static_cast<std::size_t>(it - col_idx_.begin())];
-}
-
-double CsrMatrix::value_or_zero(std::size_t row, std::size_t col) const noexcept {
-  if (row >= rows()) return 0.0;
-  const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row]);
-  const auto end = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[row + 1]);
-  const auto it = std::lower_bound(begin, end, col);
-  if (it == end || *it != col) return 0.0;
-  return values_[static_cast<std::size_t>(it - col_idx_.begin())];
 }
 
 void CsrMatrix::zero_values() noexcept { std::fill(values_.begin(), values_.end(), 0.0); }

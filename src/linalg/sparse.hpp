@@ -18,21 +18,9 @@ class CsrMatrix {
   std::size_t rows() const noexcept { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   std::size_t nnz() const noexcept { return values_.size(); }
 
-  /// y = A x.
-  std::vector<double> multiply(std::span<const double> x) const;
-
-  /// y = A x into caller storage (`y.size() == rows()`); the hot-path
-  /// variant used by the allocation-free solvers. `x` and `y` must not
-  /// alias.
+  /// y = A x into caller storage (`y.size() == rows()`). `x` and `y` must
+  /// not alias.
   void multiply_into(std::span<const double> x, std::span<double> y) const;
-
-  /// Diagonal entries (0 where a row has no stored diagonal).
-  std::vector<double> diagonal() const;
-
-  /// Mutable access to the value at (row, col); throws NotFound when the
-  /// entry is not in the sparsity pattern.
-  double& at(std::size_t row, std::size_t col);
-  double value_or_zero(std::size_t row, std::size_t col) const noexcept;
 
   /// Sets every stored value to zero, keeping the pattern (the hydraulic
   /// solver refills the same pattern every Newton iteration).

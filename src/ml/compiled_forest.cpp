@@ -165,11 +165,4 @@ void CompiledForest::accumulate_tile(const double* const* rows, std::size_t coun
   for (std::size_t i = 0; i < count; ++i) acc[i] = accumulate_row(rows[i], acc[i]);
 }
 
-double CompiledForest::accumulate(std::span<const double> x, double init) const {
-  const double* row = x.data();
-  double acc = init;
-  accumulate_tile(&row, 1, &acc);
-  return acc;
-}
-
 }  // namespace aqua::ml

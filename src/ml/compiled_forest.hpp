@@ -81,9 +81,6 @@ class CompiledForest {
   /// its trees read.
   void accumulate_tile(const double* const* rows, std::size_t count, double* acc) const;
 
-  /// Single-row convenience over accumulate_tile (tests, oracles).
-  double accumulate(std::span<const double> x, double init) const;
-
  private:
   /// One internal node. A child reference >= 0 is a node of the same
   /// tree (relative to Tree::nodes); a negative one c is the tree's leaf

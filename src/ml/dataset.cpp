@@ -15,27 +15,6 @@ Labels MultiLabelDataset::label_column(std::size_t label_index) const {
   return column;
 }
 
-void MultiLabelDataset::append(const MultiLabelDataset& other) {
-  AQUA_REQUIRE(other.num_features() == num_features() || num_samples() == 0,
-               "appending dataset with a different feature schema");
-  AQUA_REQUIRE(other.num_labels() == num_labels() || num_samples() == 0,
-               "appending dataset with a different label schema");
-  if (num_samples() == 0) {
-    *this = other;
-    return;
-  }
-  Matrix merged(num_samples() + other.num_samples(), num_features());
-  for (std::size_t r = 0; r < num_samples(); ++r) {
-    std::copy(features.row(r).begin(), features.row(r).end(), merged.row(r).begin());
-  }
-  for (std::size_t r = 0; r < other.num_samples(); ++r) {
-    std::copy(other.features.row(r).begin(), other.features.row(r).end(),
-              merged.row(num_samples() + r).begin());
-  }
-  features = std::move(merged);
-  labels.insert(labels.end(), other.labels.begin(), other.labels.end());
-}
-
 void MultiLabelDataset::check() const {
   AQUA_REQUIRE(labels.size() == features.rows(), "label rows must match feature rows");
   for (const auto& row : labels) {
@@ -45,36 +24,6 @@ void MultiLabelDataset::check() const {
   for (double v : features.data()) {
     AQUA_REQUIRE(std::isfinite(v), "non-finite feature value");
   }
-}
-
-std::pair<MultiLabelDataset, MultiLabelDataset> train_test_split(const MultiLabelDataset& data,
-                                                                 double test_fraction,
-                                                                 std::uint64_t seed) {
-  AQUA_REQUIRE(test_fraction > 0.0 && test_fraction < 1.0, "test fraction must be in (0,1)");
-  const std::size_t n = data.num_samples();
-  AQUA_REQUIRE(n >= 2, "need at least two samples to split");
-  auto test_count = static_cast<std::size_t>(std::lround(test_fraction * static_cast<double>(n)));
-  test_count = std::clamp<std::size_t>(test_count, 1, n - 1);
-
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  Rng rng(seed);
-  rng.shuffle(order);
-
-  auto take = [&](std::size_t begin, std::size_t end) {
-    MultiLabelDataset subset;
-    subset.features = Matrix(end - begin, data.num_features());
-    subset.labels.reserve(end - begin);
-    subset.feature_names = data.feature_names;
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t src = order[i];
-      std::copy(data.features.row(src).begin(), data.features.row(src).end(),
-                subset.features.row(i - begin).begin());
-      subset.labels.push_back(data.labels[src]);
-    }
-    return subset;
-  };
-  return {take(test_count, n), take(0, test_count)};
 }
 
 void StandardScaler::fit(const Matrix& x) {

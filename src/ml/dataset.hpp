@@ -38,17 +38,9 @@ struct MultiLabelDataset {
   /// Column of label matrix for one node.
   Labels label_column(std::size_t label_index) const;
 
-  /// Appends another dataset's samples (schemas must match).
-  void append(const MultiLabelDataset& other);
-
   /// Validates internal consistency; throws InvalidArgument on violation.
   void check() const;
 };
-
-/// Deterministic shuffled split into train/test (test_fraction in (0,1)).
-std::pair<MultiLabelDataset, MultiLabelDataset> train_test_split(const MultiLabelDataset& data,
-                                                                 double test_fraction,
-                                                                 std::uint64_t seed = 7);
 
 /// Column-wise standardization fitted on a training matrix and applied to
 /// any matrix/vector with the same schema. Constant columns map to 0.

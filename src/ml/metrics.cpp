@@ -24,16 +24,6 @@ double mean_hamming_score(const std::vector<Labels>& predicted,
   return sum / static_cast<double>(predicted.size());
 }
 
-double subset_accuracy(const std::vector<Labels>& predicted, const std::vector<Labels>& truth) {
-  AQUA_REQUIRE(predicted.size() == truth.size(), "sample count mismatch");
-  AQUA_REQUIRE(!predicted.empty(), "no samples");
-  std::size_t exact = 0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    exact += static_cast<std::size_t>(predicted[i] == truth[i]);
-  }
-  return static_cast<double>(exact) / static_cast<double>(predicted.size());
-}
-
 PrecisionRecall micro_precision_recall(const std::vector<Labels>& predicted,
                                        const std::vector<Labels>& truth) {
   AQUA_REQUIRE(predicted.size() == truth.size(), "sample count mismatch");
@@ -56,16 +46,6 @@ PrecisionRecall micro_precision_recall(const std::vector<Labels>& predicted,
                ? 2.0 * out.precision * out.recall / (out.precision + out.recall)
                : 0.0;
   return out;
-}
-
-double binary_accuracy(const Labels& predicted, const Labels& truth) {
-  AQUA_REQUIRE(predicted.size() == truth.size(), "label arity mismatch");
-  AQUA_REQUIRE(!predicted.empty(), "no labels");
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    correct += static_cast<std::size_t>((predicted[i] != 0) == (truth[i] != 0));
-  }
-  return static_cast<double>(correct) / static_cast<double>(predicted.size());
 }
 
 double detection_hit_rate(const std::vector<Labels>& predicted,

@@ -19,9 +19,6 @@ double hamming_score(const Labels& predicted, const Labels& truth);
 /// Mean Hamming score across samples.
 double mean_hamming_score(const std::vector<Labels>& predicted, const std::vector<Labels>& truth);
 
-/// Standard binary-classification accuracy over flattened labels.
-double subset_accuracy(const std::vector<Labels>& predicted, const std::vector<Labels>& truth);
-
 struct PrecisionRecall {
   double precision = 0.0;
   double recall = 0.0;
@@ -34,9 +31,6 @@ struct PrecisionRecall {
 /// Micro-averaged precision/recall/F1 over all samples and labels.
 PrecisionRecall micro_precision_recall(const std::vector<Labels>& predicted,
                                        const std::vector<Labels>& truth);
-
-/// Classification metrics for one binary label vector.
-double binary_accuracy(const Labels& predicted, const Labels& truth);
 
 /// Detection hit rate: the fraction of samples whose prediction overlaps
 /// the truth at all (|pred ∧ true| > 0) — "did Phase II point at least one

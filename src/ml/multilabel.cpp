@@ -73,13 +73,6 @@ std::vector<double> MultiLabelModel::predict_proba(std::span<const double> x) co
   return probabilities;
 }
 
-Labels MultiLabelModel::predict(std::span<const double> x) const {
-  const std::vector<double> probabilities = predict_proba(x);
-  Labels labels(probabilities.size());
-  for (std::size_t v = 0; v < labels.size(); ++v) labels[v] = probabilities[v] > 0.5 ? 1 : 0;
-  return labels;
-}
-
 void MultiLabelModel::predict_proba_batch_into(const Matrix& x, Matrix& out,
                                                bool parallel) const {
   AQUA_REQUIRE(fitted(), "predict on unfitted model");

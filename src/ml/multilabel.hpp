@@ -50,9 +50,6 @@ class MultiLabelModel {
   /// predict_proba: per-label P(y_v = 1 | x).
   std::vector<double> predict_proba(std::span<const double> x) const;
 
-  /// predict: the leak set S = {v : p_v(1) > p_v(0)} as a 0/1 vector.
-  Labels predict(std::span<const double> x) const;
-
   /// Batched predict_proba over stacked feature rows: `out` becomes
   /// rows x num_labels. Every fitted label accepts the first fitted
   /// label's input map (one prototype and one store make it so after fit,

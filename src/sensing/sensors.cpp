@@ -56,20 +56,6 @@ NoiseModel NoiseModel::load(io::BinaryReader& reader) {
   return noise;
 }
 
-const char* sensor_fault_kind_name(SensorFaultKind kind) {
-  switch (kind) {
-    case SensorFaultKind::kDropout:
-      return "dropout";
-    case SensorFaultKind::kStuckAt:
-      return "stuck_at";
-    case SensorFaultKind::kDrift:
-      return "drift";
-    case SensorFaultKind::kBias:
-      return "bias";
-  }
-  return "unknown";
-}
-
 std::vector<SensorFault> resolve_sensor_faults(std::span<const SensorFaultDraw> draws,
                                                std::size_t sensor_count) {
   AQUA_REQUIRE(sensor_count > 0 || draws.empty(),

@@ -80,8 +80,6 @@ enum class SensorFaultKind : std::uint8_t {
   kBias,     // adversarial offset: reading -> reading + value
 };
 
-const char* sensor_fault_kind_name(SensorFaultKind kind);
-
 /// One faulted channel of a concrete deployment. `sensor` indexes the
 /// SensorSet order; the fault is active for slots >= start_slot and `value`
 /// is in the sensor's native unit (m for pressure, m^3/s for flow; per slot

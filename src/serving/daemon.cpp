@@ -77,10 +77,6 @@ ServingDaemon::District& ServingDaemon::district_at(std::size_t district) const 
   return *districts_[district];
 }
 
-const std::string& ServingDaemon::district_name(std::size_t district) const {
-  return district_at(district).config.name;
-}
-
 std::uint64_t ServingDaemon::submit(std::size_t district, core::InferenceInputs inputs,
                                     double event_seconds) {
   District& dist = district_at(district);
@@ -128,15 +124,6 @@ void ServingDaemon::swap_model(std::size_t district, std::shared_ptr<const Model
   dist.stats.add_count(kCounterSwaps, 1);
 }
 
-std::shared_ptr<const ModelBundle> ServingDaemon::model(std::size_t district) const {
-  return district_at(district).bundle.load();
-}
-
-void ServingDaemon::pause() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  paused_ = true;
-}
-
 void ServingDaemon::resume() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -156,22 +143,6 @@ void ServingDaemon::drain() {
 
 telemetry::StageTimes ServingDaemon::district_telemetry(std::size_t district) const {
   return district_at(district).stats.snapshot();
-}
-
-std::uint64_t ServingDaemon::submitted_count(std::size_t district) const {
-  return district_at(district).stats.count(kCounterSubmitted);
-}
-
-std::uint64_t ServingDaemon::served_count(std::size_t district) const {
-  return district_at(district).stats.count(kCounterServed);
-}
-
-std::uint64_t ServingDaemon::shed_count(std::size_t district) const {
-  return district_at(district).stats.count(kCounterShed);
-}
-
-std::uint64_t ServingDaemon::failed_count(std::size_t district) const {
-  return district_at(district).stats.count(kCounterFailed);
 }
 
 std::vector<std::pair<std::string, double>> ServingDaemon::metrics() const {

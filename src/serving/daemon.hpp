@@ -165,7 +165,6 @@ class ServingDaemon {
   ServingDaemon& operator=(const ServingDaemon&) = delete;
 
   std::size_t num_districts() const noexcept { return districts_.size(); }
-  const std::string& district_name(std::size_t district) const;
 
   /// Admits a timestamped event into a district's queue and returns its
   /// per-district sequence number. `event_seconds` is an arbitrary caller
@@ -187,12 +186,8 @@ class ServingDaemon {
   /// admitted request stays valid for whichever bundle serves it.
   void swap_model(std::size_t district, std::shared_ptr<const ModelBundle> bundle);
 
-  /// The district's currently published bundle.
-  std::shared_ptr<const ModelBundle> model(std::size_t district) const;
-
-  /// Pause/resume batch consumption (admission keeps running; a paused
-  /// daemon sheds once queues fill).
-  void pause();
+  /// Starts batch consumption of a daemon constructed with
+  /// ServingDaemonOptions::paused.
   void resume();
 
   /// Blocks until every queue is empty and no batch is in flight. Only
@@ -203,11 +198,6 @@ class ServingDaemon {
   /// Per-district telemetry snapshot (daemon schema: queue/infer stages,
   /// admission counters).
   telemetry::StageTimes district_telemetry(std::size_t district) const;
-
-  std::uint64_t submitted_count(std::size_t district) const;
-  std::uint64_t served_count(std::size_t district) const;
-  std::uint64_t shed_count(std::size_t district) const;
-  std::uint64_t failed_count(std::size_t district) const;
 
   /// Flat metric pairs for every district, prefixed
   /// "district.<name>.<metric>", ready for bench_util::json_report.

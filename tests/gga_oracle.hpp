@@ -36,7 +36,7 @@ inline HydraulicState expect_satisfies_network_equations(const Network& net) {
   for (LinkId l = 0; l < net.num_links(); ++l) {
     const Link& link = net.link(l);
     const double q = state.flow[l];
-    const double loss = link_loss(link, q, options.headloss).loss;
+    const double loss = link_loss(link, q).loss;
     worst_energy =
         std::max(worst_energy, std::abs(state.head[link.from] - state.head[link.to] - loss));
     balance[link.to] += q;

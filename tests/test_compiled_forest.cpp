@@ -89,12 +89,14 @@ TEST(CompiledForest, AccumulateMatchesScaledTreeSumOracle) {
   for (std::size_t i = 0; i < tx.rows(); ++i) {
     double want = 0.25;  // nonzero init must pass through untouched
     for (const auto& tree : trees) want += scale * tree.predict(tx.row(i));
-    const double got = forest.accumulate(tx.row(i), 0.25);
+    const double* row = tx.row(i).data();
+    double got = 0.25;
+    forest.accumulate_tile(&row, 1, &got);
     expect_same_bits(got, want, "row " + std::to_string(i));
   }
 }
 
-TEST(CompiledForest, PartialTilesMatchSingleRowAccumulate) {
+TEST(CompiledForest, PartialTilesMatchSingleRowTiles) {
   Rng rng(103);
   const auto [x, yb] = blobs(220, rng);
   std::vector<double> y(yb.begin(), yb.end());
@@ -109,13 +111,14 @@ TEST(CompiledForest, PartialTilesMatchSingleRowAccumulate) {
   (void)ty;
   std::array<const double*, CompiledForest::kTileRows> rows{};
   for (std::size_t i = 0; i < tx.rows(); ++i) rows[i] = tx.row(i).data();
-  // Every occupancy 1..kTileRows must agree with the one-row path.
+  // Every occupancy 1..kTileRows must agree with one-row tiles.
   for (std::size_t count = 1; count <= CompiledForest::kTileRows; ++count) {
     std::array<double, CompiledForest::kTileRows> acc{};
     forest.accumulate_tile(rows.data(), count, acc.data());
     for (std::size_t i = 0; i < count; ++i) {
-      expect_same_bits(acc[i], forest.accumulate(tx.row(i), 0.0),
-                       "count " + std::to_string(count) + " row " + std::to_string(i));
+      double one = 0.0;
+      forest.accumulate_tile(&rows[i], 1, &one);
+      expect_same_bits(acc[i], one, "count " + std::to_string(count) + " row " + std::to_string(i));
     }
   }
 }
@@ -180,7 +183,9 @@ void expect_kernel_matches_pointer_walk(std::span<const RegressionTree> trees, d
       const double want = pointer_walk_sum(trees, scale, x, init);
       const std::string where = what + " row " + std::to_string(begin + i);
       expect_same_bits(acc[i], want, where + " (tile)");
-      expect_same_bits(forest.accumulate(x, init), want, where + " (single row)");
+      double single = init;
+      forest.accumulate_tile(&rows[i], 1, &single);
+      expect_same_bits(single, want, where + " (single row)");
     }
   }
 }
@@ -318,7 +323,10 @@ TEST(CompiledForest, NonFiniteAndOnThresholdInputsMatchPointerWalk) {
     const std::vector<double> x(width, value);
     double want = 0.0;
     for (const auto& tree : trees) want += edge_leaf(tree, right);
-    expect_same_bits(forest.accumulate(x, 0.0), want, "all " + std::to_string(value));
+    const double* row = x.data();
+    double got = 0.0;
+    forest.accumulate_tile(&row, 1, &got);
+    expect_same_bits(got, want, "all " + std::to_string(value));
   }
 }
 

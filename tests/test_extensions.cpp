@@ -1,57 +1,14 @@
-// Tests for the future-work extensions implemented beyond the paper's
-// evaluated system: the Markov-chain weather model (Sec. III-C future
-// work) and greedy sensor-placement optimization (Sec. IV-A future work).
+// Tests for the future-work extension implemented beyond the paper's
+// evaluated system: greedy sensor-placement optimization (Sec. IV-A
+// future work).
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "common/error.hpp"
 #include "core/aquascale.hpp"
 
 namespace aqua {
 namespace {
-
-TEST(MarkovWeather, SnapsAreTemporallyClustered) {
-  const fusion::TemperatureModel seasonal;
-  const fusion::MarkovWeatherModel model(seasonal);
-  const auto series = model.sample_series_f(2000);
-  // Count cold days and cold->cold transitions within winter-ish spells.
-  std::size_t cold = 0, cold_after_cold = 0, cold_after_warm = 0;
-  for (std::size_t d = 1; d < series.size(); ++d) {
-    const bool was_cold = series[d - 1] < fusion::kFreezeThresholdF;
-    const bool is_cold = series[d] < fusion::kFreezeThresholdF;
-    cold += is_cold;
-    if (is_cold && was_cold) ++cold_after_cold;
-    if (is_cold && !was_cold) ++cold_after_warm;
-  }
-  ASSERT_GT(cold, 20u);
-  // Persistence: a cold day is more likely after a cold day than a warm
-  // one (the whole point of the Markov extension).
-  EXPECT_GT(cold_after_cold, cold_after_warm / 2);
-}
-
-TEST(MarkovWeather, StationaryProbabilityFormula) {
-  fusion::MarkovWeatherConfig config;
-  config.p_enter_snap = 0.1;
-  config.p_exit_snap = 0.4;
-  const fusion::MarkovWeatherModel model(fusion::TemperatureModel{}, config);
-  EXPECT_NEAR(model.stationary_snap_probability(), 0.2, 1e-12);
-  EXPECT_NEAR(model.mean_snap_length_days(), 2.5, 1e-12);
-}
-
-TEST(MarkovWeather, DeterministicSeries) {
-  const fusion::MarkovWeatherModel model(fusion::TemperatureModel{});
-  EXPECT_EQ(model.sample_series_f(100), model.sample_series_f(100));
-}
-
-TEST(MarkovWeather, Validation) {
-  fusion::MarkovWeatherConfig config;
-  config.p_enter_snap = 0.0;
-  EXPECT_THROW(fusion::MarkovWeatherModel(fusion::TemperatureModel{}, config), InvalidArgument);
-  config.p_enter_snap = 0.1;
-  config.p_exit_snap = 1.0;
-  EXPECT_THROW(fusion::MarkovWeatherModel(fusion::TemperatureModel{}, config), InvalidArgument);
-}
 
 class GreedyPlacementTest : public ::testing::Test {
  protected:

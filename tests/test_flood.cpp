@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "flood/dem.hpp"
@@ -161,6 +163,17 @@ TEST_F(FloodTest, Validation) {
   FloodOptions bad;
   bad.time_step_s = 0.0;
   EXPECT_THROW(simulate_flood(dem_, {}, bad), InvalidArgument);
+  // The step count duration / step is converted to size_t; an infinite or
+  // huge quotient has no such value.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> horizons[] = {
+      {inf, 2.0}, {1e300, 2.0}, {3600.0, 1e-300}, {3600.0, inf}};
+  for (const auto& [duration, step] : horizons) {
+    FloodOptions horizon;
+    horizon.duration_s = duration;
+    horizon.time_step_s = step;
+    EXPECT_THROW(simulate_flood(dem_, {}, horizon), InvalidArgument) << duration << " / " << step;
+  }
   FloodOptions options;
   EXPECT_THROW(simulate_flood(dem_, {{0.0, 0.0, -1.0}}, options), InvalidArgument);
 }

@@ -36,14 +36,6 @@ TEST(Eq4Printed, IsNotNormalized) {
   EXPECT_GT(std::abs(total - 1.0), 0.05);
 }
 
-TEST(PoissonPmf, NormalizedAndCorrect) {
-  double total = 0.0;
-  for (std::size_t k = 0; k < 100; ++k) total += poisson_pmf(k, 4.0);
-  EXPECT_NEAR(total, 1.0, 1e-9);
-  EXPECT_NEAR(poisson_pmf(0, 2.0), std::exp(-2.0), 1e-12);
-  EXPECT_NEAR(poisson_pmf(2, 2.0), 2.0 * std::exp(-2.0), 1e-12);
-}
-
 class TweetGeneratorTest : public ::testing::Test {
  protected:
   hydraulics::Network net_ = networks::make_wssc_subnet();

@@ -72,18 +72,27 @@ TEST(TemperatureModel, WinterColdSummerWarm) {
   EXPECT_LT(model.seasonal_mean_f(15), model.seasonal_mean_f(196));  // mid-Jan vs mid-Jul
 }
 
-TEST(TemperatureModel, SeriesIsDeterministic) {
-  const TemperatureModel model;
-  EXPECT_EQ(model.sample_series_f(100), model.sample_series_f(100));
-}
-
 TEST(TemperatureModel, ColdSnapsBelowThresholdOccur) {
   const TemperatureModel model;
-  const auto series = model.sample_series_f(365);
+  Rng rng(97);
   std::size_t cold_days = 0;
-  for (double t : series) cold_days += (t < kFreezeThresholdF);
+  for (std::size_t day = 0; day < 365; ++day) {
+    cold_days += (model.sample_day_f(day, rng) < kFreezeThresholdF);
+  }
   EXPECT_GT(cold_days, 0u);
   EXPECT_LT(cold_days, 120u);  // but winter does not last all year
+}
+
+TEST(BreakHistory, DeterministicPerSeed) {
+  const TemperatureModel temperature;
+  const FreezeModel freeze;
+  const auto a = simulate_break_history(temperature, freeze, 500, 200, 1.0, 7);
+  const auto b = simulate_break_history(temperature, freeze, 500, 200, 1.0, 7);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t d = 0; d < a.size(); ++d) {
+    EXPECT_EQ(a[d].temperature_f, b[d].temperature_f);
+    EXPECT_EQ(a[d].breaks, b[d].breaks);
+  }
 }
 
 TEST(BreakHistory, ColdDaysBreakMore) {

@@ -44,8 +44,8 @@ TEST(HazenWilliams, RejectsNonPositive) {
 
 TEST(LinkLoss, PipeLossIsOddInFlow) {
   const Link pipe = make_pipe();
-  const auto fwd = link_loss(pipe, 0.05, HeadLossModel::kHazenWilliams);
-  const auto bwd = link_loss(pipe, -0.05, HeadLossModel::kHazenWilliams);
+  const auto fwd = link_loss(pipe, 0.05);
+  const auto bwd = link_loss(pipe, -0.05);
   EXPECT_NEAR(fwd.loss, -bwd.loss, 1e-12);
   EXPECT_NEAR(fwd.gradient, bwd.gradient, 1e-12);
 }
@@ -53,7 +53,7 @@ TEST(LinkLoss, PipeLossIsOddInFlow) {
 TEST(LinkLoss, PipeLossMatchesPowerLaw) {
   const Link pipe = make_pipe();
   const double r = hazen_williams_resistance(pipe.length, pipe.diameter, pipe.roughness);
-  const auto lg = link_loss(pipe, 0.05, HeadLossModel::kHazenWilliams);
+  const auto lg = link_loss(pipe, 0.05);
   EXPECT_NEAR(lg.loss, r * std::pow(0.05, 1.852), 1e-9);
   EXPECT_NEAR(lg.gradient, 1.852 * r * std::pow(0.05, 0.852), 1e-9);
 }
@@ -61,16 +61,15 @@ TEST(LinkLoss, PipeLossMatchesPowerLaw) {
 TEST(LinkLoss, GradientAlwaysPositive) {
   const Link pipe = make_pipe();
   for (double q : {-0.5, -0.01, -1e-9, 0.0, 1e-9, 0.01, 0.5}) {
-    EXPECT_GT(link_loss(pipe, q, HeadLossModel::kHazenWilliams).gradient, 0.0) << "q=" << q;
-    EXPECT_GT(link_loss(pipe, q, HeadLossModel::kDarcyWeisbach).gradient, 0.0) << "q=" << q;
+    EXPECT_GT(link_loss(pipe, q).gradient, 0.0) << "q=" << q;
   }
 }
 
 TEST(LinkLoss, LossMonotoneInFlow) {
   const Link pipe = make_pipe();
-  double previous = link_loss(pipe, 0.0, HeadLossModel::kHazenWilliams).loss;
+  double previous = link_loss(pipe, 0.0).loss;
   for (double q = 0.001; q < 0.2; q += 0.005) {
-    const double loss = link_loss(pipe, q, HeadLossModel::kHazenWilliams).loss;
+    const double loss = link_loss(pipe, q).loss;
     EXPECT_GT(loss, previous);
     previous = loss;
   }
@@ -79,7 +78,7 @@ TEST(LinkLoss, LossMonotoneInFlow) {
 TEST(LinkLoss, ClosedLinkActsAsHugeResistance) {
   Link pipe = make_pipe();
   pipe.status = LinkStatus::kClosed;
-  const auto lg = link_loss(pipe, 0.01, HeadLossModel::kHazenWilliams);
+  const auto lg = link_loss(pipe, 0.01);
   EXPECT_GT(lg.gradient, 1e7);
   EXPECT_NEAR(lg.loss, lg.gradient * 0.01, 1e-6);
 }
@@ -89,23 +88,8 @@ TEST(LinkLoss, MinorLossAddsQuadraticTerm) {
   Link lossy = make_pipe();
   lossy.minor_loss = 10.0;
   const double q = 0.05;
-  EXPECT_GT(link_loss(lossy, q, HeadLossModel::kHazenWilliams).loss,
-            link_loss(plain, q, HeadLossModel::kHazenWilliams).loss);
-}
-
-TEST(LinkLoss, DarcyWeisbachReasonableMagnitude) {
-  // Compare the two friction laws at matched roughness semantics: HW C of
-  // ~130 corresponds to a fairly smooth main (DW roughness ~0.25 mm). They
-  // should agree within a factor of ~2 in the turbulent regime.
-  const double hw_loss = hazen_williams_resistance(100.0, 0.3, 130.0) * std::pow(0.05, 1.852);
-  const double dw_loss = darcy_weisbach_resistance(100.0, 0.3, 0.25, 0.05) * 0.05 * 0.05;
-  EXPECT_GT(dw_loss, 0.5 * hw_loss);
-  EXPECT_LT(dw_loss, 2.0 * hw_loss);
-}
-
-TEST(LinkLoss, DarcyWeisbachRougherPipeMoreLoss) {
-  EXPECT_GT(darcy_weisbach_resistance(100.0, 0.3, 1.5, 0.05),
-            darcy_weisbach_resistance(100.0, 0.3, 0.1, 0.05));
+  EXPECT_GT(link_loss(lossy, q).loss,
+            link_loss(plain, q).loss);
 }
 
 TEST(PumpCurve, HeadGainDecreasesWithFlow) {
@@ -119,7 +103,7 @@ TEST(PumpLoss, ForwardFlowGivesNegativeLoss) {
   Link pump;
   pump.type = LinkType::kPump;
   pump.pump = {50.0, 1000.0, 2.0};
-  const auto lg = link_loss(pump, 0.1, HeadLossModel::kHazenWilliams);
+  const auto lg = link_loss(pump, 0.1);
   EXPECT_NEAR(lg.loss, -(50.0 - 10.0), 1e-12);  // head gain of 40 m
 }
 
@@ -127,7 +111,7 @@ TEST(PumpLoss, ReverseFlowHeavilyPenalized) {
   Link pump;
   pump.type = LinkType::kPump;
   pump.pump = {50.0, 1000.0, 2.0};
-  const auto lg = link_loss(pump, -0.01, HeadLossModel::kHazenWilliams);
+  const auto lg = link_loss(pump, -0.01);
   EXPECT_GT(lg.gradient, 1e5);
 }
 
@@ -136,9 +120,9 @@ TEST(ValveLoss, SettingThrottles) {
   valve.type = LinkType::kValve;
   valve.diameter = 0.3;
   valve.valve_setting = 1.0;
-  const auto open = link_loss(valve, 0.05, HeadLossModel::kHazenWilliams);
+  const auto open = link_loss(valve, 0.05);
   valve.valve_setting = 20.0;
-  const auto throttled = link_loss(valve, 0.05, HeadLossModel::kHazenWilliams);
+  const auto throttled = link_loss(valve, 0.05);
   EXPECT_GT(throttled.loss, open.loss);
 }
 
@@ -155,12 +139,11 @@ TEST(ValveLoss, SettingThrottles) {
 /// Coefficients computed once and reused at every flow give exactly the
 /// bits of the composed link_loss, which computes them per call — the
 /// contract that lets GgaSolver hoist them out of its Newton loop.
-void expect_split_matches_composed(const Link& link, HeadLossModel model,
-                                   const std::vector<double>& flows) {
-  const LossCoefficients coefficients = link_loss_coefficients(link, model);
+void expect_split_matches_composed(const Link& link, const std::vector<double>& flows) {
+  const LossCoefficients coefficients = link_loss_coefficients(link);
   for (const double q : flows) {
-    const LossGradient split = link_loss(link, coefficients, q, model);
-    const LossGradient composed = link_loss(link, q, model);
+    const LossGradient split = link_loss(link, coefficients, q);
+    const LossGradient composed = link_loss(link, q);
     EXPECT_TRUE(bits_equal(split.loss, composed.loss)) << "loss at q=" << q;
     EXPECT_TRUE(bits_equal(split.gradient, composed.gradient)) << "gradient at q=" << q;
   }
@@ -171,16 +154,9 @@ const std::vector<double> kFlows = {-0.2, -0.05, -5e-7, 0.0, 3e-7, 0.05, 0.2};
 
 TEST(LossCoefficients, HazenWilliamsPipeSplitIsBitExact) {
   Link pipe = make_pipe();
-  expect_split_matches_composed(pipe, HeadLossModel::kHazenWilliams, kFlows);
+  expect_split_matches_composed(pipe, kFlows);
   pipe.minor_loss = 10.0;
-  expect_split_matches_composed(pipe, HeadLossModel::kHazenWilliams, kFlows);
-}
-
-TEST(LossCoefficients, DarcyWeisbachPipeSplitIsBitExact) {
-  Link pipe = make_pipe(100.0, 0.3, 0.3);  // DW roughness in mm
-  expect_split_matches_composed(pipe, HeadLossModel::kDarcyWeisbach, kFlows);
-  pipe.minor_loss = 10.0;
-  expect_split_matches_composed(pipe, HeadLossModel::kDarcyWeisbach, kFlows);
+  expect_split_matches_composed(pipe, kFlows);
 }
 
 TEST(LossCoefficients, ValveSplitIsBitExact) {
@@ -189,7 +165,7 @@ TEST(LossCoefficients, ValveSplitIsBitExact) {
   valve.diameter = 0.3;
   for (const double setting : {0.0, 5.0}) {  // 0 exercises the 0.1 floor
     valve.valve_setting = setting;
-    expect_split_matches_composed(valve, HeadLossModel::kHazenWilliams, kFlows);
+    expect_split_matches_composed(valve, kFlows);
   }
 }
 
@@ -197,29 +173,25 @@ TEST(LossCoefficients, PumpSplitIsBitExactForwardAndReverse) {
   Link pump;
   pump.type = LinkType::kPump;
   pump.pump = {50.0, 1000.0, 2.0};
-  expect_split_matches_composed(pump, HeadLossModel::kHazenWilliams, {-0.01, 0.0, 0.05, 0.1});
+  expect_split_matches_composed(pump, {-0.01, 0.0, 0.05, 0.1});
 }
 
 TEST(LossCoefficients, ClosedLinkSplitIsBitExact) {
   Link pipe = make_pipe();
   pipe.minor_loss = 10.0;
   pipe.status = LinkStatus::kClosed;
-  expect_split_matches_composed(pipe, HeadLossModel::kHazenWilliams, {-0.01, 0.0, 0.01});
+  expect_split_matches_composed(pipe, {-0.01, 0.0, 0.01});
 }
 
 TEST(LossCoefficients, AreTheFlowIndependentConstantsAndIgnoreStatus) {
   Link pipe = make_pipe();
   pipe.minor_loss = 10.0;
-  const LossCoefficients hw = link_loss_coefficients(pipe, HeadLossModel::kHazenWilliams);
+  const LossCoefficients hw = link_loss_coefficients(pipe);
   EXPECT_TRUE(bits_equal(hw.resistance, hazen_williams_resistance(100.0, 0.3, 120.0)));
   EXPECT_DOUBLE_EQ(hw.minor, 0.02517 * 10.0 / std::pow(0.3, 4));
-  // Darcy-Weisbach friction depends on flow, so only the minor loss hoists.
-  const LossCoefficients dw = link_loss_coefficients(pipe, HeadLossModel::kDarcyWeisbach);
-  EXPECT_EQ(dw.resistance, 0.0);
-  EXPECT_TRUE(bits_equal(dw.minor, hw.minor));
   // Status is read per evaluation, so toggling it needs no recomputation.
   pipe.status = LinkStatus::kClosed;
-  const LossCoefficients closed = link_loss_coefficients(pipe, HeadLossModel::kHazenWilliams);
+  const LossCoefficients closed = link_loss_coefficients(pipe);
   EXPECT_TRUE(bits_equal(closed.resistance, hw.resistance));
   EXPECT_TRUE(bits_equal(closed.minor, hw.minor));
 }

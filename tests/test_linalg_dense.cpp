@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "common/error.hpp"
+#include <vector>
 
 namespace aqua::linalg {
 namespace {
@@ -18,13 +16,6 @@ TEST(DenseMatrix, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(m(0, 1), -2.0);
 }
 
-TEST(DenseMatrix, Identity) {
-  const Matrix eye = Matrix::identity(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(eye(i, j), i == j ? 1.0 : 0.0);
-  }
-}
-
 TEST(DenseMatrix, RowSpanViewsData) {
   Matrix m(2, 2);
   m(1, 0) = 7.0;
@@ -34,68 +25,6 @@ TEST(DenseMatrix, RowSpanViewsData) {
   EXPECT_DOUBLE_EQ(m(1, 1), 9.0);
 }
 
-TEST(DenseOps, Matvec) {
-  Matrix a(2, 3);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(0, 2) = 3;
-  a(1, 0) = 4;
-  a(1, 1) = 5;
-  a(1, 2) = 6;
-  const Vector y = matvec(a, std::vector<double>{1.0, 0.0, -1.0});
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
-}
-
-TEST(DenseOps, MatvecTranspose) {
-  Matrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 3;
-  a(1, 1) = 4;
-  const Vector y = matvec_transpose(a, std::vector<double>{1.0, 1.0});
-  EXPECT_DOUBLE_EQ(y[0], 4.0);
-  EXPECT_DOUBLE_EQ(y[1], 6.0);
-}
-
-TEST(DenseOps, MatvecDimensionMismatchThrows) {
-  Matrix a(2, 3);
-  EXPECT_THROW(matvec(a, std::vector<double>{1.0}), InvalidArgument);
-}
-
-TEST(DenseOps, GramIsSymmetricAndCorrect) {
-  Matrix a(3, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 0;
-  a(1, 1) = 1;
-  a(2, 0) = -1;
-  a(2, 1) = 1;
-  const Matrix g = gram(a);
-  EXPECT_DOUBLE_EQ(g(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(g(1, 1), 6.0);
-  EXPECT_DOUBLE_EQ(g(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(g(1, 0), 1.0);
-}
-
-TEST(DenseOps, MatmulKnownProduct) {
-  Matrix a(2, 2), b(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 3;
-  a(1, 1) = 4;
-  b(0, 0) = 0;
-  b(0, 1) = 1;
-  b(1, 0) = 1;
-  b(1, 1) = 0;
-  const Matrix c = matmul(a, b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 4.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 3.0);
-}
-
 TEST(DenseOps, DotAxpyNorm) {
   std::vector<double> x{1.0, 2.0}, y{3.0, -1.0};
   EXPECT_DOUBLE_EQ(dot(x, y), 1.0);
@@ -103,72 +32,6 @@ TEST(DenseOps, DotAxpyNorm) {
   EXPECT_DOUBLE_EQ(x[0], 7.0);
   EXPECT_DOUBLE_EQ(x[1], 0.0);
   EXPECT_DOUBLE_EQ(norm2(std::vector<double>{3.0, 4.0}), 5.0);
-}
-
-TEST(Cholesky, FactorizesAndSolves) {
-  // SPD matrix A = [[4,2],[2,3]], b = [6,5] -> x = [1,1].
-  Matrix a(2, 2);
-  a(0, 0) = 4;
-  a(0, 1) = 2;
-  a(1, 0) = 2;
-  a(1, 1) = 3;
-  const Vector x = solve_spd(a, std::vector<double>{6.0, 5.0});
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 1.0, 1e-12);
-}
-
-TEST(Cholesky, LowerFactorReconstructs) {
-  Matrix a(3, 3);
-  const double vals[3][3] = {{6, 2, 1}, {2, 5, 2}, {1, 2, 4}};
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = vals[i][j];
-  }
-  const Matrix lower = cholesky(a);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      double sum = 0.0;
-      for (std::size_t k = 0; k < 3; ++k) sum += lower(i, k) * lower(j, k);
-      EXPECT_NEAR(sum, vals[i][j], 1e-12);
-    }
-  }
-}
-
-TEST(Cholesky, RejectsIndefinite) {
-  Matrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 2;
-  a(1, 1) = 1;  // eigenvalues 3, -1
-  EXPECT_THROW(cholesky(a), SolverError);
-}
-
-TEST(Cholesky, RejectsNonSquare) {
-  Matrix a(2, 3);
-  EXPECT_THROW(cholesky(a), InvalidArgument);
-}
-
-TEST(Cholesky, SolvesLargerRandomSpdSystem) {
-  const std::size_t n = 20;
-  Matrix a(n, n);
-  // A = B^T B + n*I is SPD.
-  Matrix b(n, n);
-  unsigned state = 12345;
-  auto next = [&state] {
-    state = state * 1664525u + 1013904223u;
-    return static_cast<double>(state % 1000) / 500.0 - 1.0;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) b(i, j) = next();
-  }
-  const Matrix g = gram(b);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = g(i, j) + (i == j ? n : 0.0);
-  }
-  std::vector<double> x_true(n);
-  for (std::size_t i = 0; i < n; ++i) x_true[i] = next();
-  const Vector rhs = matvec(a, x_true);
-  const Vector x = solve_spd(a, rhs);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 
 #include "common/error.hpp"
 
@@ -53,47 +52,6 @@ TEST(Dataset, CheckCatchesNonFiniteFeatures) {
   auto data = make_data(4);
   data.features(1, 1) = std::nan("");
   EXPECT_THROW(data.check(), InvalidArgument);
-}
-
-TEST(Dataset, AppendConcatenatesSamples) {
-  auto a = make_data(4);
-  const auto b = make_data(3);
-  a.append(b);
-  EXPECT_EQ(a.num_samples(), 7u);
-  EXPECT_DOUBLE_EQ(a.features(4, 0), b.features(0, 0));
-  EXPECT_EQ(a.labels[4], b.labels[0]);
-}
-
-TEST(Dataset, AppendToEmptyCopies) {
-  MultiLabelDataset empty;
-  empty.append(make_data(5));
-  EXPECT_EQ(empty.num_samples(), 5u);
-}
-
-TEST(Split, SizesAndDisjointness) {
-  const auto data = make_data(100);
-  const auto [train, test] = train_test_split(data, 0.2, 3);
-  EXPECT_EQ(test.num_samples(), 20u);
-  EXPECT_EQ(train.num_samples(), 80u);
-  // Feature rows are unique in make_data, so we can check disjointness.
-  std::set<double> train_keys, test_keys;
-  for (std::size_t r = 0; r < train.num_samples(); ++r) train_keys.insert(train.features(r, 0));
-  for (std::size_t r = 0; r < test.num_samples(); ++r) test_keys.insert(test.features(r, 0));
-  for (double k : test_keys) EXPECT_EQ(train_keys.count(k), 0u);
-  EXPECT_EQ(train_keys.size() + test_keys.size(), 100u);
-}
-
-TEST(Split, DeterministicGivenSeed) {
-  const auto data = make_data(50);
-  const auto [a_train, a_test] = train_test_split(data, 0.3, 9);
-  const auto [b_train, b_test] = train_test_split(data, 0.3, 9);
-  EXPECT_EQ(a_test.features.data(), b_test.features.data());
-}
-
-TEST(Split, Validation) {
-  const auto data = make_data(10);
-  EXPECT_THROW(train_test_split(data, 0.0), InvalidArgument);
-  EXPECT_THROW(train_test_split(data, 1.0), InvalidArgument);
 }
 
 TEST(Scaler, StandardizesColumns) {

@@ -43,12 +43,6 @@ TEST(MeanHamming, EmptyThrows) {
   EXPECT_THROW(mean_hamming_score({}, {}), InvalidArgument);
 }
 
-TEST(SubsetAccuracy, ExactMatchesOnly) {
-  const std::vector<Labels> pred{{1, 0}, {0, 1}, {1, 1}};
-  const std::vector<Labels> truth{{1, 0}, {1, 1}, {1, 1}};
-  EXPECT_NEAR(subset_accuracy(pred, truth), 2.0 / 3.0, 1e-12);
-}
-
 TEST(MicroPrf, CountsAggregateAcrossSamples) {
   const std::vector<Labels> pred{{1, 1, 0}, {0, 1, 0}};
   const std::vector<Labels> truth{{1, 0, 0}, {0, 1, 1}};
@@ -67,10 +61,6 @@ TEST(MicroPrf, NoPositivesAnywhere) {
   const auto prf = micro_precision_recall(pred, truth);
   EXPECT_DOUBLE_EQ(prf.precision, 1.0);
   EXPECT_DOUBLE_EQ(prf.recall, 1.0);
-}
-
-TEST(BinaryAccuracy, Fraction) {
-  EXPECT_DOUBLE_EQ(binary_accuracy({1, 0, 1, 1}, {1, 1, 1, 0}), 0.5);
 }
 
 }  // namespace

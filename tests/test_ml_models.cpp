@@ -13,7 +13,6 @@
 #include "ml/gradient_boosting.hpp"
 #include "ml/hybrid_rsl.hpp"
 #include "ml/linear_models.hpp"
-#include "ml/metrics.hpp"
 #include "ml/multilabel.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/svm.hpp"
@@ -68,6 +67,13 @@ std::pair<Matrix, Labels> imbalanced(std::size_t n, Rng& rng) {
   return {std::move(x), std::move(y)};
 }
 
+/// Fraction of the rows of `x` whose predicted class matches `y`.
+double accuracy(const BinaryClassifier& model, const Matrix& x, const Labels& y) {
+  std::size_t correct = 0;
+  for (std::size_t i = 0; i < x.rows(); ++i) correct += model.predict(x.row(i)) == (y[i] != 0);
+  return static_cast<double>(correct) / static_cast<double>(x.rows());
+}
+
 class EveryModel : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(EveryModel, SeparatesBlobs) {
@@ -77,9 +83,7 @@ TEST_P(EveryModel, SeparatesBlobs) {
   model->fit(x, y);
   Rng test_rng(12);
   const auto [tx, ty] = blobs(200, test_rng);
-  Labels pred(ty.size());
-  for (std::size_t i = 0; i < tx.rows(); ++i) pred[i] = model->predict(tx.row(i)) ? 1 : 0;
-  EXPECT_GT(binary_accuracy(pred, ty), 0.9) << GetParam().name;
+  EXPECT_GT(accuracy(*model, tx, ty), 0.9) << GetParam().name;
 }
 
 TEST_P(EveryModel, ProbabilitiesAreValid) {
@@ -167,7 +171,6 @@ TEST_P(EveryModel, SingleClassLabelsAreExactConstantsInAProfile) {
         const auto p = model->predict_proba(x.row(i));
         EXPECT_EQ(p[0], 0.0);
         EXPECT_EQ(p[1], 1.0);
-        EXPECT_EQ(model->predict(x.row(i))[1], 1);
       }
       for (const bool parallel : {false, true}) {
         Matrix batch;
@@ -224,9 +227,7 @@ TEST_P(EveryModel, CloneConfigProducesTrainableCopy) {
   auto original = GetParam().factory();
   auto clone = original->clone_config();
   clone->fit(x, y);
-  Labels pred(y.size());
-  for (std::size_t i = 0; i < x.rows(); ++i) pred[i] = clone->predict(x.row(i)) ? 1 : 0;
-  EXPECT_GT(binary_accuracy(pred, y), 0.85) << GetParam().name;
+  EXPECT_GT(accuracy(*clone, x, y), 0.85) << GetParam().name;
   EXPECT_EQ(clone->name(), original->name());
 }
 
@@ -274,9 +275,7 @@ TEST(Svm, LinearModeWorksToo) {
   const auto [x, y] = blobs(300, rng);
   SvmClassifier svm(config);
   svm.fit(x, y);
-  Labels pred(y.size());
-  for (std::size_t i = 0; i < x.rows(); ++i) pred[i] = svm.predict(x.row(i)) ? 1 : 0;
-  EXPECT_GT(binary_accuracy(pred, y), 0.9);
+  EXPECT_GT(accuracy(svm, x, y), 0.9);
 }
 
 TEST(Sigmoid, NumericallyStable) {
@@ -316,9 +315,6 @@ TEST(MultiLabel, TrainsPerLabelClassifiers) {
   ASSERT_TRUE(model.fitted());
   EXPECT_EQ(model.num_labels(), 2u);
   const std::vector<double> probe{0.8, -0.8};
-  const Labels pred = model.predict(probe);
-  EXPECT_EQ(pred[0], 1);
-  EXPECT_EQ(pred[1], 0);
   const auto probabilities = model.predict_proba(probe);
   EXPECT_GT(probabilities[0], 0.5);
   EXPECT_LT(probabilities[1], 0.5);
@@ -336,13 +332,13 @@ TEST(MultiLabel, BatchMatchesSingle) {
   }
   MultiLabelModel model([] { return std::make_unique<LinearRegressionClassifier>(); });
   model.fit(data);
-  // The batched path thresholded at 0.5 is predict(), row by row.
+  // The batched path is predict_proba(), row by row, bit for bit.
   Matrix proba;
   model.predict_proba_batch_into(data.features, proba, false);
   for (std::size_t i = 0; i < data.features.rows(); ++i) {
-    Labels batch(proba.cols());
-    for (std::size_t v = 0; v < proba.cols(); ++v) batch[v] = proba(i, v) > 0.5 ? 1 : 0;
-    EXPECT_EQ(batch, model.predict(data.features.row(i))) << "row " << i;
+    const std::vector<double> row = model.predict_proba(data.features.row(i));
+    const auto batch = proba.row(i);
+    EXPECT_EQ(std::vector<double>(batch.begin(), batch.end()), row) << "row " << i;
   }
 }
 
@@ -686,7 +682,7 @@ TEST(MultiLabel, RequiresFactoryAndData) {
   EXPECT_THROW(unset.fit(data), InvalidArgument);
   MultiLabelModel model([] { return std::make_unique<LinearRegressionClassifier>(); });
   std::vector<double> probe{1.0};
-  EXPECT_THROW(model.predict(probe), InvalidArgument);
+  EXPECT_THROW(model.predict_proba(probe), InvalidArgument);
 }
 
 }  // namespace

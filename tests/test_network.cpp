@@ -21,7 +21,7 @@ TEST(Network, BuildersPopulateCounts) {
   const Network net = tiny();
   EXPECT_EQ(net.num_nodes(), 3u);
   EXPECT_EQ(net.num_links(), 2u);
-  EXPECT_EQ(net.num_junctions(), 2u);
+  EXPECT_EQ(net.count_nodes(NodeType::kJunction), 2u);
   EXPECT_EQ(net.count_nodes(NodeType::kReservoir), 1u);
   EXPECT_EQ(net.count_links(LinkType::kPipe), 2u);
 }
@@ -36,8 +36,7 @@ TEST(Network, LookupByName) {
   EXPECT_EQ(net.node(net.node_id("B")).name, "B");
   EXPECT_EQ(net.link(net.link_id("P2")).name, "P2");
   EXPECT_THROW(net.node_id("missing"), NotFound);
-  EXPECT_FALSE(net.find_node("missing").has_value());
-  EXPECT_TRUE(net.find_link("P1").has_value());
+  EXPECT_THROW(net.link_id("missing"), NotFound);
 }
 
 TEST(Network, DuplicateNamesRejected) {
@@ -74,10 +73,11 @@ TEST(Network, TankLevelOrderingEnforced) {
 TEST(Network, EmitterOnlyAtJunctions) {
   Network net = tiny();
   EXPECT_THROW(net.set_emitter(net.node_id("R"), 0.001), InvalidArgument);
-  net.set_emitter(net.node_id("A"), 0.002);
-  EXPECT_EQ(net.leaky_nodes(), std::vector<NodeId>{net.node_id("A")});
+  const NodeId a = net.node_id("A");
+  net.set_emitter(a, 0.002);
+  EXPECT_DOUBLE_EQ(net.node(a).emitter_coefficient, 0.002);
   net.clear_emitters();
-  EXPECT_TRUE(net.leaky_nodes().empty());
+  for (const Node& n : net.nodes()) EXPECT_EQ(n.emitter_coefficient, 0.0);
 }
 
 TEST(Network, PatternDrivesDemand) {

@@ -24,7 +24,7 @@ TEST(EpaNet, PublishedElementCounts) {
   EXPECT_EQ(net.count_links(LinkType::kValve), 1u);
   EXPECT_EQ(net.count_nodes(NodeType::kTank), 3u);
   EXPECT_EQ(net.count_nodes(NodeType::kReservoir), 2u);
-  EXPECT_EQ(net.num_junctions(), 91u);
+  EXPECT_EQ(net.count_nodes(NodeType::kJunction), 91u);
 }
 
 TEST(WsscSubnet, PublishedElementCounts) {

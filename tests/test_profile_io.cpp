@@ -95,7 +95,6 @@ void expect_bit_identical(const ProfileModel& original, const ProfileModel& load
       EXPECT_EQ(std::bit_cast<std::uint64_t>(pa[l]), std::bit_cast<std::uint64_t>(pb[l]))
           << "row " << i << " label " << l;
     }
-    EXPECT_EQ(original.model.predict(row), loaded.model.predict(row)) << "row " << i;
   }
 }
 

@@ -20,12 +20,6 @@ namespace {
 
 constexpr double kSlot = 900.0;
 
-hydraulics::LinkId link_named(const hydraulics::Network& net, const std::string& name) {
-  const auto id = net.find_link(name);
-  EXPECT_TRUE(id.has_value()) << "missing link " << name;
-  return *id;
-}
-
 bool snapshots_identical(const SnapshotBatch& a, const SnapshotBatch& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -44,7 +38,7 @@ bool snapshots_identical(const SnapshotBatch& a, const SnapshotBatch& b) {
 
 TEST(OperationalEvents, PumpOutageZeroesFlowDuringWindowOnly) {
   const auto net = networks::make_epa_net();
-  const auto pump = link_named(net, "PU1");
+  const auto pump = net.link_id("PU1");
 
   hydraulics::Simulation baseline(net, {});
   const auto healthy = baseline.run();
@@ -75,7 +69,7 @@ TEST(OperationalEvents, PumpOutageZeroesFlowDuringWindowOnly) {
 
 TEST(OperationalEvents, ValveClosureIsolatesDownstreamDemand) {
   const auto net = networks::make_epa_net();
-  const auto valve = link_named(net, "V1");
+  const auto valve = net.link_id("V1");
   const auto downstream = net.link(valve).to;
 
   hydraulics::Simulation baseline(net, {});

@@ -88,6 +88,15 @@ void expect_identical(const InferenceResult& got, const InferenceResult& want,
   EXPECT_EQ(got.energy_after, want.energy_after) << where;
 }
 
+/// The model version metrics() exports for the district named `name`.
+double model_version(const ServingDaemon& daemon, const std::string& name) {
+  for (const auto& [key, value] : daemon.metrics()) {
+    if (key == "district." + name + ".model_version") return value;
+  }
+  ADD_FAILURE() << "no model_version metric for district " << name;
+  return -1.0;
+}
+
 /// Thread-safe sink collecting (district, sequence, version, result).
 struct Collector {
   struct Entry {
@@ -147,8 +156,9 @@ TEST(ServingDaemon, MixedDistrictResultsMatchPerDistrictSequential) {
       expect_identical(entries[i].result, reference.infer(inputs[d][i]),
                        "district " + std::to_string(d) + " request " + std::to_string(i));
     }
-    EXPECT_EQ(daemon.served_count(d), inputs[d].size());
-    EXPECT_EQ(daemon.shed_count(d), 0u);
+    const auto times = daemon.district_telemetry(d);
+    EXPECT_EQ(times.count(ServingDaemon::kCounterServed), inputs[d].size());
+    EXPECT_EQ(times.count(ServingDaemon::kCounterShed), 0u);
   }
 }
 
@@ -202,8 +212,9 @@ TEST(ServingDaemon, ThrowingSinkFailsOnlyItsRequestAndEveryDistrictKeepsServing)
                        "request " + std::to_string(i));
       ++i;
     }
-    EXPECT_EQ(daemon.failed_count(d), bad ? 1u : 0u);
-    EXPECT_EQ(daemon.served_count(d), entries.size());
+    const auto times = daemon.district_telemetry(d);
+    EXPECT_EQ(times.count(ServingDaemon::kCounterFailed), bad ? 1u : 0u);
+    EXPECT_EQ(times.count(ServingDaemon::kCounterServed), entries.size());
   }
   std::map<std::string, double> exported;
   for (const auto& [key, value] : daemon.metrics()) exported[key] = value;
@@ -259,8 +270,9 @@ TEST(ServingDaemon, ThrowingBatchFailsItsRequestsAndOtherDistrictsKeepServing) {
 
   ASSERT_EQ(errors.size(), wide.size());
   for (std::size_t i = 0; i < errors.size(); ++i) EXPECT_EQ(errors[i], i);
-  EXPECT_EQ(daemon.failed_count(1), wide.size());
-  EXPECT_EQ(daemon.served_count(1), 0u);
+  const auto broken_times = daemon.district_telemetry(1);
+  EXPECT_EQ(broken_times.count(ServingDaemon::kCounterFailed), wide.size());
+  EXPECT_EQ(broken_times.count(ServingDaemon::kCounterServed), 0u);
 
   const auto& entries = collector.by_district[0];
   ASSERT_EQ(entries.size(), good.size());
@@ -269,7 +281,7 @@ TEST(ServingDaemon, ThrowingBatchFailsItsRequestsAndOtherDistrictsKeepServing) {
     EXPECT_EQ(entries[i].sequence, i);
     expect_identical(entries[i].result, reference.infer(good[i]), "request " + std::to_string(i));
   }
-  EXPECT_EQ(daemon.failed_count(0), 0u);
+  EXPECT_EQ(daemon.district_telemetry(0).count(ServingDaemon::kCounterFailed), 0u);
 }
 
 TEST(ServingDaemon, ShedsOldestDeterministicallyUnderSeededOverload) {
@@ -298,9 +310,10 @@ TEST(ServingDaemon, ShedsOldestDeterministicallyUnderSeededOverload) {
   for (const auto& in : inputs) daemon.submit(0, in);
 
   EXPECT_EQ(shed_sequences, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_EQ(daemon.submitted_count(0), 10u);
-  EXPECT_EQ(daemon.shed_count(0), 6u);
-  EXPECT_EQ(daemon.served_count(0), 0u);
+  const auto paused_times = daemon.district_telemetry(0);
+  EXPECT_EQ(paused_times.count(ServingDaemon::kCounterSubmitted), 10u);
+  EXPECT_EQ(paused_times.count(ServingDaemon::kCounterShed), 6u);
+  EXPECT_EQ(paused_times.count(ServingDaemon::kCounterServed), 0u);
 
   daemon.resume();
   daemon.drain();
@@ -309,10 +322,9 @@ TEST(ServingDaemon, ShedsOldestDeterministicallyUnderSeededOverload) {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     EXPECT_EQ(entries[i].sequence, 6 + i);  // survivors, still in order
   }
-  EXPECT_EQ(daemon.served_count(0), 4u);
-
-  // submitted == served + shed once drained: nothing is silently lost.
   const auto times = daemon.district_telemetry(0);
+  EXPECT_EQ(times.count(ServingDaemon::kCounterServed), 4u);
+  // submitted == served + shed once drained: nothing is silently lost.
   EXPECT_EQ(times.count(ServingDaemon::kCounterSubmitted),
             times.count(ServingDaemon::kCounterServed) +
                 times.count(ServingDaemon::kCounterShed));
@@ -365,7 +377,7 @@ TEST(ServingDaemon, SwapBetweenBatchesIsDeterministicAtBatchGranularity) {
                      "request " + std::to_string(i));
   }
   EXPECT_EQ(daemon.district_telemetry(0).count(ServingDaemon::kCounterSwaps), 1u);
-  EXPECT_EQ(daemon.model(0)->version(), 2u);
+  EXPECT_EQ(model_version(daemon, "swap"), 2.0);
 }
 
 TEST(ServingDaemon, HotSwapUnderConcurrentLoadNeverTearsOrDrops) {
@@ -445,9 +457,10 @@ TEST(ServingDaemon, HotSwapUnderConcurrentLoadNeverTearsOrDrops) {
 
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(served.load(), kSubmitters * kPerThread);
-  EXPECT_EQ(daemon.served_count(0), kSubmitters * kPerThread);
-  EXPECT_EQ(daemon.shed_count(0), 0u);
-  EXPECT_EQ(daemon.district_telemetry(0).count(ServingDaemon::kCounterSwaps), 40u);
+  const auto times = daemon.district_telemetry(0);
+  EXPECT_EQ(times.count(ServingDaemon::kCounterServed), kSubmitters * kPerThread);
+  EXPECT_EQ(times.count(ServingDaemon::kCounterShed), 0u);
+  EXPECT_EQ(times.count(ServingDaemon::kCounterSwaps), 40u);
 }
 
 TEST(ServingDaemon, BundleLoadedFromArtifactServesIdenticallyToInMemoryModel) {
@@ -568,7 +581,7 @@ TEST(ServingDaemon, RejectsRequestsOfAnotherWidthAndKeepsServing) {
     wider->model.fit(synthetic_dataset(0x83));
     wider->sensors.sensors.resize(6);  // 6 sensors + the time feature
     EXPECT_THROW(daemon.swap_model(0, std::make_shared<ModelBundle>(wider, 2)), InvalidArgument);
-    EXPECT_EQ(daemon.model(0)->version(), 1u);
+    EXPECT_EQ(model_version(daemon, "strict"), 1.0);
 
     daemon.drain();
     const auto& entries = collector.by_district[0];
@@ -579,8 +592,9 @@ TEST(ServingDaemon, RejectsRequestsOfAnotherWidthAndKeepsServing) {
       expect_identical(entries[i].result, reference.infer(inputs[i]),
                        "request " + std::to_string(i));
     }
-    EXPECT_EQ(daemon.submitted_count(0), inputs.size());
-    EXPECT_EQ(daemon.served_count(0), inputs.size());
+    const auto times = daemon.district_telemetry(0);
+    EXPECT_EQ(times.count(ServingDaemon::kCounterSubmitted), inputs.size());
+    EXPECT_EQ(times.count(ServingDaemon::kCounterServed), inputs.size());
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "common/error.hpp"
 #include "networks/builtin.hpp"
 
@@ -52,6 +55,20 @@ TEST(Simulation, NumStepsSurvivesInexactDivision) {
   options.hydraulic_step_s = 900.0;
   Simulation sim3(small(), options);
   EXPECT_EQ(sim3.num_steps(), 2u);
+}
+
+TEST(Simulation, RejectsHorizonsWithoutARepresentableStepCount) {
+  // num_steps() converts floor(duration / step) to size_t; an infinite or
+  // huge quotient has no such value, and converting it is undefined.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> horizons[] = {
+      {inf, 900.0}, {1e300, 900.0}, {3600.0, 1e-300}, {3600.0, inf}};
+  for (const auto& [duration, step] : horizons) {
+    SimulationOptions options;
+    options.duration_s = duration;
+    options.hydraulic_step_s = step;
+    EXPECT_THROW(Simulation(small(), options), InvalidArgument) << duration << " / " << step;
+  }
 }
 
 TEST(Simulation, LeakedVolumeMatchesManualTrapezoid) {

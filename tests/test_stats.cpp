@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,17 +17,6 @@ TEST(Stats, MeanBasics) {
 TEST(Stats, MeanEmptyIsZero) {
   std::vector<double> v;
   EXPECT_DOUBLE_EQ(mean(v), 0.0);
-}
-
-TEST(Stats, StddevKnownValue) {
-  std::vector<double> v{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  // Sample stddev with n-1: variance = 32/7.
-  EXPECT_NEAR(stddev(v), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(Stats, StddevFewSamplesIsZero) {
-  std::vector<double> v{5.0};
-  EXPECT_DOUBLE_EQ(stddev(v), 0.0);
 }
 
 TEST(Stats, PercentileEndpoints) {
@@ -51,21 +39,12 @@ TEST(Stats, PercentileValidation) {
   EXPECT_THROW(percentile(w, 101.0), InvalidArgument);
 }
 
-TEST(Stats, MinMax) {
-  std::vector<double> v{3.0, -1.0, 7.5};
-  EXPECT_DOUBLE_EQ(min_value(v), -1.0);
-  EXPECT_DOUBLE_EQ(max_value(v), 7.5);
-  std::vector<double> empty;
-  EXPECT_THROW(min_value(empty), InvalidArgument);
-}
-
 TEST(RunningStats, MatchesBatchStatistics) {
   std::vector<double> v{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   RunningStats rs;
   for (double x : v) rs.add(x);
   EXPECT_EQ(rs.count(), v.size());
   EXPECT_NEAR(rs.mean(), mean(v), 1e-12);
-  EXPECT_NEAR(rs.stddev(), stddev(v), 1e-12);
   EXPECT_DOUBLE_EQ(rs.min(), 2.0);
   EXPECT_DOUBLE_EQ(rs.max(), 9.0);
 }
@@ -74,14 +53,12 @@ TEST(RunningStats, EmptyIsSafe) {
   RunningStats rs;
   EXPECT_EQ(rs.count(), 0u);
   EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
 }
 
 TEST(RunningStats, SingleValue) {
   RunningStats rs;
   rs.add(3.5);
   EXPECT_DOUBLE_EQ(rs.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
   EXPECT_DOUBLE_EQ(rs.min(), 3.5);
   EXPECT_DOUBLE_EQ(rs.max(), 3.5);
 }
